@@ -146,11 +146,8 @@ module Make (A : APP) = struct
             in
             ignore (Scheduler.Table.add table ~ready_at:time ~sent_at:!now ~kind ev)
           in
-          let payload id =
-            match Scheduler.Table.payload table id with
-            | Some (Deliver { msg; _ }) -> Some msg
-            | Some (Timer _) | None -> None
-          in
+          let msg_of = function Deliver { msg; _ } -> Some msg | Timer _ -> None in
+          let payload id = Option.bind (Scheduler.Table.payload table id) msg_of in
           let pop () =
             if Scheduler.Table.is_empty table then None
             else begin
@@ -165,16 +162,18 @@ module Make (A : APP) = struct
                 }
               in
               let id = pol.Scheduler.choose view ~payload in
-              (match Scheduler.Table.item table id with
+              match Scheduler.Table.take table id with
               | None ->
                   invalid_arg
                     (Printf.sprintf "Engine: policy %s chose id %d, which is not pending"
                        pol.Scheduler.name id)
-              | Some _ -> ());
-              pol.Scheduler.committed view ~payload id;
-              match Scheduler.Table.take table id with
-              | None -> assert false
-              | Some (item, ev) -> Some (Float.max !now item.Scheduler.ready_at, ev)
+              | Some (item, ev) ->
+                  (* [committed] sees the pre-firing view, so the fired
+                     event's payload stays readable although it has left the
+                     table. *)
+                  let payload id' = if id' = id then msg_of ev else payload id' in
+                  pol.Scheduler.committed view ~payload id;
+                  Some (Float.max !now item.Scheduler.ready_at, ev)
             end
           in
           (push, pop, fun () -> Scheduler.Table.size table)

@@ -53,10 +53,20 @@ let select pred v =
     v.items;
   !best
 
+(* Binary search for [id] among [items.(0 .. len-1)], which must be
+   strictly increasing in [id]: the slot holding it, or [-1]. *)
+let slot_of items len id =
+  let lo = ref 0 and hi = ref len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if items.(mid).id < id then lo := mid + 1 else hi := mid
+  done;
+  if !lo < len && items.(!lo).id = id then !lo else -1
+
 let find v id =
-  let found = ref None in
-  Array.iter (fun it -> if it.id = id then found := Some it) v.items;
-  !found
+  match slot_of v.items (Array.length v.items) id with
+  | -1 -> None
+  | i -> Some v.items.(i)
 
 let earliest ?prefer v =
   let chosen =
@@ -70,36 +80,63 @@ let earliest ?prefer v =
   | None -> invalid_arg "Scheduler.earliest: no pending events"
 
 module Table = struct
-  type 'p t = { mutable next_id : int; entries : (int, item * 'p) Hashtbl.t }
+  (* Live entries sit in [items.(0 .. len-1)] and [payloads.(0 .. len-1)],
+     strictly increasing in id: ids are handed out in increasing order, [add]
+     appends and [take] closes the gap, so the live prefix is always sorted.
+     Payload slots hold [option]s so the vacated tail slot can be nulled out,
+     as in [Heap]: a taken payload must not stay pinned by the backing array. *)
+  type 'p t = {
+    mutable next_id : int;
+    mutable len : int;
+    mutable items : item array;
+    mutable payloads : 'p option array;
+  }
 
-  let create () = { next_id = 0; entries = Hashtbl.create 64 }
+  let placeholder = { id = -1; sent_at = 0.0; ready_at = 0.0; kind = Tmr { pid = -1; tag = 0 } }
+
+  let create () = { next_id = 0; len = 0; items = [||]; payloads = [||] }
+
+  let grow t =
+    let cap = Array.length t.items in
+    if t.len = cap then begin
+      let ncap = max 16 (2 * cap) in
+      let items = Array.make ncap placeholder and payloads = Array.make ncap None in
+      Array.blit t.items 0 items 0 t.len;
+      Array.blit t.payloads 0 payloads 0 t.len;
+      t.items <- items;
+      t.payloads <- payloads
+    end
 
   let add t ~ready_at ~sent_at ~kind p =
     let id = t.next_id in
     t.next_id <- id + 1;
-    Hashtbl.replace t.entries id ({ id; sent_at; ready_at; kind }, p);
+    grow t;
+    t.items.(t.len) <- { id; sent_at; ready_at; kind };
+    t.payloads.(t.len) <- Some p;
+    t.len <- t.len + 1;
     id
 
-  let payload t id = Option.map snd (Hashtbl.find_opt t.entries id)
+  let slot t id = slot_of t.items t.len id
 
-  let item t id = Option.map fst (Hashtbl.find_opt t.entries id)
+  let payload t id = match slot t id with -1 -> None | i -> t.payloads.(i)
+
+  let item t id = match slot t id with -1 -> None | i -> Some t.items.(i)
 
   let take t id =
-    match Hashtbl.find_opt t.entries id with
-    | None -> None
-    | Some e ->
-        Hashtbl.remove t.entries id;
+    match slot t id with
+    | -1 -> None
+    | i ->
+        let e = (t.items.(i), Option.get t.payloads.(i)) in
+        let last = t.len - 1 in
+        Array.blit t.items (i + 1) t.items i (last - i);
+        Array.blit t.payloads (i + 1) t.payloads i (last - i);
+        t.payloads.(last) <- None;
+        t.len <- last;
         Some e
 
-  let size t = Hashtbl.length t.entries
+  let size t = t.len
 
-  let is_empty t = size t = 0
+  let is_empty t = t.len = 0
 
-  let items t =
-    let a =
-      (* detlint: allow unordered-iteration -- the fold's bucket order never escapes: the array is sorted by the total key [id] on the next line *)
-      Array.of_list (Hashtbl.fold (fun _ (it, _) acc -> it :: acc) t.entries [])
-    in
-    Array.sort (fun a b -> Int.compare a.id b.id) a;
-    a
+  let items t = Array.sub t.items 0 t.len
 end

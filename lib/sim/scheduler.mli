@@ -82,6 +82,8 @@ val select : (item -> bool) -> view -> item option
 (** Earliest item (in {!oblivious_order}) satisfying the predicate. *)
 
 val find : view -> int -> item option
+(** The pending item with this [id], by binary search: O(log n), relying on
+    [view.items] being in id order, as every engine-built view is. *)
 
 val earliest : ?prefer:(item -> bool) -> view -> int
 (** Earliest item overall, or earliest satisfying [prefer] when any does —
@@ -93,7 +95,14 @@ val earliest : ?prefer:(item -> bool) -> view -> int
 
     The engine-side store backing {!view}: insertion assigns increasing ids,
     and {!items} lists live entries in id order.  Generic in the payload so
-    the engine can store its own event type. *)
+    the engine can store its own event type.
+
+    Live entries sit in a dense array kept in id order.  The invariant
+    rests on {!add} handing out ids in increasing order: a new entry's id
+    exceeds every live one, so appending keeps the array sorted, and
+    removal closes the gap without reordering.  With [n] live entries,
+    lookups cost O(log n), removal O(n) (one blit), and a snapshot O(n) with
+    no sorting.  A taken payload is no longer referenced by the table. *)
 
 module Table : sig
   type 'p t
@@ -101,19 +110,26 @@ module Table : sig
   val create : unit -> 'p t
 
   val add : 'p t -> ready_at:float -> sent_at:float -> kind:kind -> 'p -> int
-  (** Insert and return the fresh id. *)
+  (** Insert and return the fresh id, larger than every id issued before.
+      Amortised O(1): an append. *)
 
   val payload : 'p t -> int -> 'p option
+  (** O(log n), binary search on id. *)
 
   val item : 'p t -> int -> item option
+  (** O(log n), binary search on id. *)
 
   val take : 'p t -> int -> (item * 'p) option
-  (** Remove and return, [None] if absent. *)
+  (** Remove and return, [None] if absent.  O(log n) to find the entry plus
+      O(n) to close the gap. *)
 
   val size : 'p t -> int
+  (** O(1). *)
 
   val is_empty : 'p t -> bool
+  (** O(1). *)
 
   val items : 'p t -> item array
-  (** Live items in id order. *)
+  (** Live items in id order, as a fresh array the table never mutates
+      afterwards.  O(n): one copy, no sort. *)
 end

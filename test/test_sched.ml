@@ -118,6 +118,224 @@ let test_table_oblivious_equals_heap () =
       true (results_equal heap table)
   done
 
+(* Pinned non-oblivious schedules: Ben-Or n=5 under every table-served
+   policy shape.  The constants were captured on the commit preceding the
+   dense pending table, so they pin that the table fires the same event at
+   every step, whichever policy reads it. *)
+
+let pinned_policy_runs =
+  (* spec, seed, steps, sent, delivered, end_time, decided value (all five) *)
+  [
+    ("fifo", 1, 112, 140, 112, 6.2265161071532837, 0);
+    ("fifo", 7, 72, 100, 72, 3.8888909337801181, 0);
+    ("fifo", 42, 152, 180, 152, 8.0803929692310934, 1);
+    ("lifo", 1, 47, 76, 47, 7.7674576427434419, 1);
+    ("lifo", 7, 47, 76, 47, 4.8664607888488778, 1);
+    ("lifo", 42, 47, 76, 47, 5.7317939336773973, 1);
+    ("starve:0", 1, 124, 136, 124, 4.8104124541441262, 1);
+    ("starve:0", 7, 83, 96, 83, 4.6161646371704563, 1);
+    ("starve:0", 42, 83, 100, 83, 4.1694607226761971, 1);
+    ("partition:0+1@2.5", 1, 128, 180, 128, 3.3059543954031234, 1);
+    ("partition:0+1@2.5", 7, 58, 100, 58, 2.7635061395588418, 0);
+    ("partition:0+1@2.5", 42, 267, 300, 267, 5.1734124200220348, 0);
+    ("rr-killer", 1, 127, 140, 127, 2.5386514342975999, 1);
+    ("rr-killer", 7, 90, 100, 90, 2.0210712490589713, 1);
+    ("rr-killer", 42, 89, 100, 89, 2.4412023191426115, 1);
+    ("admissible:16:starve:0", 1, 124, 140, 124, 2.2587600336938372, 1);
+    ("admissible:16:starve:0", 7, 70, 100, 70, 1.0208603290335139, 1);
+    ("admissible:16:starve:0", 42, 73, 100, 73, 1.0781897889694674, 1);
+  ]
+
+let test_pinned_policy_schedules () =
+  List.iter
+    (fun (s, seed, steps, sent, delivered, end_time, value) ->
+      let spec =
+        match Sched.Spec.of_string s with Ok spec -> spec | Error e -> Alcotest.fail e
+      in
+      let r = Benor.run (cfg_with ~spec (benor_n5_cfg seed)) in
+      let name = Printf.sprintf "%s seed %d" s seed in
+      Alcotest.(check int) (name ^ " steps") steps r.steps;
+      Alcotest.(check int) (name ^ " sent") sent r.sent;
+      Alcotest.(check int) (name ^ " delivered") delivered r.delivered;
+      check_float (name ^ " end_time") end_time r.end_time;
+      Alcotest.(check (array (option int)))
+        (name ^ " decisions") (Array.make 5 (Some value)) r.decisions)
+    pinned_policy_runs
+
+(* ------------------------------------------------------------------ *)
+(* The pending table and the view helpers *)
+
+let same_item (a : S.item) (b : S.item) =
+  a.id = b.id && Float.equal a.sent_at b.sent_at && Float.equal a.ready_at b.ready_at
+  && a.kind = b.kind
+
+let strictly_increasing (items : S.item array) =
+  let ok = ref true in
+  for i = 1 to Array.length items - 1 do
+    if items.(i - 1).id >= items.(i).id then ok := false
+  done;
+  !ok
+
+(* Random add/take/payload/item sequences against a reference table: an
+   association list kept sorted by id.  Probed ids range over every id
+   issued so far plus a few never issued, so absent and already-taken ids
+   are exercised, and every take is followed by a second take of the same
+   id, which must find nothing.  [size], [is_empty] and [items] are checked
+   after every operation. *)
+let prop_table_model =
+  QCheck.Test.make ~name:"table = sorted association list" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (pair (int_bound 4) (int_bound 1000)))
+    (fun ops ->
+      let t : int S.Table.t = S.Table.create () in
+      let model = ref [] and issued = ref 0 and ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun (op, r) ->
+          let id = r mod (!issued + 3) in
+          (match op with
+          | 0 | 1 ->
+              let kind =
+                if r mod 2 = 0 then S.Msg { src = r mod 5; dst = r mod 3 }
+                else S.Tmr { pid = r mod 4; tag = r }
+              in
+              let ready_at = float_of_int (r mod 17) /. 4.0 and sent_at = float_of_int !issued in
+              let fresh = S.Table.add t ~ready_at ~sent_at ~kind (r * 7) in
+              expect (fresh = !issued);
+              incr issued;
+              model := !model @ [ (fresh, ({ S.id = fresh; sent_at; ready_at; kind }, r * 7)) ]
+          | 2 ->
+              let same (i, p) (i', p') = same_item i i' && p = p' in
+              expect (Option.equal same (S.Table.take t id) (List.assoc_opt id !model));
+              expect (Option.is_none (S.Table.take t id));
+              model := List.remove_assoc id !model
+          | 3 ->
+              expect
+                (Option.equal Int.equal (S.Table.payload t id)
+                   (Option.map snd (List.assoc_opt id !model)))
+          | _ ->
+              expect
+                (Option.equal same_item (S.Table.item t id)
+                   (Option.map fst (List.assoc_opt id !model))));
+          let items = S.Table.items t in
+          expect (S.Table.size t = List.length !model);
+          expect (S.Table.is_empty t = (!model = []));
+          expect (strictly_increasing items);
+          expect
+            (List.equal same_item (Array.to_list items) (List.map (fun (_, (it, _)) -> it) !model)))
+        ops;
+      !ok)
+
+(* A taken payload must become unreachable from the table's backing store,
+   observed through a weak pointer across a full major collection (the same
+   check as the Heap and Wheel leak tests).  Payloads are strings built at
+   runtime, so they are boxed and the weak pointer is meaningful. *)
+
+let weak_ref v =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some v);
+  w
+
+let tmr = S.Tmr { pid = 0; tag = 0 }
+
+let test_table_take_releases_payload () =
+  let t = S.Table.create () in
+  let w =
+    (* bind the payload only inside this scope so the table holds the sole
+       strong reference once we return *)
+    let payload = String.init 16 (fun i -> Char.chr (97 + (i mod 26))) in
+    ignore (S.Table.add t ~ready_at:2.0 ~sent_at:0.0 ~kind:tmr "sentinel");
+    ignore (S.Table.add t ~ready_at:1.0 ~sent_at:0.0 ~kind:tmr payload);
+    weak_ref payload
+  in
+  (* taking id 1 vacates the tail slot, which must not pin the payload *)
+  ignore (S.Table.take t 1);
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check int) "table still holds the sentinel" 1 (S.Table.size t);
+  Alcotest.(check bool) "taken payload collected" false (Weak.check w 0)
+
+let test_table_take_last_releases_payload () =
+  let t = S.Table.create () in
+  let w =
+    let payload = String.init 16 (fun i -> Char.chr (65 + (i mod 26))) in
+    ignore (S.Table.add t ~ready_at:1.0 ~sent_at:0.0 ~kind:tmr payload);
+    weak_ref payload
+  in
+  ignore (S.Table.take t 0);
+  Gc.full_major ();
+  Gc.full_major ();
+  (* the table is still reachable here, so only a cleared slot frees the payload *)
+  Alcotest.(check bool) "table empty" true (S.Table.is_empty t);
+  Alcotest.(check bool) "sole payload collected after take" false (Weak.check w 0)
+
+let view_of items =
+  { S.now = 0.0; n = 1; items; crashed = [| false |]; decided = [| false |]; delivered_to = [| 0 |] }
+
+let test_find () =
+  let t = S.Table.create () in
+  for i = 0 to 9 do
+    ignore (S.Table.add t ~ready_at:(float_of_int i) ~sent_at:0.0 ~kind:tmr ())
+  done;
+  List.iter (fun id -> ignore (S.Table.take t id)) [ 0; 3; 4; 9 ];
+  let v = view_of (S.Table.items t) in
+  List.iter
+    (fun id ->
+      match S.find v id with
+      | Some it ->
+          Alcotest.(check int) (Printf.sprintf "found %d" id) id it.S.id;
+          check_float (Printf.sprintf "ready_at of %d" id) (float_of_int id) it.S.ready_at
+      | None -> Alcotest.failf "live id %d not found" id)
+    [ 1; 2; 5; 6; 7; 8 ];
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (Printf.sprintf "missing %d" id) true (Option.is_none (S.find v id)))
+    [ -1; 0; 3; 4; 9; 10 ];
+  Alcotest.(check bool) "empty view" true (Option.is_none (S.find (view_of [||]) 0))
+
+(* A policy must pick a pending id.  This one replays the first id it ever
+   chose, which has fired by the next step, so the engine must reject it. *)
+let test_engine_rejects_stale_id () =
+  let stale () : S.blind =
+    let first = ref None in
+    {
+      S.name = "stale";
+      choose =
+        (fun v ~payload:_ ->
+          match !first with
+          | Some id -> id
+          | None ->
+              let id = v.S.items.(0).S.id in
+              first := Some id;
+              id);
+      committed = (fun _ ~payload:_ _ -> ());
+    }
+  in
+  Alcotest.check_raises "stale id"
+    (Invalid_argument "Engine: policy stale chose id 0, which is not pending")
+    (fun () -> ignore (Benor.run { (benor_n3_cfg 1) with E.sched = Some stale }))
+
+(* [committed] gets the pre-firing view, so the fired event's payload must
+   still be readable there: the valency chaser advances its configuration
+   mirror from it. *)
+let test_committed_reads_fired_payload () =
+  let fired = ref 0 and missing = ref 0 in
+  let policy : Protocols.Benor.App.msg S.policy =
+    {
+      S.name = "payload-probe";
+      choose = (fun v ~payload:_ -> S.earliest v);
+      committed =
+        (fun v ~payload id ->
+          match S.find v id with
+          | Some it when S.is_message it ->
+              incr fired;
+              if Option.is_none (payload id) then incr missing
+          | Some _ | None -> ());
+    }
+  in
+  ignore (Benor.run_scheduled ~policy (benor_n3_cfg 1));
+  Alcotest.(check bool) "messages fired" true (!fired > 0);
+  Alcotest.(check int) "fired payloads readable" 0 !missing
+
 (* ------------------------------------------------------------------ *)
 (* Spec parsing *)
 
@@ -436,6 +654,18 @@ let () =
           Alcotest.test_case "oblivious factory is heap" `Quick test_oblivious_factory_is_none;
           Alcotest.test_case "pinned table oblivious" `Quick test_pinned_table_oblivious;
           Alcotest.test_case "table == heap across seeds" `Quick test_table_oblivious_equals_heap;
+          Alcotest.test_case "pinned policy schedules" `Quick test_pinned_policy_schedules;
+        ] );
+      ( "table",
+        [
+          QCheck_alcotest.to_alcotest prop_table_model;
+          Alcotest.test_case "take releases payload" `Quick test_table_take_releases_payload;
+          Alcotest.test_case "take last releases payload" `Quick
+            test_table_take_last_releases_payload;
+          Alcotest.test_case "find" `Quick test_find;
+          Alcotest.test_case "engine rejects stale id" `Quick test_engine_rejects_stale_id;
+          Alcotest.test_case "committed reads fired payload" `Quick
+            test_committed_reads_fired_payload;
         ] );
       ( "spec",
         [
