@@ -49,10 +49,21 @@ module Make (P : Protocol.S) = struct
        Every id, successor list, parent witness, sleep set and the
        truncation point is therefore decided by the same frontier-order
        merge the sequential explorer runs — bit-identical at every [jobs]
-       and every [shards] value. *)
+       and every [shards] value.
+
+       The shard and the bucket inside it must come from different bits of
+       the key's FNV hash.  [Hashtbl] picks a bucket from the hash's low
+       bits ([hash land (buckets - 1)]), and every key of shard [s] has
+       [hash mod shards = s]: at 64 shards its low 6 bits are fixed, so
+       keying a shard on the full hash would leave it 63 of every 64
+       buckets empty and turn each probe into a walk down a long chain.
+       So the remainder [hash mod shards] picks the shard and the shard's
+       table is keyed on the quotient [hash / shards], whose bits the
+       shard choice never fixed.  Within one shard the quotient is equal
+       exactly when the hash is, so lookups answer as before. *)
 
     module KTbl = Hashtbl.Make (struct
-      type t = int * string  (* (precomputed FNV hash, packed key) *)
+      type t = int * string  (* (hash / shard_count, packed key) *)
 
       let hash (h, _) = h
 
@@ -61,7 +72,7 @@ module Make (P : Protocol.S) = struct
 
     type store = {
       pstore : C.Packed.store;
-      shards : int KTbl.t array;  (* (hash, key) -> id; shard = hash mod shard_count *)
+      shards : int KTbl.t array;  (* shard = hash mod shard_count *)
       shard_count : int;
       mutable packed : string array;  (* id -> packed key *)
       mutable count : int;
@@ -79,7 +90,7 @@ module Make (P : Protocol.S) = struct
       }
 
     let store_find st ~hash key =
-      KTbl.find_opt st.shards.(hash mod st.shard_count) (hash, key)
+      KTbl.find_opt st.shards.(hash mod st.shard_count) (hash / st.shard_count, key)
 
     (* Merge phase only: never called while workers probe. *)
     let store_add st ~hash key =
@@ -91,7 +102,7 @@ module Make (P : Protocol.S) = struct
       end;
       st.packed.(id) <- key;
       st.bytes <- st.bytes + String.length key;
-      KTbl.add st.shards.(hash mod st.shard_count) (hash, key) id;
+      KTbl.add st.shards.(hash mod st.shard_count) (hash / st.shard_count, key) id;
       st.count <- id + 1;
       id
 
@@ -526,6 +537,11 @@ module Make (P : Protocol.S) = struct
         Obs.Metrics.gauge_set
           (Obs.Metrics.gauge m "explore.shard.max_load")
           (Array.fold_left (fun acc t -> max acc (KTbl.length t)) 0 g.store.shards);
+        Obs.Metrics.gauge_set
+          (Obs.Metrics.gauge m "explore.shard.max_chain")
+          (Array.fold_left
+             (fun acc t -> max acc (KTbl.stats t).Hashtbl.max_bucket_length)
+             0 g.store.shards);
         Obs.Metrics.gauge_set (Obs.Metrics.gauge m "explore.packed.bytes") g.store.bytes;
         Obs.Metrics.gauge_set
           (Obs.Metrics.gauge m "explore.packed.dict_states")
@@ -550,9 +566,13 @@ module Make (P : Protocol.S) = struct
 
     let root _ = 0
 
+    (* The backing arrays are over-allocated, so an id in [size, capacity)
+       would read as a valid empty node: check against [size] explicitly. *)
+    let check_id fn g id =
+      if id < 0 || id >= g.store.count then invalid_arg ("Explore." ^ fn ^ ": id out of range")
+
     let config g id =
-      if id < 0 || id >= g.store.count then
-        invalid_arg "Explore.config: id out of range";
+      check_id "config" g id;
       C.Packed.unpack g.store.pstore g.store.packed.(id)
 
     let id_of g cfg =
@@ -564,9 +584,13 @@ module Make (P : Protocol.S) = struct
 
     let packed_bytes g = g.store.bytes
 
-    let succ g id = g.succs.(id)
+    let succ g id =
+      check_id "succ" g id;
+      g.succs.(id)
 
-    let expanded g id = Bytes.get g.expanded_flags id <> '\000'
+    let expanded g id =
+      check_id "expanded" g id;
+      Bytes.get g.expanded_flags id <> '\000'
 
     let edge_count g = g.edges
 
@@ -579,6 +603,7 @@ module Make (P : Protocol.S) = struct
     let proviso_count g = g.proviso_hits
 
     let path_to g id =
+      check_id "path_to" g id;
       let rec go acc id =
         match g.parents.(id) with
         | -1, _ -> acc

@@ -92,7 +92,12 @@ module Make (P : Protocol.S) : sig
         interning, ID assignment, shard insertion — happen in the
         sequential frontier-order merge.  [shards] is independent of [jobs]
         and purely a contention/throughput knob: the graph is bit-identical
-        at every value.
+        at every value.  A key's FNV hash is split between the two levels:
+        the remainder [hash mod shards] picks the shard and the quotient
+        [hash / shards] keys the shard's table, whose bucket index reads
+        the quotient's low bits.  The two must differ — bucketing on the
+        raw hash would reuse the low bits the shard choice already fixed,
+        leaving each shard all but [1/shards] of its buckets empty.
 
         [jobs] (default [1]) sets the number of worker domains used to
         expand the BFS frontier: successor computation and read-only
@@ -120,7 +125,10 @@ module Make (P : Protocol.S) : sig
         when a pool was spawned, and — when tracing — an [explore] span with
         one [explore.wave] event per BFS wave.  The sharded store reports
         [explore.shard.probes] (intern-table probes, probe + merge phases),
-        the [explore.shard.count] / [explore.shard.max_load] gauges, and the
+        the [explore.shard.count] / [explore.shard.max_load] gauges, the
+        [explore.shard.max_chain] gauge (the longest hash-bucket chain over
+        all shards, computed once after the run — it stays close to the
+        unsharded table's at every shard count), and the
         packed-codec gauges [explore.packed.bytes] /
         [explore.packed.dict_states] / [explore.packed.dict_msgs].  Under a
         reduction mode it additionally records [explore.por.pruned] (enabled
@@ -139,14 +147,19 @@ module Make (P : Protocol.S) : sig
     val root : graph -> int
 
     val config : graph -> int -> C.t
+    (** The configuration with the given id.  Raises [Invalid_argument]
+        unless [0 <= id < size g]. *)
 
     val id_of : graph -> C.t -> int option
 
     val succ : graph -> int -> (C.event * int) list
     (** Outgoing edges of an expanded node (empty for frontier nodes of an
-        incomplete graph). *)
+        incomplete graph).  Raises [Invalid_argument] unless
+        [0 <= id < size g]. *)
 
     val expanded : graph -> int -> bool
+    (** Whether the node's successors were computed.  Raises
+        [Invalid_argument] unless [0 <= id < size g]. *)
 
     val edge_count : graph -> int
     (** Applied events only; events pruned by a reduction mode are not
@@ -179,7 +192,8 @@ module Make (P : Protocol.S) : sig
         resident configuration payload (part dictionaries excluded). *)
 
     val path_to : graph -> int -> C.event list
-    (** A shortest schedule from the root to the given node. *)
+    (** A shortest schedule from the root to the given node.  Raises
+        [Invalid_argument] unless [0 <= id < size g]. *)
   end
 
   module Valency : sig

@@ -45,6 +45,27 @@ let test_id_of () =
   let other = A.C.initial [| Value.One; Value.One |] in
   Alcotest.(check (option int)) "unknown" None (A.Explore.id_of g other)
 
+(* The backing arrays are over-allocated past [size]; ids there (and
+   beyond the allocation) must be rejected, not read as empty nodes. *)
+let test_out_of_range_ids () =
+  let g = A.Explore.explore ~max_configs:10_000 (A.C.initial v01) in
+  let n = A.Explore.size g in
+  let rejects name f id =
+    Alcotest.check_raises
+      (Printf.sprintf "%s %d" name id)
+      (Invalid_argument (Printf.sprintf "Explore.%s: id out of range" name))
+      (fun () -> ignore (f id))
+  in
+  List.iter
+    (fun id ->
+      rejects "config" (fun id -> A.Explore.config g id) id;
+      rejects "succ" (fun id -> A.Explore.succ g id) id;
+      rejects "expanded" (fun id -> A.Explore.expanded g id) id;
+      rejects "path_to" (fun id -> A.Explore.path_to g id) id)
+    [ -1; n; n + 1; 1_000_000 ];
+  (* the last valid id still answers *)
+  Alcotest.(check bool) "last id expanded" true (A.Explore.expanded g (n - 1))
+
 let test_filter_excludes_process () =
   (* excluding p1 entirely: p0 can send and null-step but nothing returns *)
   let g =
@@ -188,6 +209,7 @@ let () =
           Alcotest.test_case "truncation" `Quick test_truncation;
           Alcotest.test_case "path replays" `Quick test_path_to_replays;
           Alcotest.test_case "id_of" `Quick test_id_of;
+          Alcotest.test_case "out-of-range ids rejected" `Quick test_out_of_range_ids;
           Alcotest.test_case "filter excludes process" `Quick test_filter_excludes_process;
           Alcotest.test_case "edges are applications" `Quick test_edges_are_applications;
         ] );

@@ -334,6 +334,89 @@ let test_truncation_filter_compose_with_shards () =
             ~path_to:A.Explore.path_to f1 fs)
         [ 1; 3; 64 ]
 
+(* The shard index and the in-shard bucket index must come from different
+   hash bits.  If both read the low bits, every key of one shard lands in
+   the same 1/shards of that shard's buckets and probes walk long chains —
+   the graph stays bit-identical, so only the bucket statistics can tell.
+   Pin the longest chain over all shards to at most twice the unsharded
+   table's, at power-of-two and odd shard counts alike. *)
+let test_shard_chains_stay_short () =
+  List.iter
+    (fun name ->
+      match Zoo.find name with
+      | None -> Alcotest.fail (name ^ " missing from the zoo")
+      | Some protocol ->
+          let module P = (val protocol : Protocol.S) in
+          let module A = Analysis.Make (P) in
+          let inputs = Array.init P.n (fun i -> Value.of_int (i land 1)) in
+          let root = A.C.initial inputs in
+          let max_chain shards =
+            let m = Obs.Metrics.create () in
+            let obs = Obs.create ~metrics:m () in
+            ignore (A.Explore.explore ~obs ~shards ~max_configs:100_000 root);
+            Obs.Metrics.gauge_value (Obs.Metrics.gauge m "explore.shard.max_chain")
+          in
+          let base = max_chain 1 in
+          Alcotest.(check bool) (name ^ ": shards=1 chain measured") true (base > 0);
+          List.iter
+            (fun shards ->
+              let c = max_chain shards in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: shards=%d max chain %d <= 2 x %d" name shards c
+                   base)
+                true
+                (c <= 2 * base))
+            [ 2; 7; 64; 128 ])
+    [ "race:3"; "pipeline:10" ]
+
+(* [id_of] reads the store the merge wrote: both must agree on the shard
+   and on the in-shard key at every shard count, odd ones included. *)
+let test_id_of_round_trip_across_shards () =
+  List.iter
+    (fun name ->
+      match Zoo.find name with
+      | None -> Alcotest.fail (name ^ " missing from the zoo")
+      | Some protocol ->
+          let module P = (val protocol : Protocol.S) in
+          let module A = Analysis.Make (P) in
+          let inputs = Array.init P.n (fun i -> Value.of_int (i land 1)) in
+          let root = A.C.initial inputs in
+          let full = A.Explore.explore ~max_configs:100_000 root in
+          Alcotest.(check bool) (name ^ ": complete") true (A.Explore.complete full);
+          List.iter
+            (fun shards ->
+              List.iter
+                (fun jobs ->
+                  let label = Printf.sprintf "%s shards=%d jobs=%d" name shards jobs in
+                  let g =
+                    A.Explore.explore ~jobs ~shards ~seq_threshold:0
+                      ~max_configs:100_000 root
+                  in
+                  for id = 0 to A.Explore.size g - 1 do
+                    if A.Explore.id_of g (A.Explore.config g id) <> Some id then
+                      Alcotest.failf "%s: id_of (config %d) <> Some %d" label id id
+                  done;
+                  (* A truncated graph holds exactly the first [budget] ids of
+                     the full one (same BFS merge order); every later
+                     configuration is outside it, though the merge may
+                     already have interned all of its parts. *)
+                  let budget = 500 in
+                  let t =
+                    A.Explore.explore ~jobs ~shards ~seq_threshold:0
+                      ~max_configs:budget root
+                  in
+                  for id = 0 to A.Explore.size full - 1 do
+                    let want = if id < budget then Some id else None in
+                    if A.Explore.id_of t (A.Explore.config full id) <> want then
+                      Alcotest.failf "%s: truncated id_of (config %d)" label id
+                  done;
+                  let other = A.C.initial (Array.map Value.flip inputs) in
+                  Alcotest.(check (option int))
+                    (label ^ ": foreign root") None (A.Explore.id_of g other))
+                [ 1; 2 ])
+            [ 1; 7; 64; 128 ])
+    [ "race:2"; "benor-det:1" ]
+
 let test_explore_rejects_bad_shards () =
   match Zoo.find "parity" with
   | None -> Alcotest.fail "parity missing from the zoo"
@@ -402,5 +485,9 @@ let () =
             test_truncation_filter_compose_with_shards;
           Alcotest.test_case "explore rejects bad shards/threshold" `Quick
             test_explore_rejects_bad_shards;
+          Alcotest.test_case "shard bucket chains stay short" `Slow
+            test_shard_chains_stay_short;
+          Alcotest.test_case "id_of round-trips at every shard count" `Slow
+            test_id_of_round_trip_across_shards;
         ] );
     ]
