@@ -1,8 +1,9 @@
-(* Sequential-vs-parallel exploration benchmark.
+(* jobs=1-vs-parallel exploration benchmark.
 
    Explores a few zoo state spaces at jobs = 1, 2, 4 and reports throughput
-   (configurations interned per second) and speedup relative to the
-   sequential explorer, as both a human-readable table and a
+   (configurations interned per second) and speedup relative to jobs = 1 —
+   the same wave driver with every wave expanded inline and no pool — as
+   both a human-readable table and a
    [BENCH_explore.json] artifact for CI trend tracking.  The parallel
    explorer is bit-deterministic, so the graph shapes double as a sanity
    check: any size or edge-count divergence across [jobs] is a hard error.
@@ -28,7 +29,7 @@ let bench_protocols = [ "race:2"; "benor-det:1"; "parity" ]
 
 (* Protocols whose jobs=2 speedup [--gate] checks: the big frontiers where
    parallelism must pay.  [parity] (25 configs) is deliberately not gated —
-   it exists to show the sequential fast path absorbing tiny waves. *)
+   it exists to show inline waves absorbing tiny frontiers. *)
 let gated_protocols = [ "race:2"; "benor-det:1" ]
 
 type measurement = {
@@ -236,7 +237,7 @@ let gate_arg =
 
 let cmd =
   Cmd.v
-    (Cmd.info "explore_bench" ~doc:"Benchmark sequential vs parallel exploration")
+    (Cmd.info "explore_bench" ~doc:"Benchmark jobs=1 vs parallel exploration")
     Term.(const run $ budget_arg $ repeats_arg $ out_arg $ strict_arg $ gate_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -17,7 +17,7 @@ let pp_reduction ppf = function
   | `Persistent -> Format.pp_print_string ppf "persistent"
   | `Sleep -> Format.pp_print_string ppf "sleep"
 
-let run_checks name max_configs trials jobs shards reduction dot_file obs =
+let run_checks name max_configs trials jobs reduction dot_file obs =
   match Flp.Zoo.find name with
   | None ->
       Format.eprintf "unknown protocol %S; try --list@." name;
@@ -34,13 +34,24 @@ let run_checks name max_configs trials jobs shards reduction dot_file obs =
       (* optional GraphViz export of the mixed-input configuration graph *)
       (match dot_file with
       | Some path ->
-          let g = A.Explore.explore ~jobs ~obs ~shards ~max_configs (A.C.initial mixed) in
+          let g = A.Explore.explore ~jobs ~obs ~max_configs (A.C.initial mixed) in
           let valences =
             if A.Explore.complete g then Some (A.Valency.classify g) else None
           in
-          let oc = open_out path in
-          output_string oc (A.dot ?valences g);
-          close_out oc;
+          (try
+             let oc = open_out path in
+             output_string oc (A.dot ?valences g);
+             close_out oc
+           with Sys_error msg ->
+             (* [msg] is usually "PATH: reason"; report the reason once *)
+             let prefix = path ^ ": " in
+             let reason =
+               if String.starts_with ~prefix msg then
+                 String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+               else msg
+             in
+             Format.eprintf "flp_check: cannot write %s: %s@." path reason;
+             exit 2);
           Format.printf "wrote %d-configuration graph to %s@.@." (A.Explore.size g) path
       | None -> ());
       (* Lemma 1 *)
@@ -62,9 +73,9 @@ let run_checks name max_configs trials jobs shards reduction dot_file obs =
       (match reduction with
       | `None -> ()
       | (`Persistent | `Sleep) as red ->
-          let full = A.Explore.explore ~jobs ~obs ~shards ~max_configs (A.C.initial mixed) in
+          let full = A.Explore.explore ~jobs ~obs ~max_configs (A.C.initial mixed) in
           let g =
-            A.Explore.explore ~jobs ~obs ~reduction:red ~shards ~max_configs
+            A.Explore.explore ~jobs ~obs ~reduction:red ~max_configs
               (A.C.initial mixed)
           in
           Format.printf "@.Partial-order reduction (inputs %a, mode %a):@." pp_inputs
@@ -149,12 +160,6 @@ let jobs_arg =
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Worker domains for state-space exploration (deterministic at any value).")
 
-let shards_arg =
-  Arg.(value & opt int 64
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Intern-table shards for the direct explorations (deterministic at any \
-                 value; a contention/throughput knob independent of --jobs).")
-
 let por_arg =
   let modes = [ ("none", `None); ("persistent", `Persistent); ("sleep", `Sleep) ] in
   Arg.(
@@ -187,25 +192,25 @@ let timings_arg =
        & info [ "timings" ] ~doc:"Print a wall-time metrics table to stderr at exit.")
 
 let cmd =
-  let run list name max_configs trials jobs shards por dot_file metrics_file trace_file
+  let run list name max_configs trials jobs por dot_file metrics_file trace_file
       timings =
     if jobs < 1 then begin
       Format.eprintf "flp_check: --jobs must be at least 1 (got %d)@." jobs;
       exit 2
     end;
-    if shards < 1 then begin
-      Format.eprintf "flp_check: --shards must be at least 1 (got %d)@." shards;
+    if max_configs < 1 then begin
+      Format.eprintf "flp_check: --max-configs must be at least 1 (got %d)@." max_configs;
       exit 2
     end;
     if list then list_protocols ()
     else
       Obs.with_reporting ?metrics_file ?trace_file ~timings (fun obs ->
-          run_checks name max_configs trials jobs shards por dot_file obs)
+          run_checks name max_configs trials jobs por dot_file obs)
   in
   Cmd.v
     (Cmd.info "flp_check" ~doc:"Exhaustively check the FLP lemmas on a finite protocol")
     Term.(
       const run $ list_arg $ protocol_arg $ max_configs_arg $ trials_arg $ jobs_arg
-      $ shards_arg $ por_arg $ dot_arg $ metrics_arg $ trace_arg $ timings_arg)
+      $ por_arg $ dot_arg $ metrics_arg $ trace_arg $ timings_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -29,41 +29,26 @@ module Make (P : Protocol.S) = struct
     end)
 
     (* ---------------------------------------------------------------- *)
-    (* Sharded intern table over packed keys                             *)
+    (* Intern table over packed keys                                     *)
     (* ---------------------------------------------------------------- *)
 
-    (* Interning used to funnel every successor through one [Hashtbl] keyed
-       by whole configurations — the serial bottleneck that made the
-       frontier explorer {e slower} with more cores.  The store now keys on
-       {!C.Packed} byte strings with precomputed FNV hashes, split into
-       [hash mod shards] shards (shard count independent of [jobs]).  The
-       wave protocol is strictly phased:
+    (* The store keys on {!C.Packed} byte strings with precomputed FNV
+       hashes.  A wave that uses the pool is strictly phased:
 
        - {b probe} (parallel): workers pack each successor read-only and
-         probe its shard — no domain writes the store while any domain
+         probe the table — no domain writes the store while any domain
          reads it, so no locks are needed and no probe order can leak into
          the result;
        - {b merge} (sequential, frontier order): fresh configurations are
          assigned ids, packed (interning any new parts), and inserted.
 
-       Every id, successor list, parent witness, sleep set and the
-       truncation point is therefore decided by the same frontier-order
-       merge the sequential explorer runs — bit-identical at every [jobs]
-       and every [shards] value.
-
-       The shard and the bucket inside it must come from different bits of
-       the key's FNV hash.  [Hashtbl] picks a bucket from the hash's low
-       bits ([hash land (buckets - 1)]), and every key of shard [s] has
-       [hash mod shards = s]: at 64 shards its low 6 bits are fixed, so
-       keying a shard on the full hash would leave it 63 of every 64
-       buckets empty and turn each probe into a walk down a long chain.
-       So the remainder [hash mod shards] picks the shard and the shard's
-       table is keyed on the quotient [hash / shards], whose bits the
-       shard choice never fixed.  Within one shard the quotient is equal
-       exactly when the hash is, so lookups answer as before. *)
+       Every other wave classifies each successor against the live store
+       as it expands.  Either way, every id, successor list, parent
+       witness, sleep set and the truncation point is decided in frontier
+       order — bit-identical at every [jobs] value. *)
 
     module KTbl = Hashtbl.Make (struct
-      type t = int * string  (* (hash / shard_count, packed key) *)
+      type t = int * string  (* (hash, packed key) *)
 
       let hash (h, _) = h
 
@@ -72,25 +57,16 @@ module Make (P : Protocol.S) = struct
 
     type store = {
       pstore : C.Packed.store;
-      shards : int KTbl.t array;  (* shard = hash mod shard_count *)
-      shard_count : int;
+      table : int KTbl.t;
       mutable packed : string array;  (* id -> packed key *)
       mutable count : int;
       mutable bytes : int;  (* total packed bytes, for explore.packed.bytes *)
     }
 
-    let store_create ~shards =
-      {
-        pstore = C.Packed.create ();
-        shards = Array.init shards (fun _ -> KTbl.create 256);
-        shard_count = shards;
-        packed = [||];
-        count = 0;
-        bytes = 0;
-      }
+    let store_create () =
+      { pstore = C.Packed.create (); table = KTbl.create 256; packed = [||]; count = 0; bytes = 0 }
 
-    let store_find st ~hash key =
-      KTbl.find_opt st.shards.(hash mod st.shard_count) (hash / st.shard_count, key)
+    let store_find st ~hash key = KTbl.find_opt st.table (hash, key)
 
     (* Merge phase only: never called while workers probe. *)
     let store_add st ~hash key =
@@ -102,7 +78,7 @@ module Make (P : Protocol.S) = struct
       end;
       st.packed.(id) <- key;
       st.bytes <- st.bytes + String.length key;
-      KTbl.add st.shards.(hash mod st.shard_count) (hash / st.shard_count, key) id;
+      KTbl.add st.table (hash, key) id;
       st.count <- id + 1;
       id
 
@@ -139,9 +115,9 @@ module Make (P : Protocol.S) = struct
         g.expanded_flags <- nb
       end
 
-    let make_graph ~reduction ~shards =
+    let make_graph ~reduction =
       {
-        store = store_create ~shards;
+        store = store_create ();
         succs = [||];
         parents = [||];
         expanded_flags = Bytes.empty;
@@ -281,19 +257,19 @@ module Make (P : Protocol.S) = struct
 
     (* The sequential, state-mutating half.  Every visited-set-dependent
        decision — duplicate detection, truncation, the cycle proviso, sleep
-       intersection and requeueing — happens here, in queue/frontier order,
-       which keeps the graph bit-identical across jobs levels and between
-       the sequential and frontier drivers.
+       intersection and requeueing — happens here, in frontier order, which
+       keeps the graph bit-identical across jobs levels.
 
        Expansions are cumulative: a [`Sleep] node revisited with a strictly
        smaller sleep set is requeued and re-expanded, skipping edges already
        recorded, so its final successor list covers the ample set of its
        smallest sleep snapshot.  Pruned events produce neither edges nor
        [edges]-counter increments — only applied events count. *)
-    (* [tags], when given, are the probe phase's verdicts for [plan.chosen]
-       in order; without them (sequential driver, proviso expansions) each
-       successor is classified inline — the store is quiescent either way,
-       so the two paths resolve identically. *)
+    (* [tags], when given, are a pooled wave's probe verdicts for
+       [plan.chosen] in order, taken before the wave's merge began; without
+       them (inline waves, proviso expansions) each successor is classified
+       against the live store.  [resolve] re-probes every non-[Dup] tag, so
+       both resolve identically. *)
     let expand g ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u ~cfg plan =
       let first = Bytes.get g.expanded_flags u = '\000' in
       let existing = g.succs.(u) in
@@ -368,40 +344,23 @@ module Make (P : Protocol.S) = struct
       g.succs.(u) <- existing @ List.rev !added;
       Bytes.set g.expanded_flags u '\001'
 
-    let explore_sequential ~filter ~max_configs g root_cfg =
-      let queue = Queue.create () in
-      Queue.push { node = 0; cfg = root_cfg; sleep = [] } queue;
-      let nop () = () in
-      while not (Queue.is_empty queue) do
-        let { node = u; cfg; sleep } = Queue.pop queue in
-        let plan = compute_plan ~filter ~reduction:g.reduction cfg sleep in
-        expand g ~max_configs
-          ~push:(fun ent -> Queue.push ent queue)
-          ~on_intern:nop ~on_dup:nop ~on_trunc:nop u ~cfg plan
-      done
-
-    (* Frontier-batched BFS: the probe phase — plan computation ([C.events] +
+    (* BFS one wave at a time.  A wave of at least [seq_threshold] entries
+       at [jobs > 1] runs its probe phase — plan computation ([C.events] +
        [C.apply] + ample selection) plus read-only successor classification
-       against the sharded store — runs on a domain pool, one chunk of the
-       frontier at a time; the resulting (plan, tags) pairs are then merged
-       {e sequentially, in frontier order} by {!expand}.  The sequential BFS
-       pops its FIFO queue in exactly that order and appends children (and
-       sleep requeues) behind every already-queued node, so the interleaving
-       of [store_add] calls — and with it every graph ID, the [succs]
-       ordering, the [parents] witnesses, and the truncation point at
-       [max_configs] — is bit-identical to {!explore_sequential}.
+       — on a domain pool, then merges the (plan, tags) pairs sequentially,
+       in frontier order, through {!expand}.  Every other wave expands its
+       entries inline, one after the other, classifying against the live
+       store: a FIFO BFS taken one wave at a time.  Children and sleep
+       requeues go behind every entry of the current wave either way, so
+       the interleaving of [store_add] calls — and with it every graph ID,
+       the [succs] ordering, the [parents] witnesses, and the truncation
+       point at [max_configs] — is the same on both kinds of wave.
 
-       Two throughput refinements, both invisible in the result:
-
-       - waves smaller than [seq_threshold] skip the pool and run the probe
-         inline — the probe is read-only either way, so the tags (and hence
-         the merge) are identical, but a handful-of-nodes wave no longer
-         round-trips the pool barrier;
-       - the pool itself is created lazily, on the first wave big enough to
-         use it, so explorations that never cross the threshold (tiny zoo
-         graphs, [parity]) spawn no domains at all. *)
-    let explore_frontier ?pool_metrics ?wave_hook ~filter ~jobs ~seq_threshold
-        ~max_configs g root_cfg =
+       The pool is created lazily, on the first wave big enough to use it,
+       so explorations that never cross the threshold (tiny zoo graphs,
+       [parity], every [jobs:1] run) spawn no domains at all. *)
+    let explore_waves ?pool_metrics ?wave_hook ~filter ~jobs ~seq_threshold ~max_configs g
+        root_cfg =
       let pool = ref None in
       let get_pool () =
         match !pool with
@@ -411,47 +370,49 @@ module Make (P : Protocol.S) = struct
             pool := Some p;
             p
       in
+      let plan_of ent = compute_plan ~filter ~reduction:g.reduction ent.cfg ent.sleep in
+      (* Probe phase: pure per entry, store read-only. *)
+      let task ent =
+        let plan = plan_of ent in
+        (plan, Array.of_list (List.map (fun (_, cfg', _) -> classify_succ g cfg') plan.chosen))
+      in
       Fun.protect
         ~finally:(fun () ->
           match !pool with Some p -> Parallel.Pool.shutdown p | None -> ())
         (fun () ->
-          let frontier = ref [ { node = 0; cfg = root_cfg; sleep = [] } ] in
+          let frontier = ref (Queue.create ()) in
+          Queue.push { node = 0; cfg = root_cfg; sleep = [] } !frontier;
           let wave = ref 0 in
-          while !frontier <> [] do
+          while not (Queue.is_empty !frontier) do
             let w0 = if Option.is_none wave_hook then 0.0 else Obs.Clock.now () in
-            let batch = Array.of_list !frontier in
-            let nb = Array.length batch in
-            (* Probe phase: pure per entry, store read-only. *)
-            let task ent =
-              let plan = compute_plan ~filter ~reduction:g.reduction ent.cfg ent.sleep in
-              let tags =
-                Array.of_list
-                  (List.map (fun (_, cfg', _) -> classify_succ g cfg') plan.chosen)
-              in
-              (plan, tags)
-            in
-            let plans =
-              if jobs = 1 || nb < seq_threshold then Array.map task batch
-              else
-                Parallel.Pool.map
-                  ~chunk:(max 1 (1 + ((nb - 1) / (jobs * 8))))
-                  (get_pool ()) task batch
-            in
-            (* Merge phase: sequential, frontier order; the only writer. *)
-            let next = ref [] in
+            let nb = Queue.length !frontier in
+            let next = Queue.create () in
             let interned = ref 0 in
             let dups = ref 0 in
             let truncated = ref 0 in
-            Array.iteri
-              (fun i ent ->
-                let plan, tags = plans.(i) in
-                expand g ~max_configs
-                  ~push:(fun e -> next := e :: !next)
-                  ~on_intern:(fun () -> incr interned)
-                  ~on_dup:(fun () -> incr dups)
-                  ~on_trunc:(fun () -> incr truncated)
-                  ~tags ent.node ~cfg:ent.cfg plan)
-              batch;
+            let push e = Queue.push e next in
+            let on_intern () = incr interned in
+            let on_dup () = incr dups in
+            let on_trunc () = incr truncated in
+            let expand_entry ?tags ent plan =
+              expand g ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags ent.node
+                ~cfg:ent.cfg plan
+            in
+            if jobs > 1 && nb >= seq_threshold then begin
+              let batch = Array.of_seq (Queue.to_seq !frontier) in
+              let plans =
+                Parallel.Pool.map
+                  ~chunk:(max 1 (1 + ((nb - 1) / (jobs * 8))))
+                  (get_pool ()) task batch
+              in
+              (* Merge phase: sequential, frontier order; the only writer. *)
+              Array.iteri
+                (fun i ent ->
+                  let plan, tags = plans.(i) in
+                  expand_entry ~tags ent plan)
+                batch
+            end
+            else Queue.iter (fun ent -> expand_entry ent (plan_of ent)) !frontier;
             (match wave_hook with
             | None -> ()
             | Some hook ->
@@ -459,89 +420,77 @@ module Make (P : Protocol.S) = struct
                   ~dups:!dups ~truncated:!truncated
                   ~seconds:(Obs.Clock.elapsed w0));
             incr wave;
-            frontier := List.rev !next
+            frontier := next
           done)
 
     let explore ?(filter = fun _ -> true) ?(jobs = 1) ?(obs = Obs.disabled)
-        ?(reduction = `None) ?(shards = 64) ?(seq_threshold = 128) ~max_configs
-        root_cfg =
+        ?(reduction = `None) ?(seq_threshold = 128) ~max_configs root_cfg =
       if max_configs < 1 then invalid_arg "Explore.explore: max_configs must be >= 1";
       if jobs < 1 then invalid_arg "Explore.explore: jobs must be >= 1";
-      if shards < 1 then invalid_arg "Explore.explore: shards must be >= 1";
       if seq_threshold < 0 then
         invalid_arg "Explore.explore: seq_threshold must be >= 0";
-      let g = make_graph ~reduction ~shards in
+      let g = make_graph ~reduction in
       let root_key = C.Packed.pack g.store.pstore root_cfg in
       ensure_capacity g 1;
       let root_id = store_add g.store ~hash:(C.Packed.hash root_key) root_key in
       assert (root_id = 0);
-      if not (Obs.enabled obs) then begin
-        if jobs = 1 then explore_sequential ~filter ~max_configs g root_cfg
-        else explore_frontier ~filter ~jobs ~seq_threshold ~max_configs g root_cfg
-      end
-      else begin
-        (* Instrumented exploration always takes the frontier path — even at
-           [jobs:1] — so the per-wave records exist at every jobs level and,
-           because the frontier explorer is bit-identical to the sequential
-           one, every structural metric (waves, configs, edges, dedup hits,
-           truncation) is deterministic across jobs values. *)
-        let m = obs.Obs.metrics in
-        let c_waves = Obs.Metrics.counter m "explore.waves" in
-        let c_configs = Obs.Metrics.counter m "explore.configs" in
-        let c_edges = Obs.Metrics.counter m "explore.edges" in
-        let c_dups = Obs.Metrics.counter m "explore.dedup_hits" in
-        let c_trunc = Obs.Metrics.counter m "explore.truncated" in
-        let h_wave =
-          Obs.Metrics.histogram m "explore.wave_size" ~lo:0.0 ~hi:100_000.0 ~bins:50
-        in
-        let t_explore = Obs.Metrics.timer m "explore.time" in
-        let rate = Obs.Metrics.fgauge m "explore.configs_per_sec" in
-        let trace = obs.Obs.trace in
-        let wave_hook ~wave ~frontier ~interned ~dups ~truncated ~seconds =
-          Obs.Metrics.incr c_waves 1;
-          Obs.Metrics.incr c_configs interned;
-          Obs.Metrics.incr c_dups dups;
-          Obs.Metrics.incr c_trunc truncated;
-          Obs.Metrics.observe h_wave (float_of_int frontier);
-          Obs.Span.event trace "explore.wave"
-            ~attrs:
-              [
-                ("wave", Flp_json.Int wave);
-                ("frontier", Flp_json.Int frontier);
-                ("interned", Flp_json.Int interned);
-                ("dedup_hits", Flp_json.Int dups);
-                ("truncated", Flp_json.Int truncated);
-                ("dur_s", Flp_json.Float seconds);
-              ]
-        in
-        Obs.Metrics.incr c_configs 1;
-        (* the root, interned before the first wave *)
-        let t0 = Obs.Clock.now () in
-        Obs.Span.span trace "explore"
-          ~attrs:
-            [
-              ("jobs", Flp_json.Int jobs);
-              ("max_configs", Flp_json.Int max_configs);
-              ("reduction", Flp_json.Str (reduction_name reduction));
-            ]
-          (fun () ->
-            explore_frontier ~pool_metrics:m ~wave_hook ~filter ~jobs ~seq_threshold
-              ~max_configs g root_cfg);
+      let m = obs.Obs.metrics in
+      let trace = obs.Obs.trace in
+      (* [obs] never picks the code path: it only adds the per-wave hook,
+         the pool's metrics, the span and the post-run metrics below. *)
+      let pool_metrics, wave_hook =
+        if not (Obs.enabled obs) then (None, None)
+        else begin
+          let c_waves = Obs.Metrics.counter m "explore.waves" in
+          let c_configs = Obs.Metrics.counter m "explore.configs" in
+          let c_dups = Obs.Metrics.counter m "explore.dedup_hits" in
+          let c_trunc = Obs.Metrics.counter m "explore.truncated" in
+          let h_wave =
+            Obs.Metrics.histogram m "explore.wave_size" ~lo:0.0 ~hi:100_000.0 ~bins:50
+          in
+          let wave_hook ~wave ~frontier ~interned ~dups ~truncated ~seconds =
+            Obs.Metrics.incr c_waves 1;
+            Obs.Metrics.incr c_configs interned;
+            Obs.Metrics.incr c_dups dups;
+            Obs.Metrics.incr c_trunc truncated;
+            Obs.Metrics.observe h_wave (float_of_int frontier);
+            Obs.Span.event trace "explore.wave"
+              ~attrs:
+                [
+                  ("wave", Flp_json.Int wave);
+                  ("frontier", Flp_json.Int frontier);
+                  ("interned", Flp_json.Int interned);
+                  ("dedup_hits", Flp_json.Int dups);
+                  ("truncated", Flp_json.Int truncated);
+                  ("dur_s", Flp_json.Float seconds);
+                ]
+          in
+          (* the root, interned before the first wave *)
+          Obs.Metrics.incr c_configs 1;
+          (Some m, Some wave_hook)
+        end
+      in
+      let t0 = if Obs.enabled obs then Obs.Clock.now () else 0.0 in
+      Obs.Span.span trace "explore"
+        ~attrs:
+          [
+            ("jobs", Flp_json.Int jobs);
+            ("max_configs", Flp_json.Int max_configs);
+            ("reduction", Flp_json.Str (reduction_name reduction));
+          ]
+        (fun () ->
+          explore_waves ?pool_metrics ?wave_hook ~filter ~jobs ~seq_threshold ~max_configs g
+            root_cfg);
+      if Obs.enabled obs then begin
         let dur = Obs.Clock.elapsed t0 in
-        Obs.Metrics.add_seconds t_explore dur;
-        Obs.Metrics.incr c_edges g.edges;
-        (* Sharded-intern and packed-codec structurals — all deterministic
-           across jobs values, like every other structural metric here. *)
-        Obs.Metrics.incr (Obs.Metrics.counter m "explore.shard.probes") g.probes;
-        Obs.Metrics.gauge_set (Obs.Metrics.gauge m "explore.shard.count") g.store.shard_count;
+        Obs.Metrics.add_seconds (Obs.Metrics.timer m "explore.time") dur;
+        Obs.Metrics.incr (Obs.Metrics.counter m "explore.edges") g.edges;
+        (* Intern-store and packed-codec structurals: the same at every
+           [jobs] value, except the probe count (see [probe_count]). *)
+        Obs.Metrics.incr (Obs.Metrics.counter m "explore.store.probes") g.probes;
         Obs.Metrics.gauge_set
-          (Obs.Metrics.gauge m "explore.shard.max_load")
-          (Array.fold_left (fun acc t -> max acc (KTbl.length t)) 0 g.store.shards);
-        Obs.Metrics.gauge_set
-          (Obs.Metrics.gauge m "explore.shard.max_chain")
-          (Array.fold_left
-             (fun acc t -> max acc (KTbl.stats t).Hashtbl.max_bucket_length)
-             0 g.store.shards);
+          (Obs.Metrics.gauge m "explore.store.max_chain")
+          (KTbl.stats g.store.table).Hashtbl.max_bucket_length;
         Obs.Metrics.gauge_set (Obs.Metrics.gauge m "explore.packed.bytes") g.store.bytes;
         Obs.Metrics.gauge_set
           (Obs.Metrics.gauge m "explore.packed.dict_states")
@@ -556,7 +505,9 @@ module Make (P : Protocol.S) = struct
             Obs.Metrics.incr (Obs.Metrics.counter m "explore.por.sleep_hits") g.sleep_hits;
             Obs.Metrics.incr (Obs.Metrics.counter m "explore.por.proviso") g.proviso_hits);
         if dur > 0.0 then
-          Obs.Metrics.fgauge_set rate (float_of_int g.store.count /. dur)
+          Obs.Metrics.fgauge_set
+            (Obs.Metrics.fgauge m "explore.configs_per_sec")
+            (float_of_int g.store.count /. dur)
       end;
       g
 

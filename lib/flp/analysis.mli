@@ -75,7 +75,6 @@ module Make (P : Protocol.S) : sig
       ?jobs:int ->
       ?obs:Obs.t ->
       ?reduction:reduction ->
-      ?shards:int ->
       ?seq_threshold:int ->
       max_configs:int ->
       C.t ->
@@ -86,32 +85,21 @@ module Make (P : Protocol.S) : sig
         once [max_configs] is reached; the result is then {e incomplete}.
 
         Visited configurations are stored {e packed} ({!Config.S.Packed}) in
-        an intern table split into [shards] (default [64]) hash shards.  In
-        frontier mode the workers' successor classification probes the
-        shards read-only while the store is frozen; all writes — part
-        interning, ID assignment, shard insertion — happen in the
-        sequential frontier-order merge.  [shards] is independent of [jobs]
-        and purely a contention/throughput knob: the graph is bit-identical
-        at every value.  A key's FNV hash is split between the two levels:
-        the remainder [hash mod shards] picks the shard and the quotient
-        [hash / shards] keys the shard's table, whose bucket index reads
-        the quotient's low bits.  The two must differ — bucketing on the
-        raw hash would reuse the low bits the shard choice already fixed,
-        leaving each shard all but [1/shards] of its buckets empty.
+        one intern table keyed on (FNV hash, packed key).  The BFS runs one
+        wave (frontier) at a time, and every write to the table — part
+        interning, ID assignment, insertion — happens in frontier order.
 
         [jobs] (default [1]) sets the number of worker domains used to
-        expand the BFS frontier: successor computation and read-only
-        duplicate probing run in parallel, after which the results are
-        merged sequentially in frontier order.  The produced graph is
-        {e bit-identical} for every [jobs] value — IDs, successor-list
-        order, parent witnesses and the truncation point all match the
-        sequential explorer — so [jobs] is purely a throughput knob.
-        [jobs:1] runs the plain sequential code path.  Waves smaller than
-        [seq_threshold] (default [128]) entries run their probe phase
-        inline instead of on the pool — same tags, same merge, no barrier
-        round-trip — and the pool is only spawned on the first wave that
-        needs it.  Raises [Invalid_argument] when [jobs < 1], [shards < 1]
-        or [seq_threshold < 0].
+        expand a wave.  A wave of at least [seq_threshold] (default [128])
+        entries at [jobs > 1] computes successors and probes the table
+        read-only on the pool, then merges the results sequentially in
+        frontier order; every other wave expands its entries inline, one
+        after the other.  The produced graph is {e bit-identical} for every
+        [jobs] and [seq_threshold] value — IDs, successor-list order, parent
+        witnesses and the truncation point all match — so both are purely
+        throughput knobs.  The pool is only spawned on the first wave that
+        needs it, so [jobs:1] never spawns one.  Raises [Invalid_argument]
+        when [max_configs < 1], [jobs < 1] or [seq_threshold < 0].
 
         [reduction] (default [`None]) selects the partial-order reduction
         mode; see {!type:reduction}.  Pruned events contribute neither edges
@@ -123,22 +111,17 @@ module Make (P : Protocol.S) : sig
         [explore.wave_size], the [explore.time] timer, the derived
         [explore.configs_per_sec] gauge, plus the pool's [pool.*] metrics
         when a pool was spawned, and — when tracing — an [explore] span with
-        one [explore.wave] event per BFS wave.  The sharded store reports
-        [explore.shard.probes] (intern-table probes, probe + merge phases),
-        the [explore.shard.count] / [explore.shard.max_load] gauges, the
-        [explore.shard.max_chain] gauge (the longest hash-bucket chain over
-        all shards, computed once after the run — it stays close to the
-        unsharded table's at every shard count), and the
-        packed-codec gauges [explore.packed.bytes] /
-        [explore.packed.dict_states] / [explore.packed.dict_msgs].  Under a
-        reduction mode it additionally records [explore.por.pruned] (enabled
-        events never applied), [explore.por.sleep_hits] (events delegated
-        via sleep sets) and [explore.por.proviso] (cycle-proviso full
-        expansions).  An enabled [obs] routes even [jobs:1] through the
-        frontier explorer so wave records exist at every jobs level and all
-        structural metrics — including the shard and packed gauges — are
-        identical across jobs values; the disabled default keeps the
-        uninstrumented code paths. *)
+        one [explore.wave] event per BFS wave.  The store reports
+        [explore.store.probes] (see {!probe_count}), the
+        [explore.store.max_chain] gauge (the longest hash-bucket chain,
+        computed once after the run), and the packed-codec gauges
+        [explore.packed.bytes] / [explore.packed.dict_states] /
+        [explore.packed.dict_msgs].  Under a reduction mode it additionally
+        records [explore.por.pruned] (enabled events never applied),
+        [explore.por.sleep_hits] (events delegated via sleep sets) and
+        [explore.por.proviso] (cycle-proviso full expansions).  [obs] never
+        changes the code path: the graph and {!probe_count} are the same
+        with it enabled or disabled. *)
 
     val complete : graph -> bool
 
@@ -179,13 +162,15 @@ module Make (P : Protocol.S) : sig
     (** Full expansions forced by the BFS cycle proviso. *)
 
     val probe_count : graph -> int
-    (** Intern-table probes performed (read-only probe phase plus merge
-        re-probes).  Deterministic across [shards] values and across every
-        [jobs] value that uses the frontier driver; the sequential driver
-        ([jobs:1] without [obs]) probes slightly less, because a duplicate
-        arising within what would be one wave is already interned when it
-        classifies — the difference is exactly the frontier driver's
-        re-probe cost, which is what this counter exists to expose. *)
+    (** Intern-table probes performed.  A successor classified inline costs
+        one probe, plus one more to intern it when it is new (a successor
+        holding a never-interned part skips the first: it cannot be in the
+        table).  On a pooled wave a configuration first reached twice within
+        the wave is new to the probe phase both times, so the merge
+        re-probes it.  The count is fixed for a given [jobs] and
+        [seq_threshold] and independent of [obs]; its excess over [jobs:1]
+        is exactly the pooled waves' re-probe cost, which is what this
+        counter exists to expose. *)
 
     val packed_bytes : graph -> int
     (** Total bytes of packed configuration keys stored — the graph's

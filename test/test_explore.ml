@@ -92,6 +92,106 @@ let test_edges_are_applications () =
       (A.Explore.succ g id)
   done
 
+(* An independent reference for [Explore.explore]: a plain FIFO BFS over
+   whole configurations that shares no code with the explorer's store,
+   plan or merge.  Ids follow discovery order and each node's successors
+   follow [C.events] order; [bfs] returns, per id, the configuration, its
+   BFS depth and its successor list, or [None] past [budget] configurations. *)
+module Reference (C : Config.S) = struct
+  module H = Hashtbl.Make (struct
+    type t = C.t
+
+    let equal = C.equal
+
+    let hash = C.hash
+  end)
+
+  let bfs ~budget root =
+    let ids = H.create 1024 in
+    let queue = Queue.create () in
+    let visit c depth =
+      match H.find_opt ids c with
+      | Some id -> id
+      | None ->
+          let id = H.length ids in
+          if id >= budget then raise Exit;
+          H.add ids c id;
+          Queue.push (c, depth) queue;
+          id
+    in
+    (* the queue pops in id order, so node [i] of the result is id [i] *)
+    let rec drain acc =
+      match Queue.take_opt queue with
+      | None -> Array.of_list (List.rev acc)
+      | Some (c, depth) ->
+          let succ = List.map (fun e -> (e, visit (C.apply c e) (depth + 1))) (C.events c) in
+          drain ((c, depth, succ) :: acc)
+    in
+    match
+      ignore (visit root 0);
+      drain []
+    with
+    | nodes -> Some nodes
+    | exception Exit -> None
+end
+
+(* [true] when the protocol's graph fits [budget] and was checked. *)
+let matches_reference ~budget label protocol =
+  let module P = (val protocol : Protocol.S) in
+  let module A = Analysis.Make (P) in
+  let module R = Reference (A.C) in
+  let root = A.C.initial (Array.init P.n (fun i -> Value.of_int (i land 1))) in
+  match R.bfs ~budget root with
+  | None -> false
+  | Some nodes ->
+      List.iter
+        (fun jobs ->
+          let label = Printf.sprintf "%s jobs=%d" label jobs in
+          let g = A.Explore.explore ~jobs ~seq_threshold:0 ~max_configs:budget root in
+          Alcotest.(check bool) (label ^ ": complete") true (A.Explore.complete g);
+          Alcotest.(check int) (label ^ ": size") (Array.length nodes) (A.Explore.size g);
+          Alcotest.(check int)
+            (label ^ ": edge count")
+            (Array.fold_left (fun acc (_, _, s) -> acc + List.length s) 0 nodes)
+            (A.Explore.edge_count g);
+          Array.iteri
+            (fun id (c, depth, succ) ->
+              if not (A.C.equal c (A.Explore.config g id)) then
+                Alcotest.failf "%s: config %d differs" label id;
+              let got = A.Explore.succ g id in
+              if
+                not
+                  (List.length got = List.length succ
+                  && List.for_all2
+                       (fun (e1, v1) (e2, v2) -> v1 = v2 && A.C.event_equal e1 e2)
+                       got succ)
+              then Alcotest.failf "%s: succs of %d differ" label id;
+              if List.length (A.Explore.path_to g id) <> depth then
+                Alcotest.failf "%s: path to %d is not %d events" label id depth)
+            nodes)
+        [ 1; 4 ];
+      true
+
+let test_matches_reference_bfs () =
+  let checked =
+    List.filter
+      (fun (e : Zoo.entry) -> matches_reference ~budget:40_000 e.name e.protocol)
+      Zoo.all
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " checked")
+        true
+        (List.exists (fun (e : Zoo.entry) -> e.name = name) checked))
+    [ "race:2"; "benor-det:1" ];
+  for seed = 1 to 5 do
+    let label = Printf.sprintf "fuzz seed %d" seed in
+    let protocol = Random_protocol.generate Random_protocol.default_spec ~seed in
+    Alcotest.(check bool) (label ^ " checked") true
+      (matches_reference ~budget:40_000 label protocol)
+  done
+
 let test_valency_and_wait () =
   (* decision of and-wait is input0 AND input1, so every initial
      configuration is univalent *)
@@ -212,6 +312,7 @@ let () =
           Alcotest.test_case "out-of-range ids rejected" `Quick test_out_of_range_ids;
           Alcotest.test_case "filter excludes process" `Quick test_filter_excludes_process;
           Alcotest.test_case "edges are applications" `Quick test_edges_are_applications;
+          Alcotest.test_case "matches a reference BFS" `Slow test_matches_reference_bfs;
         ] );
       ( "valency",
         [

@@ -1,7 +1,8 @@
 (* lib/obs: the metrics/tracing layer.  Covers the no-op guarantees, exact
    lock-free recording under a domain pool, span nesting, the JSONL schema
    (round-tripped through the shared Flp_json parser), and the cross-jobs
-   determinism of the instrumented explorer. *)
+   determinism of the instrumented explorer, which must explore exactly as
+   the uninstrumented one does. *)
 
 let lines_of buf =
   String.split_on_char '\n' (Buffer.contents buf) |> List.filter (fun l -> l <> "")
@@ -325,6 +326,49 @@ let test_explore_por_counters () =
         (A.Explore.proviso_count g) (counter "explore.por.proviso");
       Alcotest.(check bool) "pruning happened" true (A.Explore.pruned_count g > 0)
 
+(* Turning [obs] on must change neither the code path nor the result: the
+   same graph, the same reduction bookkeeping and the same number of
+   intern-table probes, at every jobs level. *)
+let test_explore_obs_changes_nothing () =
+  List.iter
+    (fun name ->
+      match Flp.Zoo.find name with
+      | None -> Alcotest.fail (name ^ " missing from the zoo")
+      | Some protocol ->
+          let module P = (val protocol : Flp.Protocol.S) in
+          let module A = Flp.Analysis.Make (P) in
+          let inputs = Array.init P.n (fun i -> Flp.Value.of_int (i land 1)) in
+          let root = A.C.initial inputs in
+          List.iter
+            (fun (reduction, rname) ->
+              List.iter
+                (fun jobs ->
+                  let label = Printf.sprintf "%s %s jobs=%d" name rname jobs in
+                  let off = A.Explore.explore ~jobs ~reduction ~max_configs:40_000 root in
+                  let obs =
+                    Obs.create ~metrics:(Obs.Metrics.create ())
+                      ~trace:(Obs.Span.create (Obs.Sink.of_buffer (Buffer.create 4096)))
+                      ()
+                  in
+                  let on =
+                    A.Explore.explore ~jobs ~obs ~reduction ~max_configs:40_000 root
+                  in
+                  Graph_check.check_graphs_equal label ~event_equal:A.C.event_equal
+                    ~size:A.Explore.size ~complete:A.Explore.complete
+                    ~edge_count:A.Explore.edge_count ~succ:A.Explore.succ
+                    ~path_to:A.Explore.path_to off on;
+                  List.iter
+                    (fun (what, f) -> Alcotest.(check int) (label ^ ": " ^ what) (f off) (f on))
+                    [
+                      ("pruned", A.Explore.pruned_count);
+                      ("sleep hits", A.Explore.sleep_hit_count);
+                      ("proviso", A.Explore.proviso_count);
+                      ("probes", A.Explore.probe_count);
+                    ])
+                [ 1; 2 ])
+            [ (`None, "none"); (`Sleep, "sleep") ])
+    [ "race:2"; "benor-det:1" ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine probes                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -442,6 +486,8 @@ let () =
             test_explore_por_counters;
           Alcotest.test_case "configs counter = graph size" `Quick
             test_explore_configs_counter_matches_size;
+          Alcotest.test_case "obs changes neither path nor result" `Slow
+            test_explore_obs_changes_nothing;
         ] );
       ("engine", [ Alcotest.test_case "event-loop probes" `Quick test_engine_metrics ]);
       ("lint", [ Alcotest.test_case "per-rule timers" `Quick test_lint_rule_timers ]);

@@ -1,5 +1,5 @@
 (* Property tests for the [Config.Packed] codec, the byte representation the
-   sharded intern table keys on.  The properties the explorer leans on:
+   intern table keys on.  The properties the explorer leans on:
 
    - exact round-trip: [unpack s (pack s c)] is [equal] to [c];
    - injectivity: distinct configurations pack to distinct bytes (packed
@@ -8,8 +8,9 @@
      bytes, and [pack_ro] agrees with [pack] on known parts;
    - read-only-ness: [pack_ro] never grows the part dictionaries, and
      returns [None] exactly when some part was never interned;
-   - hash stability: the key hash is FNV-1a with pinned constants (shard
-     assignment must not drift across runs, platforms or word sizes).
+   - hash stability: the key hash is FNV-1a with pinned constants (the
+     intern table's keys must not drift across runs, platforms or word
+     sizes).
 
    Checked against every zoo protocol, using a small exploration to
    enumerate genuinely reachable — and, by interning, pairwise distinct —
@@ -98,7 +99,7 @@ let test_graph_store_roundtrip () =
 
 (* FNV-1a 32-bit with offset 0x811c9dc5 / prime 0x01000193, masked per step:
    pin the published test vectors so a platform- or refactor-induced drift
-   in shard assignment cannot pass silently. *)
+   in the intern table's keys cannot pass silently. *)
 let test_hash_pinned () =
   match Zoo.all with
   | [] -> Alcotest.fail "empty zoo"

@@ -1,8 +1,9 @@
 (* The parallel explorer's contract is strong: for every [jobs] value the
-   produced graph is bit-identical to the sequential one — IDs, successor
-   order, parent witnesses, truncation point.  These tests hold the frontier
-   explorer to that contract over the whole zoo and over random fuzz tables,
-   and unit-test the domain pool itself. *)
+   produced graph is bit-identical to the [jobs:1] one — IDs, successor
+   order, parent witnesses, truncation point.  These tests hold the pooled
+   waves to that contract over the whole zoo and over random fuzz tables,
+   and unit-test the domain pool itself.  [jobs:1] is in turn checked
+   against an independent reference BFS in test_explore. *)
 
 open Flp
 
@@ -94,32 +95,14 @@ let test_shutdown_idempotent () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Explorer determinism: parallel graph == sequential graph            *)
+(* Explorer determinism: pooled graph == inline graph                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Structural equality of two exploration graphs of the same protocol,
-   asserted piecewise so a mismatch names what diverged. *)
-let check_graphs_equal label ~event_equal ~size ~complete ~edge_count ~succ ~path_to g1 g4 =
-  Alcotest.(check int) (label ^ ": size") (size g1) (size g4);
-  Alcotest.(check bool) (label ^ ": complete") (complete g1) (complete g4);
-  Alcotest.(check int) (label ^ ": edge count") (edge_count g1) (edge_count g4);
-  let edge_equal (e1, v1) (e2, v2) = v1 = v2 && event_equal e1 e2 in
-  for u = 0 to size g1 - 1 do
-    let s1 = succ g1 u and s4 = succ g4 u in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: succs of %d" label u)
-      true
-      (List.length s1 = List.length s4 && List.for_all2 edge_equal s1 s4);
-    let p1 = path_to g1 u and p4 = path_to g4 u in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: path to %d" label u)
-      true
-      (List.length p1 = List.length p4 && List.for_all2 event_equal p1 p4)
-  done
+let check_graphs_equal = Graph_check.check_graphs_equal
 
 (* [seq_threshold:0] forces the pooled probe path even on tiny zoo waves —
-   otherwise every frontier under 128 entries would take the sequential fast
-   path and the pool would never be exercised. *)
+   otherwise every frontier under 128 entries would expand inline and the
+   pool would never be exercised. *)
 let check_protocol_deterministic ~budget ~jobs label protocol =
   let module P = (val protocol : Protocol.S) in
   let module A = Analysis.Make (P) in
@@ -154,9 +137,12 @@ let test_fuzz_seeds_deterministic () =
       protocol
   done
 
+(* Truncation and filtering must compose with pooled waves as well as with
+   inline ones: [seq_threshold:0] sends every wave at [jobs:4] through the
+   pool, the default leaves race:2's small waves inline. *)
 let test_truncation_deterministic () =
-  (* when the budget bites, sequential and parallel must truncate at the
-     same configuration with the same incomplete frontier *)
+  (* when the budget bites, every jobs level must truncate at the same
+     configuration with the same incomplete frontier *)
   match Zoo.find "race:2" with
   | None -> Alcotest.fail "race:2 missing from the zoo"
   | Some protocol ->
@@ -167,21 +153,24 @@ let test_truncation_deterministic () =
       List.iter
         (fun budget ->
           let g1 = A.Explore.explore ~jobs:1 ~max_configs:budget root in
-          let g4 = A.Explore.explore ~jobs:4 ~max_configs:budget root in
           Alcotest.(check bool)
             (Printf.sprintf "budget %d truncates" budget)
             false (A.Explore.complete g1);
-          check_graphs_equal
-            (Printf.sprintf "race:2 @ %d" budget)
-            ~event_equal:A.C.event_equal
-            ~size:A.Explore.size ~complete:A.Explore.complete
-            ~edge_count:A.Explore.edge_count ~succ:A.Explore.succ
-            ~path_to:A.Explore.path_to g1 g4)
+          List.iter
+            (fun seq_threshold ->
+              let g4 = A.Explore.explore ~jobs:4 ~seq_threshold ~max_configs:budget root in
+              check_graphs_equal
+                (Printf.sprintf "race:2 @ %d threshold %d" budget seq_threshold)
+                ~event_equal:A.C.event_equal
+                ~size:A.Explore.size ~complete:A.Explore.complete
+                ~edge_count:A.Explore.edge_count ~succ:A.Explore.succ
+                ~path_to:A.Explore.path_to g1 g4)
+            [ 128; 0 ])
         [ 100; 500 ]
 
 let test_filter_respected_in_parallel () =
-  (* the Lemma 3 machinery relies on filtered exploration; the parallel
-     path must apply the same filter *)
+  (* the Lemma 3 machinery relies on filtered exploration; pooled waves
+     must apply the same filter *)
   match Zoo.find "race:2" with
   | None -> Alcotest.fail "race:2 missing from the zoo"
   | Some protocol ->
@@ -191,24 +180,24 @@ let test_filter_respected_in_parallel () =
       let root = A.C.initial inputs in
       let filter (e : A.C.event) = e.dest <> 0 in
       let g1 = A.Explore.explore ~filter ~jobs:1 ~max_configs:40_000 root in
-      let g4 = A.Explore.explore ~filter ~jobs:4 ~max_configs:40_000 root in
-      check_graphs_equal "race:2 filtered"
-        ~event_equal:A.C.event_equal
-        ~size:A.Explore.size ~complete:A.Explore.complete
-        ~edge_count:A.Explore.edge_count ~succ:A.Explore.succ
-        ~path_to:A.Explore.path_to g1 g4
+      List.iter
+        (fun seq_threshold ->
+          let g4 =
+            A.Explore.explore ~filter ~jobs:4 ~seq_threshold ~max_configs:40_000 root
+          in
+          check_graphs_equal
+            (Printf.sprintf "race:2 filtered threshold %d" seq_threshold)
+            ~event_equal:A.C.event_equal
+            ~size:A.Explore.size ~complete:A.Explore.complete
+            ~edge_count:A.Explore.edge_count ~succ:A.Explore.succ
+            ~path_to:A.Explore.path_to g1 g4)
+        [ 128; 0 ]
 
-(* ------------------------------------------------------------------ *)
-(* Sharded intern table: shards × jobs × reduction matrix              *)
-(* ------------------------------------------------------------------ *)
-
-(* The shard count partitions the intern table by key hash; it must be a
-   pure throughput knob.  Pin the graph bit-identical over the whole
-   shards × jobs matrix, for every reduction mode, against the
-   default-shards sequential baseline — DPOR bookkeeping (pruned counts,
-   sleep hits, proviso expansions) included, since the reductions make
+(* Pin the graph bit-identical over jobs, for every reduction mode, against
+   the [jobs:1] baseline — DPOR bookkeeping (pruned counts, sleep hits,
+   proviso expansions) included, since the reductions make
    visited-set-dependent choices that would surface any merge-order drift. *)
-let test_shard_matrix_deterministic () =
+let test_jobs_reduction_matrix () =
   match Zoo.find "race:2" with
   | None -> Alcotest.fail "race:2 missing from the zoo"
   | Some protocol ->
@@ -219,58 +208,59 @@ let test_shard_matrix_deterministic () =
       List.iter
         (fun reduction ->
           let base = A.Explore.explore ~jobs:1 ~reduction ~max_configs:40_000 root in
-          (* probe counts are frontier-driver-specific (a within-wave dup
-             costs probe + merge re-probe there, but only one probe in the
-             sequential driver), so pin them against a frontier baseline *)
+          (* a configuration first reached twice within one pooled wave costs
+             a merge re-probe that an inline wave never pays, so pin pooled
+             probe counts against a pooled baseline *)
           let fbase =
             A.Explore.explore ~jobs:2 ~reduction ~seq_threshold:0 ~max_configs:40_000
               root
           in
           List.iter
-            (fun shards ->
-              List.iter
-                (fun jobs ->
-                  let label =
-                    Printf.sprintf "race:2 %s shards=%d jobs=%d"
-                      (match reduction with
-                      | `None -> "none"
-                      | `Persistent -> "persistent"
-                      | `Sleep -> "sleep")
-                      shards jobs
-                  in
-                  let g =
-                    A.Explore.explore ~jobs ~reduction ~shards ~seq_threshold:0
-                      ~max_configs:40_000 root
-                  in
-                  check_graphs_equal label
-                    ~event_equal:A.C.event_equal
-                    ~size:A.Explore.size ~complete:A.Explore.complete
-                    ~edge_count:A.Explore.edge_count ~succ:A.Explore.succ
-                    ~path_to:A.Explore.path_to base g;
-                  Alcotest.(check int)
-                    (label ^ ": pruned") (A.Explore.pruned_count base)
-                    (A.Explore.pruned_count g);
-                  Alcotest.(check int)
-                    (label ^ ": sleep hits")
-                    (A.Explore.sleep_hit_count base)
-                    (A.Explore.sleep_hit_count g);
-                  Alcotest.(check int)
-                    (label ^ ": proviso") (A.Explore.proviso_count base)
-                    (A.Explore.proviso_count g);
-                  if jobs > 1 then
-                    Alcotest.(check int)
-                      (label ^ ": probes") (A.Explore.probe_count fbase)
-                      (A.Explore.probe_count g);
-                  Alcotest.(check int)
-                    (label ^ ": packed bytes")
-                    (A.Explore.packed_bytes base) (A.Explore.packed_bytes g))
-                [ 1; 2; 4 ])
-            [ 1; 3; 64 ])
+            (fun jobs ->
+              let label =
+                Printf.sprintf "race:2 %s jobs=%d"
+                  (match reduction with
+                  | `None -> "none"
+                  | `Persistent -> "persistent"
+                  | `Sleep -> "sleep")
+                  jobs
+              in
+              let g =
+                A.Explore.explore ~jobs ~reduction ~seq_threshold:0 ~max_configs:40_000
+                  root
+              in
+              check_graphs_equal label
+                ~event_equal:A.C.event_equal
+                ~size:A.Explore.size ~complete:A.Explore.complete
+                ~edge_count:A.Explore.edge_count ~succ:A.Explore.succ
+                ~path_to:A.Explore.path_to base g;
+              Alcotest.(check int)
+                (label ^ ": pruned") (A.Explore.pruned_count base)
+                (A.Explore.pruned_count g);
+              Alcotest.(check int)
+                (label ^ ": sleep hits")
+                (A.Explore.sleep_hit_count base)
+                (A.Explore.sleep_hit_count g);
+              Alcotest.(check int)
+                (label ^ ": proviso") (A.Explore.proviso_count base)
+                (A.Explore.proviso_count g);
+              Alcotest.(check int)
+                (label ^ ": probes")
+                (A.Explore.probe_count (if jobs > 1 then fbase else base))
+                (A.Explore.probe_count g);
+              Alcotest.(check int)
+                (label ^ ": packed bytes")
+                (A.Explore.packed_bytes base) (A.Explore.packed_bytes g))
+            [ 1; 2; 4 ])
         [ `None; `Persistent; `Sleep ]
 
-(* The sequential fast path (waves under [seq_threshold] probed inline) and
-   the always-pooled path must agree bit-for-bit: threshold 0 forces every
-   wave through the pool, max_int lets none through. *)
+(* ------------------------------------------------------------------ *)
+(* Splitting a wave over the pool                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Inline waves (under [seq_threshold]) and the always-pooled path must
+   agree bit-for-bit: threshold 0 forces every wave through the pool,
+   max_int lets none through. *)
 let test_seq_threshold_equivalent () =
   List.iter
     (fun name ->
@@ -294,84 +284,9 @@ let test_seq_threshold_equivalent () =
             ~path_to:A.Explore.path_to pooled inline)
     [ "parity"; "race:2" ]
 
-(* Truncation and filtering must keep composing under any shard count: the
-   budget must bite at the same configuration and the filter must carve the
-   same subgraph. *)
-let test_truncation_filter_compose_with_shards () =
-  match Zoo.find "race:2" with
-  | None -> Alcotest.fail "race:2 missing from the zoo"
-  | Some protocol ->
-      let module P = (val protocol : Protocol.S) in
-      let module A = Analysis.Make (P) in
-      let inputs = Array.init P.n (fun i -> Value.of_int (i land 1)) in
-      let root = A.C.initial inputs in
-      let filter (e : A.C.event) = e.dest <> 0 in
-      List.iter
-        (fun shards ->
-          let g1 = A.Explore.explore ~jobs:1 ~max_configs:500 root in
-          let gs =
-            A.Explore.explore ~jobs:4 ~shards ~seq_threshold:0 ~max_configs:500 root
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "shards=%d truncates" shards)
-            false (A.Explore.complete gs);
-          check_graphs_equal
-            (Printf.sprintf "race:2 truncated @ shards=%d" shards)
-            ~event_equal:A.C.event_equal
-            ~size:A.Explore.size ~complete:A.Explore.complete
-            ~edge_count:A.Explore.edge_count ~succ:A.Explore.succ
-            ~path_to:A.Explore.path_to g1 gs;
-          let f1 = A.Explore.explore ~filter ~jobs:1 ~max_configs:40_000 root in
-          let fs =
-            A.Explore.explore ~filter ~jobs:4 ~shards ~seq_threshold:0
-              ~max_configs:40_000 root
-          in
-          check_graphs_equal
-            (Printf.sprintf "race:2 filtered @ shards=%d" shards)
-            ~event_equal:A.C.event_equal
-            ~size:A.Explore.size ~complete:A.Explore.complete
-            ~edge_count:A.Explore.edge_count ~succ:A.Explore.succ
-            ~path_to:A.Explore.path_to f1 fs)
-        [ 1; 3; 64 ]
-
-(* The shard index and the in-shard bucket index must come from different
-   hash bits.  If both read the low bits, every key of one shard lands in
-   the same 1/shards of that shard's buckets and probes walk long chains —
-   the graph stays bit-identical, so only the bucket statistics can tell.
-   Pin the longest chain over all shards to at most twice the unsharded
-   table's, at power-of-two and odd shard counts alike. *)
-let test_shard_chains_stay_short () =
-  List.iter
-    (fun name ->
-      match Zoo.find name with
-      | None -> Alcotest.fail (name ^ " missing from the zoo")
-      | Some protocol ->
-          let module P = (val protocol : Protocol.S) in
-          let module A = Analysis.Make (P) in
-          let inputs = Array.init P.n (fun i -> Value.of_int (i land 1)) in
-          let root = A.C.initial inputs in
-          let max_chain shards =
-            let m = Obs.Metrics.create () in
-            let obs = Obs.create ~metrics:m () in
-            ignore (A.Explore.explore ~obs ~shards ~max_configs:100_000 root);
-            Obs.Metrics.gauge_value (Obs.Metrics.gauge m "explore.shard.max_chain")
-          in
-          let base = max_chain 1 in
-          Alcotest.(check bool) (name ^ ": shards=1 chain measured") true (base > 0);
-          List.iter
-            (fun shards ->
-              let c = max_chain shards in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: shards=%d max chain %d <= 2 x %d" name shards c
-                   base)
-                true
-                (c <= 2 * base))
-            [ 2; 7; 64; 128 ])
-    [ "race:3"; "pipeline:10" ]
-
-(* [id_of] reads the store the merge wrote: both must agree on the shard
-   and on the in-shard key at every shard count, odd ones included. *)
-let test_id_of_round_trip_across_shards () =
+(* [id_of] reads the store the merge wrote: both must agree on every key,
+   whether inline or pooled waves interned it. *)
+let test_id_of_round_trip () =
   List.iter
     (fun name ->
       match Zoo.find name with
@@ -384,51 +299,37 @@ let test_id_of_round_trip_across_shards () =
           let full = A.Explore.explore ~max_configs:100_000 root in
           Alcotest.(check bool) (name ^ ": complete") true (A.Explore.complete full);
           List.iter
-            (fun shards ->
-              List.iter
-                (fun jobs ->
-                  let label = Printf.sprintf "%s shards=%d jobs=%d" name shards jobs in
-                  let g =
-                    A.Explore.explore ~jobs ~shards ~seq_threshold:0
-                      ~max_configs:100_000 root
-                  in
-                  for id = 0 to A.Explore.size g - 1 do
-                    if A.Explore.id_of g (A.Explore.config g id) <> Some id then
-                      Alcotest.failf "%s: id_of (config %d) <> Some %d" label id id
-                  done;
-                  (* A truncated graph holds exactly the first [budget] ids of
-                     the full one (same BFS merge order); every later
-                     configuration is outside it, though the merge may
-                     already have interned all of its parts. *)
-                  let budget = 500 in
-                  let t =
-                    A.Explore.explore ~jobs ~shards ~seq_threshold:0
-                      ~max_configs:budget root
-                  in
-                  for id = 0 to A.Explore.size full - 1 do
-                    let want = if id < budget then Some id else None in
-                    if A.Explore.id_of t (A.Explore.config full id) <> want then
-                      Alcotest.failf "%s: truncated id_of (config %d)" label id
-                  done;
-                  let other = A.C.initial (Array.map Value.flip inputs) in
-                  Alcotest.(check (option int))
-                    (label ^ ": foreign root") None (A.Explore.id_of g other))
-                [ 1; 2 ])
-            [ 1; 7; 64; 128 ])
+            (fun jobs ->
+              let label = Printf.sprintf "%s jobs=%d" name jobs in
+              let g = A.Explore.explore ~jobs ~seq_threshold:0 ~max_configs:100_000 root in
+              for id = 0 to A.Explore.size g - 1 do
+                if A.Explore.id_of g (A.Explore.config g id) <> Some id then
+                  Alcotest.failf "%s: id_of (config %d) <> Some %d" label id id
+              done;
+              (* A truncated graph holds exactly the first [budget] ids of
+                 the full one (same BFS merge order); every later
+                 configuration is outside it, though the merge may already
+                 have interned all of its parts. *)
+              let budget = 500 in
+              let t = A.Explore.explore ~jobs ~seq_threshold:0 ~max_configs:budget root in
+              for id = 0 to A.Explore.size full - 1 do
+                let want = if id < budget then Some id else None in
+                if A.Explore.id_of t (A.Explore.config full id) <> want then
+                  Alcotest.failf "%s: truncated id_of (config %d)" label id
+              done;
+              let other = A.C.initial (Array.map Value.flip inputs) in
+              Alcotest.(check (option int))
+                (label ^ ": foreign root") None (A.Explore.id_of g other))
+            [ 1; 2 ])
     [ "race:2"; "benor-det:1" ]
 
-let test_explore_rejects_bad_shards () =
+let test_explore_rejects_bad_threshold () =
   match Zoo.find "parity" with
   | None -> Alcotest.fail "parity missing from the zoo"
   | Some protocol ->
       let module P = (val protocol : Protocol.S) in
       let module A = Analysis.Make (P) in
       let inputs = Array.init P.n (fun i -> Value.of_int (i land 1)) in
-      Alcotest.(check bool) "shards:0 rejected" true
-        (try
-           ignore (A.Explore.explore ~shards:0 ~max_configs:100 (A.C.initial inputs));
-           false
-         with Invalid_argument _ -> true);
       Alcotest.(check bool) "seq_threshold:-1 rejected" true
         (try
            ignore
@@ -474,20 +375,17 @@ let () =
           Alcotest.test_case "filtered exploration identical" `Quick
             test_filter_respected_in_parallel;
           Alcotest.test_case "explore rejects jobs < 1" `Quick test_explore_rejects_bad_jobs;
+          Alcotest.test_case "jobs x reduction bit-identical" `Slow
+            test_jobs_reduction_matrix;
+          Alcotest.test_case "id_of round-trips at every jobs level" `Slow
+            test_id_of_round_trip;
+          Alcotest.test_case "explore rejects bad seq_threshold" `Quick
+            test_explore_rejects_bad_threshold;
         ] );
+      (* how a wave is split over the pool *)
       ( "sharding",
         [
-          Alcotest.test_case "shards x jobs x reduction bit-identical" `Slow
-            test_shard_matrix_deterministic;
           Alcotest.test_case "seq_threshold paths bit-identical" `Quick
             test_seq_threshold_equivalent;
-          Alcotest.test_case "truncation+filter compose with shards" `Quick
-            test_truncation_filter_compose_with_shards;
-          Alcotest.test_case "explore rejects bad shards/threshold" `Quick
-            test_explore_rejects_bad_shards;
-          Alcotest.test_case "shard bucket chains stay short" `Slow
-            test_shard_chains_stay_short;
-          Alcotest.test_case "id_of round-trips at every shard count" `Slow
-            test_id_of_round_trip_across_shards;
         ] );
     ]
