@@ -43,19 +43,26 @@ let of_string s =
             try Some (List.map float_of_string parts) with Failure _ -> None)
       in
       (* Note the comparisons below also reject NaN arguments: [x > 0.0] is
-         false for NaN. *)
+         false for NaN.  Infinity passes them, so [finite] rejects it last:
+         an infinite latency would put events at a non-finite time. *)
+      let finite params d =
+        if List.for_all Float.is_finite params then Ok d
+        else invalid "parameters must be finite"
+      in
       match (kind, floats ()) with
       | "const", Some [ d ] ->
-          if d > 0.0 then Ok (Constant d) else invalid "constant delay must be positive"
+          if d > 0.0 then finite [ d ] (Constant d)
+          else invalid "constant delay must be positive"
       | "uniform", Some [ lo; hi ] ->
           if not (lo >= 0.0 && hi >= 0.0) then invalid "uniform bounds must be non-negative"
           else if not (lo <= hi) then invalid "uniform bounds must satisfy lo <= hi"
           else if not (hi > 0.0) then invalid "uniform upper bound must be positive"
-          else Ok (Uniform (lo, hi))
+          else finite [ lo; hi ] (Uniform (lo, hi))
       | "exp", Some [ m ] ->
-          if m > 0.0 then Ok (Exponential m) else invalid "exponential mean must be positive"
+          if m > 0.0 then finite [ m ] (Exponential m)
+          else invalid "exponential mean must be positive"
       | "pareto", Some [ scale; shape ] ->
           if not (scale > 0.0) then invalid "pareto scale must be positive"
           else if not (shape > 0.0) then invalid "pareto shape must be positive"
-          else Ok (Pareto { scale; shape })
+          else finite [ scale; shape ] (Pareto { scale; shape })
       | _ -> fail ())

@@ -22,5 +22,6 @@ val pp : Format.formatter -> t -> unit
 val of_string : string -> (t, string) result
 (** Parse ["const:1.0"], ["uniform:0.5,2"], ["exp:1"], ["pareto:1,1.5"].
     Degenerate specs are rejected with a descriptive [Error]: means, scales,
-    and shapes must be strictly positive, and uniform bounds must be
-    non-negative with [lo <= hi] and [hi > 0]. *)
+    and shapes must be strictly positive, uniform bounds must be
+    non-negative with [lo <= hi] and [hi > 0], and every parameter must be
+    finite. *)

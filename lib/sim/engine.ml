@@ -85,10 +85,11 @@ module Make (A : APP) = struct
 
   let no_corruption ~pid:_ actions = actions
 
-  let no_trace (_ : Trace.event) = ()
-
-  let run_states_corrupted ?(obs = Obs.disabled) ?policy ?recorder ?on_step cfg
-      ~on_event ~corrupt ~trace =
+  (* [trace] and [recorder] are options, and every trace event and recorder
+     step kind is built behind a match on them: a run with neither attached
+     (every [run]/[run_observed] call) allocates no record nobody reads. *)
+  let run_states_corrupted ?(obs = Obs.disabled) ?policy ?recorder ?trace ?on_step cfg
+      ~on_event ~corrupt =
     if Array.length cfg.inputs <> cfg.n then invalid_arg "Engine.run: inputs length";
     if Array.length cfg.crash_times <> cfg.n then invalid_arg "Engine.run: crash_times length";
     let metrics = obs.Obs.metrics in
@@ -181,17 +182,13 @@ module Make (A : APP) = struct
     let violation fmt = Format.kasprintf (fun s -> violations := s :: !violations) fmt in
     (* Flight-recorder hooks.  [cur_eid] is the event id of the step whose
        actions are currently being applied, so every send/arm/decide it emits
-       gets the right provenance edge.  All four hooks are no-ops when no
-       recorder is attached. *)
+       gets the right provenance edge.  [rec_step] takes the attached
+       recorder, so callers build its step kind only when there is one; the
+       other three hooks are no-ops when no recorder is attached. *)
     let cur_eid = ref (-1) in
-    let rec_step ~pid ~kind st =
-      match recorder with
-      | None -> ()
-      | Some (r, may) ->
-          let mask =
-            match (may, st) with Some f, Some st -> f ~pid st | _ -> -1
-          in
-          cur_eid := Causal.Recorder.step r ~pid ~time:!now ~kind ~may:mask
+    let rec_step (r, may) ~pid ~kind st =
+      let mask = match (may, st) with Some f, Some st -> f ~pid st | _ -> -1 in
+      cur_eid := Causal.Recorder.step r ~pid ~time:!now ~kind ~may:mask
     in
     let rec_send ~dst =
       match recorder with
@@ -236,7 +233,9 @@ module Make (A : APP) = struct
               decisions.(pid) <- Some v;
               decision_times.(pid) <- !now;
               rec_decide v;
-              trace (Trace.Decision { time = !now; pid; value = v })
+              (match trace with
+              | None -> ()
+              | Some f -> f (Trace.Decision { time = !now; pid; value = v }))
           | Some w when w = v -> ()
           | Some w -> violation "p%d re-decided %d after %d (write-once violated)" pid v w);
           apply_actions pid rest
@@ -250,7 +249,7 @@ module Make (A : APP) = struct
         (* The init step has no recorded pre-state, so its footprint mask is
            unknown (-1): the audit skips its sends rather than judging them
            against a post-init mask that may already exclude them. *)
-        rec_step ~pid ~kind:Causal.Recorder.Init None;
+        Option.iter (fun r -> rec_step r ~pid ~kind:Causal.Recorder.Init None) recorder;
         let st, actions = A.init ~n:cfg.n ~pid ~input:cfg.inputs.(pid) ~rng:proc_rngs.(pid) in
         states.(pid) <- Some st;
         apply_actions pid actions
@@ -294,9 +293,14 @@ module Make (A : APP) = struct
                   (match on_event with
                   | None -> ()
                   | Some f -> f t (Printf.sprintf "deliver %d->%d" src dest));
-                  trace (Trace.Delivery { time = t; src; dst = dest });
-                  rec_step ~pid:dest ~kind:(Causal.Recorder.Deliver { src; sid })
-                    states.(dest);
+                  (match trace with
+                  | None -> ()
+                  | Some f -> f (Trace.Delivery { time = t; src; dst = dest }));
+                  (match recorder with
+                  | None -> ()
+                  | Some r ->
+                      rec_step r ~pid:dest ~kind:(Causal.Recorder.Deliver { src; sid })
+                        states.(dest));
                   match states.(dest) with
                   | None -> ()
                   | Some st ->
@@ -309,8 +313,13 @@ module Make (A : APP) = struct
                   (match on_event with
                   | None -> ()
                   | Some f -> f t (Printf.sprintf "timer p%d tag=%d" pid tag));
-                  trace (Trace.Timer_fired { time = t; pid; tag });
-                  rec_step ~pid ~kind:(Causal.Recorder.Timer { tag; sid }) states.(pid);
+                  (match trace with
+                  | None -> ()
+                  | Some f -> f (Trace.Timer_fired { time = t; pid; tag }));
+                  (match recorder with
+                  | None -> ()
+                  | Some r ->
+                      rec_step r ~pid ~kind:(Causal.Recorder.Timer { tag; sid }) states.(pid));
                   match states.(pid) with
                   | None -> ()
                   | Some st ->
@@ -345,35 +354,30 @@ module Make (A : APP) = struct
 
   let run_verbose ?obs cfg ~on_event =
     fst
-      (run_states_corrupted ?obs cfg ~on_event:(Some on_event)
-         ~corrupt:no_corruption ~trace:no_trace)
+      (run_states_corrupted ?obs cfg ~on_event:(Some on_event) ~corrupt:no_corruption)
 
   let run ?obs cfg =
-    fst
-      (run_states_corrupted ?obs cfg ~on_event:None ~corrupt:no_corruption
-         ~trace:no_trace)
+    fst (run_states_corrupted ?obs cfg ~on_event:None ~corrupt:no_corruption)
 
   let run_states ?obs cfg =
-    run_states_corrupted ?obs cfg ~on_event:None ~corrupt:no_corruption ~trace:no_trace
+    run_states_corrupted ?obs cfg ~on_event:None ~corrupt:no_corruption
 
   let run_observed ?obs ?policy cfg ~on_step =
     fst
       (run_states_corrupted ?obs ?policy ~on_step cfg ~on_event:None
-         ~corrupt:no_corruption ~trace:no_trace)
+         ~corrupt:no_corruption)
 
   let run_corrupted ?obs ~corrupt cfg =
-    fst (run_states_corrupted ?obs cfg ~on_event:None ~corrupt ~trace:no_trace)
+    fst (run_states_corrupted ?obs cfg ~on_event:None ~corrupt)
 
   let run_scheduled ?obs ~policy cfg =
-    fst
-      (run_states_corrupted ?obs ~policy cfg ~on_event:None ~corrupt:no_corruption
-         ~trace:no_trace)
+    fst (run_states_corrupted ?obs ~policy cfg ~on_event:None ~corrupt:no_corruption)
 
   let run_recorded ?obs ?policy ?may cfg =
     let r = Causal.Recorder.create ~n:cfg.n in
     let result, _ =
       run_states_corrupted ?obs ?policy ~recorder:(r, may) cfg ~on_event:None
-        ~corrupt:no_corruption ~trace:no_trace
+        ~corrupt:no_corruption
     in
     (result, r)
 

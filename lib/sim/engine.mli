@@ -62,9 +62,13 @@ type result = {
     either; they differ only in cost profile.  {!Queue_heap} is the binary
     heap ([O(log n)] per operation, insensitive to time distribution);
     {!Queue_wheel} is the hierarchical timer wheel ([O(1)] push, pops
-    amortised by bucket, built for the service workload's ~10^5 pending
-    events).  Ignored when a policy is installed: adversarial policies pick
-    from the {!Scheduler.Table}, not from a time-ordered queue. *)
+    amortised by bucket).  The service workload keeps about 16,300 events
+    pending on average (peak about 20,600).  A bare pop-then-push costs
+    about 410–540 ns on the heap and 320–440 ns on the wheel at 10,000
+    pending, and 150–185 ns against 100–125 ns at 100 (traced [flp_bench]
+    runs on a 2-vCPU Linux host).  Ignored when a policy is installed:
+    adversarial policies pick from the {!Scheduler.Table}, not from a
+    time-ordered queue. *)
 type queue_kind = Queue_heap | Queue_wheel
 
 type cfg = {

@@ -2,7 +2,11 @@
 
     The sequence number breaks ties deterministically: two events scheduled
     for the same instant pop in insertion order, which keeps whole simulations
-    reproducible across runs and platforms. *)
+    reproducible across runs and platforms.
+
+    Layout: structure of arrays — keys in a flat [float array] of times and
+    an [int array] of sequence numbers, payloads in a parallel array — so
+    sifts compare unboxed keys and move a hole rather than swapping slots. *)
 
 type 'a t
 

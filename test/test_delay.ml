@@ -15,7 +15,22 @@ let test_parse_errors () =
       match Sim.Delay.of_string s with
       | Ok _ -> Alcotest.fail (s ^ " should not parse")
       | Error _ -> ())
-    [ ""; "const"; "const:x"; "uniform:2,1"; "uniform:1"; "exp:"; "pareto:1"; "gamma:1" ]
+    [
+      "";
+      "const";
+      "const:x";
+      "uniform:2,1";
+      "uniform:1";
+      "exp:";
+      "pareto:1";
+      "gamma:1";
+      "const:inf";
+      "uniform:0.1,inf";
+      "uniform:inf,inf";
+      "exp:inf";
+      "pareto:inf,2";
+      "pareto:1,inf";
+    ]
 
 (* Degenerate-but-well-formed specs must be rejected with a message that
    names the offending parameter, not accepted as nonsense distributions. *)
@@ -50,6 +65,10 @@ let test_reject_degenerate () =
       ("uniform:-2,-1", "non-negative");
       ("uniform:0,0", "positive");
       ("uniform:nan,1", "non-negative");
+      ("const:inf", "finite");
+      ("uniform:0.1,inf", "finite");
+      ("exp:inf", "finite");
+      ("pareto:inf,2", "finite");
     ]
 
 let test_pp_roundtrip () =

@@ -200,6 +200,125 @@ let test_bad_destination_recorded () =
     (List.exists (fun v -> v <> "") r.violations);
   Alcotest.(check int) "nothing sent" 0 r.sent
 
+(* The trace and recorder hooks fire on exactly the executed steps, and
+   attaching them changes nothing: for timer-setting protocols under both
+   queues and a few crash patterns, [run], [run_traced] and [run_recorded]
+   agree on the result, the trace holds one [Delivery] per delivered
+   message and one [Timer_fired] per timer step, and the recorder holds
+   those same steps — in the same order, at the same instants — after one
+   init step per process alive at time 0.  A guard that drops a hook fails
+   here. *)
+(* Field by field, with [Float.compare] on the times: an undecided process
+   carries a NaN decision time, and NaN is not [=] to itself. *)
+let same_result (a : Sim.Engine.result) (b : Sim.Engine.result) =
+  a.decisions = b.decisions
+  && Array.for_all2 (fun x y -> Float.compare x y = 0) a.decision_times b.decision_times
+  && a.sent = b.sent && a.delivered = b.delivered && a.steps = b.steps
+  && Float.compare a.end_time b.end_time = 0
+  && a.outcome = b.outcome && a.violations = b.violations
+
+module Hooks (A : Sim.Engine.APP) = struct
+  module M = Sim.Engine.Make (A)
+
+  let check ~name ~inputs ~crash_times ~queue ~seed =
+    let n = Array.length inputs in
+    let cfg =
+      { (Sim.Engine.default_cfg ~n ~inputs ~seed) with crash_times; queue; max_steps = 20_000 }
+    in
+    let qname = match queue with Sim.Engine.Queue_heap -> "heap" | Queue_wheel -> "wheel" in
+    let label fmt =
+      Printf.ksprintf (fun s -> Printf.sprintf "%s %s seed %d: %s" name qname seed s) fmt
+    in
+    let r = M.run cfg in
+    let rt, trace = M.run_traced cfg in
+    let rr, recorder = M.run_recorded cfg in
+    Alcotest.(check bool) (label "run_traced result = run") true (same_result r rt);
+    Alcotest.(check bool) (label "run_recorded result = run") true (same_result r rr);
+    let steps =
+      List.filter_map
+        (function
+          | Sim.Trace.Delivery { time; src; dst } -> Some (time, dst, `Deliver src)
+          | Sim.Trace.Timer_fired { time; pid; tag } -> Some (time, pid, `Timer tag)
+          | Sim.Trace.Decision _ | Sim.Trace.Crash _ -> None)
+        trace
+    in
+    let timers = List.length (List.filter (function _, _, `Timer _ -> true | _ -> false) steps) in
+    Alcotest.(check int) (label "one Delivery per delivered message") r.delivered
+      (List.length steps - timers);
+    let decisions =
+      List.length (List.filter (function Sim.Trace.Decision _ -> true | _ -> false) trace)
+    in
+    Alcotest.(check int) (label "one Decision per decided process") (Sim.Engine.decided_count r)
+      decisions;
+    let alive_at_start =
+      Array.fold_left
+        (fun acc c -> match c with Some t when t <= 0.0 -> acc | _ -> acc + 1)
+        0 crash_times
+    in
+    let events = Array.to_list (Causal.Recorder.events recorder) in
+    let inits, recorded =
+      List.partition (fun (e : Causal.Recorder.event) -> e.kind = Causal.Recorder.Init) events
+    in
+    Alcotest.(check int) (label "one init step per process alive at 0") alive_at_start
+      (List.length inits);
+    Alcotest.(check bool) (label "recorder holds the init steps first") true
+      (List.filteri (fun i _ -> i < alive_at_start) events = inits);
+    let recorded =
+      List.map
+        (fun (e : Causal.Recorder.event) ->
+          match e.kind with
+          | Causal.Recorder.Deliver { src; _ } -> (e.time, e.pid, `Deliver src)
+          | Causal.Recorder.Timer { tag; _ } -> (e.time, e.pid, `Timer tag)
+          | Causal.Recorder.Init | Causal.Recorder.Null -> Alcotest.fail (label "stray step kind"))
+        recorded
+    in
+    Alcotest.(check bool) (label "trace steps = recorder steps, in order") true (steps = recorded);
+    (* Every popped event is a step; one addressed to a crashed process is
+       dropped without a trace event or a recorder step. *)
+    let no_crash = Array.for_all Option.is_none crash_times in
+    if no_crash then
+      Alcotest.(check int) (label "recorder = result.steps + inits") (r.steps + n)
+        (Causal.Recorder.size recorder)
+    else
+      Alcotest.(check bool) (label "recorder <= result.steps + inits") true
+        (Causal.Recorder.size recorder <= r.steps + alive_at_start);
+    (r, timers)
+end
+
+module Hooks_3pc = Hooks (Protocols.Three_phase_commit.App)
+module Hooks_ct = Hooks (Protocols.Chandra_toueg.App)
+
+let crash_patterns n =
+  [
+    Array.make n None;
+    Array.init n (fun p -> if p = 0 then Some 0.0 else None);
+    Array.init n (fun p -> if p = 1 then Some 1.3 else None);
+    Array.init n (fun p -> if p = 0 then Some 0.7 else if p = n - 1 then Some 2.1 else None);
+  ]
+
+let test_hooks_fire_on_executed_steps () =
+  let timer_steps = ref 0 in
+  List.iter
+    (fun (name, check, inputs) ->
+      List.iter
+        (fun crash_times ->
+          for seed = 1 to 3 do
+            let check queue = check ~name ~inputs ~crash_times ~queue ~seed in
+            let heap, timers = check Sim.Engine.Queue_heap in
+            let wheel, _ = check Sim.Engine.Queue_wheel in
+            Alcotest.(check bool) (name ^ ": heap result = wheel result") true
+              (same_result heap wheel);
+            timer_steps := !timer_steps + timers
+          done)
+        (crash_patterns (Array.length inputs)))
+    [
+      ("3pc", Hooks_3pc.check, [| 1; 1; 1; 1; 1 |]);
+      ("3pc-no", Hooks_3pc.check, [| 1; 0; 1; 1; 1 |]);
+      ("chandra-toueg", Hooks_ct.check, [| 0; 1; 1; 0; 1 |]);
+    ];
+  (* The runs must actually exercise the timer hooks. *)
+  Alcotest.(check bool) "some timer steps fired" true (!timer_steps > 0)
+
 let () =
   Alcotest.run "engine"
     [
@@ -222,5 +341,7 @@ let () =
             test_corrupt_can_decide_for_process;
           Alcotest.test_case "self sends" `Quick test_self_send;
           Alcotest.test_case "bad destination" `Quick test_bad_destination_recorded;
+          Alcotest.test_case "hooks fire on executed steps" `Quick
+            test_hooks_fire_on_executed_steps;
         ] );
     ]

@@ -187,6 +187,64 @@ let prop_differential =
         !reference;
       !ok && Sim.Heap.pop h = None)
 
+(* A reference key: (time in eighths of a second, seq).  Every time the
+   property pushes is an exact multiple of 1/8, so integer ticks order the
+   keys exactly as their float times do. *)
+module Key = struct
+  type t = int * int
+
+  let compare (t1, s1) (t2, s2) = match Int.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
+end
+
+module Key_set = Set.Make (Key)
+
+let prop_service_scale =
+  (* The engine's regime: pushes at [now + delay] and pops interleaved,
+     growing to past 20,000 pending (the service workload peaks near
+     20,600) and draining back to empty, so every doubling of the backing
+     arrays from 16 up is crossed.  Delays are multiples of 1/8 s, mostly
+     under 5 s, so many pending events share each instant.  Every pop must
+     equal the minimum of a sorted (time, seq) reference and the pop of a
+     timer wheel fed the same operations. *)
+  QCheck.Test.make ~name:"service scale: heap = wheel = sorted reference" ~count:4
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sim.Rng.create seed in
+      let h = Sim.Heap.create () and w = Sim.Wheel.create () in
+      let reference = ref Key_set.empty in
+      let time_of ticks = float_of_int ticks *. 0.125 in
+      let now = ref 0 and seq = ref 0 and ok = ref true in
+      let push () =
+        let ticks =
+          !now
+          + if Sim.Rng.int rng 16 = 0 then Sim.Rng.int rng 20_000
+            else Sim.Rng.int rng 40
+        in
+        Sim.Heap.push h ~time:(time_of ticks) !seq;
+        Sim.Wheel.push w ~time:(time_of ticks) !seq;
+        reference := Key_set.add (ticks, !seq) !reference;
+        incr seq
+      in
+      let pop () =
+        match (Sim.Heap.pop h, Sim.Wheel.pop w, Key_set.min_elt_opt !reference) with
+        | None, None, None -> ()
+        | Some (t, v), Some (t', v'), Some ((ticks, s) as key) ->
+            if not (t = time_of ticks && v = s && t' = t && v' = s) then ok := false;
+            reference := Key_set.remove key !reference;
+            now := ticks
+        | _ -> ok := false
+      in
+      (* Grow with pushes twice as likely as pops, then drain with pops
+         twice as likely as pushes. *)
+      while Sim.Heap.size h < 20_500 && !ok do
+        if Sim.Rng.int rng 3 = 0 then pop () else push ()
+      done;
+      let peak = Sim.Heap.size h in
+      while (not (Sim.Heap.is_empty h)) && !ok do
+        if Sim.Rng.int rng 3 = 0 then push () else pop ()
+      done;
+      !ok && peak >= 20_000 && Sim.Wheel.is_empty w && Key_set.is_empty !reference)
+
 let () =
   Alcotest.run "heap"
     [
@@ -205,5 +263,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_heapsort;
           QCheck_alcotest.to_alcotest prop_stable;
           QCheck_alcotest.to_alcotest prop_differential;
+          QCheck_alcotest.to_alcotest prop_service_scale;
         ] );
     ]
