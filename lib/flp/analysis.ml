@@ -45,52 +45,124 @@ module Make (P : Protocol.S) = struct
        Every other wave classifies each successor against the live store
        as it expands.  Either way, every id, successor list, parent
        witness, sleep set and the truncation point is decided in frontier
-       order — bit-identical at every [jobs] value. *)
+       order — bit-identical at every [jobs] value.
 
-    module KTbl = Hashtbl.Make (struct
-      type t = int * string  (* (hash, packed key) *)
-
-      let hash (h, _) = h
-
-      let equal (h1, k1) (h2, k2) = h1 = h2 && String.equal k1 k2
-    end)
+       Layout: the keys sit back to back in one byte arena; the table is
+       linear probing over a power-of-two array of ids, with each slot's
+       hash beside it in a parallel array, so a probe compares ints first,
+       then arena bytes, and allocates nothing.  Ids come from insertion
+       order, never from slot positions, so the layout cannot reach the
+       graph. *)
 
     type store = {
       pstore : C.Packed.store;
-      table : int KTbl.t;
-      mutable packed : string array;  (* id -> packed key *)
+      mutable arena : Bytes.t;  (* every key, in id order *)
+      mutable offs : int array;  (* key [id] is arena[offs.(id), offs.(id + 1)) *)
+      mutable slots : int array;  (* an id per slot, [-1] when empty; load <= 1/2 *)
+      mutable slot_hash : int array;  (* the hash of the key in the same slot *)
       mutable count : int;
-      mutable bytes : int;  (* total packed bytes, for explore.packed.bytes *)
     }
 
     let store_create () =
-      { pstore = C.Packed.create (); table = KTbl.create 256; packed = [||]; count = 0; bytes = 0 }
+      {
+        pstore = C.Packed.create ();
+        arena = Bytes.create 1024;
+        offs = Array.make 65 0;
+        slots = Array.make 64 (-1);
+        slot_hash = Array.make 64 0;
+        count = 0;
+      }
 
-    let store_find st ~hash key = KTbl.find_opt st.table (hash, key)
+    let store_bytes st = st.offs.(st.count)
+
+    let key_equal st id key =
+      let off = st.offs.(id) in
+      let len = String.length key in
+      st.offs.(id + 1) - off = len
+      &&
+      let rec go i = i = len || (Bytes.get st.arena (off + i) = key.[i] && go (i + 1)) in
+      go 0
+
+    (* The id stored under [key], or [-1].  Read-only. *)
+    let store_find st ~hash key =
+      let mask = Array.length st.slots - 1 in
+      let rec go i =
+        let id = st.slots.(i) in
+        if id < 0 || (st.slot_hash.(i) = hash && key_equal st id key) then id
+        else go ((i + 1) land mask)
+      in
+      go (hash land mask)
+
+    let place slots slot_hash ~hash id =
+      let mask = Array.length slots - 1 in
+      let rec go i =
+        if slots.(i) < 0 then begin
+          slots.(i) <- id;
+          slot_hash.(i) <- hash
+        end
+        else go ((i + 1) land mask)
+      in
+      go (hash land mask)
 
     (* Merge phase only: never called while workers probe. *)
     let store_add st ~hash key =
       let id = st.count in
-      if id >= Array.length st.packed then begin
-        let na = Array.make (max 64 (2 * Array.length st.packed)) "" in
-        Array.blit st.packed 0 na 0 id;
-        st.packed <- na
+      let cap = Array.length st.slots in
+      if 2 * (id + 1) > cap then begin
+        let slots = Array.make (2 * cap) (-1) and slot_hash = Array.make (2 * cap) 0 in
+        Array.iteri
+          (fun i v -> if v >= 0 then place slots slot_hash ~hash:st.slot_hash.(i) v)
+          st.slots;
+        st.slots <- slots;
+        st.slot_hash <- slot_hash
       end;
-      st.packed.(id) <- key;
-      st.bytes <- st.bytes + String.length key;
-      KTbl.add st.table (hash, key) id;
+      let off = st.offs.(id) and len = String.length key in
+      let size = Bytes.length st.arena in
+      if off + len > size then
+        st.arena <- Bytes.extend st.arena 0 (max (off + len) (2 * size) - size);
+      Bytes.blit_string key 0 st.arena off len;
+      if id + 1 >= Array.length st.offs then begin
+        let na = Array.make (2 * Array.length st.offs) 0 in
+        Array.blit st.offs 0 na 0 (id + 1);
+        st.offs <- na
+      end;
+      st.offs.(id + 1) <- off + len;
+      place st.slots st.slot_hash ~hash id;
       st.count <- id + 1;
       id
 
+    (* The longest run of consecutive occupied slots, wrapping: no probe,
+       hit or miss, reads more slots than this plus the empty one that
+       ends it.  Counted from just past an empty slot, which exists at
+       load <= 1/2, so no run is split at the array's end. *)
+    let store_max_run st =
+      let cap = Array.length st.slots in
+      let rec empty i = if st.slots.(i) < 0 then i else empty (i + 1) in
+      let start = empty 0 in
+      let best = ref 0 and run = ref 0 in
+      for k = 1 to cap do
+        if st.slots.((start + k) land (cap - 1)) >= 0 then begin
+          incr run;
+          if !run > !best then best := !run
+        end
+        else run := 0
+      done;
+      !best
+
+    (* Edges are stored as [(event code, target)] int pairs, one row per
+       node, in edge order; an event code is {!C.Packed.event_code} over
+       the store's own part dictionary. *)
     type graph = {
       store : store;
-      mutable succs : (C.event * int) list array;
-      mutable parents : (int * C.event option) array;  (* (parent, edge); root has (-1, None) *)
+      mutable rows : int array array;  (* id -> code, target, code, target, ... *)
+      mutable parent : int array;  (* id -> BFS parent; the root has -1 *)
+      mutable parent_code : int array;  (* id -> code of the edge from its parent *)
       mutable expanded_flags : Bytes.t;
       mutable complete_flag : bool;
       mutable edges : int;
       reduction : reduction;
       mutable sleeps : C.event list array;  (* stored sleep set per node; [`Sleep] only *)
+      mutable scratch : int array;  (* one expansion's new pairs, merge phase only *)
       mutable pruned : int;  (* enabled events never explored (persistence) *)
       mutable sleep_hits : int;  (* enabled events delegated to a sibling branch *)
       mutable proviso_hits : int;  (* cycle-proviso full expansions *)
@@ -98,7 +170,7 @@ module Make (P : Protocol.S) = struct
     }
 
     let ensure_capacity g needed =
-      let cap = Array.length g.succs in
+      let cap = Array.length g.parent in
       if needed > cap then begin
         let ncap = max 64 (max needed (2 * cap)) in
         let count = g.store.count in
@@ -107,9 +179,10 @@ module Make (P : Protocol.S) = struct
           Array.blit a 0 na 0 count;
           na
         in
-        g.succs <- grow_arr g.succs [];
-        g.parents <- grow_arr g.parents (-1, None);
-        g.sleeps <- grow_arr g.sleeps [];
+        g.rows <- grow_arr g.rows [||];
+        g.parent <- grow_arr g.parent (-1);
+        g.parent_code <- grow_arr g.parent_code 0;
+        if g.reduction = `Sleep then g.sleeps <- grow_arr g.sleeps [];
         let nb = Bytes.make ncap '\000' in
         Bytes.blit g.expanded_flags 0 nb 0 count;
         g.expanded_flags <- nb
@@ -118,13 +191,15 @@ module Make (P : Protocol.S) = struct
     let make_graph ~reduction =
       {
         store = store_create ();
-        succs = [||];
-        parents = [||];
+        rows = [||];
+        parent = [||];
+        parent_code = [||];
         expanded_flags = Bytes.empty;
         complete_flag = true;
         edges = 0;
         reduction;
         sleeps = [||];
+        scratch = Array.make 64 0;
         pruned = 0;
         sleep_hits = 0;
         proviso_hits = 0;
@@ -151,26 +226,24 @@ module Make (P : Protocol.S) = struct
       | None -> New_parts
       | Some key -> (
           let h = C.Packed.hash key in
-          match store_find g.store ~hash:h key with
-          | Some id -> Dup id
-          | None -> New_key (key, h))
+          let id = store_find g.store ~hash:h key in
+          if id >= 0 then Dup id else New_key (key, h))
 
     (* Merge-phase resolution of one successor; the only place the store is
        written. *)
     let resolve g ~max_configs tag cfg' =
       let finish ~hash key =
         g.probes <- g.probes + 1;
-        match store_find g.store ~hash key with
-        | Some id -> `Dup id
-        | None ->
-            if g.store.count >= max_configs then begin
-              g.complete_flag <- false;
-              `Truncated
-            end
-            else begin
-              ensure_capacity g (g.store.count + 1);
-              `Fresh (store_add g.store ~hash key)
-            end
+        let id = store_find g.store ~hash key in
+        if id >= 0 then `Dup id
+        else if g.store.count >= max_configs then begin
+          g.complete_flag <- false;
+          `Truncated
+        end
+        else begin
+          ensure_capacity g (g.store.count + 1);
+          `Fresh (store_add g.store ~hash key)
+        end
       in
       match tag with
       | Dup id -> `Dup id
@@ -272,16 +345,30 @@ module Make (P : Protocol.S) = struct
        both resolve identically. *)
     let expand g ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u ~cfg plan =
       let first = Bytes.get g.expanded_flags u = '\000' in
-      let existing = g.succs.(u) in
-      let have e = List.exists (fun (e0, _) -> C.event_equal e0 e) existing in
+      let existing = g.rows.(u) in
+      let have code =
+        let rec go i = i < Array.length existing && (existing.(i) = code || go (i + 2)) in
+        go 0
+      in
       let fresh = ref false in
-      let added = ref [] in
+      let added = ref 0 in  (* ints of [g.scratch] in use *)
+      let add code v =
+        if !added + 2 > Array.length g.scratch then begin
+          let na = Array.make (2 * Array.length g.scratch) 0 in
+          Array.blit g.scratch 0 na 0 !added;
+          g.scratch <- na
+        end;
+        g.scratch.(!added) <- code;
+        g.scratch.(!added + 1) <- v;
+        added := !added + 2;
+        g.edges <- g.edges + 1
+      in
       let do_event tag (e, cfg', z) =
-        if not (have e) then begin
+        let code = C.Packed.event_code g.store.pstore e in
+        if not (have code) then begin
           match resolve g ~max_configs tag cfg' with
           | `Dup v ->
-              added := (e, v) :: !added;
-              g.edges <- g.edges + 1;
+              add code v;
               on_dup ();
               if g.reduction = `Sleep then begin
                 (* Delegation to a sibling branch is only valid if every
@@ -298,10 +385,9 @@ module Make (P : Protocol.S) = struct
               end
           | `Truncated -> on_trunc ()
           | `Fresh v ->
-              g.parents.(v) <- (u, Some e);
-              g.succs.(v) <- [];
-              added := (e, v) :: !added;
-              g.edges <- g.edges + 1;
+              g.parent.(v) <- u;
+              g.parent_code.(v) <- code;
+              add code v;
               fresh := true;
               on_intern ();
               if g.reduction = `Sleep then g.sleeps.(v) <- z;
@@ -341,7 +427,13 @@ module Make (P : Protocol.S) = struct
         g.pruned <- g.pruned + plan.ample_pruned;
         g.sleep_hits <- g.sleep_hits + plan.slept
       end;
-      g.succs.(u) <- existing @ List.rev !added;
+      if !added > 0 then begin
+        let k = Array.length existing in
+        let row = Array.make (k + !added) 0 in
+        Array.blit existing 0 row 0 k;
+        Array.blit g.scratch 0 row k !added;
+        g.rows.(u) <- row
+      end;
       Bytes.set g.expanded_flags u '\001'
 
     (* BFS one wave at a time.  A wave of at least [seq_threshold] entries
@@ -353,7 +445,7 @@ module Make (P : Protocol.S) = struct
        store: a FIFO BFS taken one wave at a time.  Children and sleep
        requeues go behind every entry of the current wave either way, so
        the interleaving of [store_add] calls — and with it every graph ID,
-       the [succs] ordering, the [parents] witnesses, and the truncation
+       the successor-row order, the parent witnesses, and the truncation
        point at [max_configs] — is the same on both kinds of wave.
 
        The pool is created lazily, on the first wave big enough to use it,
@@ -490,8 +582,11 @@ module Make (P : Protocol.S) = struct
         Obs.Metrics.incr (Obs.Metrics.counter m "explore.store.probes") g.probes;
         Obs.Metrics.gauge_set
           (Obs.Metrics.gauge m "explore.store.max_chain")
-          (KTbl.stats g.store.table).Hashtbl.max_bucket_length;
-        Obs.Metrics.gauge_set (Obs.Metrics.gauge m "explore.packed.bytes") g.store.bytes;
+          (store_max_run g.store);
+        Obs.Metrics.gauge_set
+          (Obs.Metrics.gauge m "explore.store.capacity")
+          (Array.length g.store.slots);
+        Obs.Metrics.gauge_set (Obs.Metrics.gauge m "explore.packed.bytes") (store_bytes g.store);
         Obs.Metrics.gauge_set
           (Obs.Metrics.gauge m "explore.packed.dict_states")
           (C.Packed.state_count g.store.pstore);
@@ -524,20 +619,60 @@ module Make (P : Protocol.S) = struct
 
     let config g id =
       check_id "config" g id;
-      C.Packed.unpack g.store.pstore g.store.packed.(id)
+      let st = g.store in
+      let off = st.offs.(id) in
+      C.Packed.unpack st.pstore (Bytes.sub_string st.arena off (st.offs.(id + 1) - off))
 
     let id_of g cfg =
       match C.Packed.pack_ro g.store.pstore cfg with
       | None -> None  (* contains a part no stored config has: not in the graph *)
-      | Some key -> store_find g.store ~hash:(C.Packed.hash key) key
+      | Some key ->
+          let id = store_find g.store ~hash:(C.Packed.hash key) key in
+          if id < 0 then None else Some id
 
     let probe_count g = g.probes
 
-    let packed_bytes g = g.store.bytes
+    let packed_bytes g = store_bytes g.store
+
+    let event_of_code g code = C.Packed.event_of_code g.store.pstore code
+
+    let event_code g e = C.Packed.event_code g.store.pstore e
+
+    (* The node's raw [(event code, target)] pairs, for the analyses below;
+       unchecked, like the arrays they index. *)
+    let row g id = g.rows.(id)
 
     let succ g id =
       check_id "succ" g id;
-      g.succs.(id)
+      let row = g.rows.(id) in
+      List.init (Array.length row / 2) (fun i -> (event_of_code g row.(2 * i), row.((2 * i) + 1)))
+
+    (* Reverse edges in CSR form: the sources of [v]'s in-edges are
+       [preds.(off.(v)) .. preds.(off.(v + 1) - 1)], one per edge, in
+       descending source order. *)
+    let predecessors g =
+      let n = size g in
+      let off = Array.make (n + 1) 0 in
+      for u = 0 to n - 1 do
+        let row = g.rows.(u) in
+        for i = 0 to (Array.length row / 2) - 1 do
+          let v = row.((2 * i) + 1) in
+          off.(v) <- off.(v) + 1
+        done
+      done;
+      for v = 1 to n do
+        off.(v) <- off.(v) + off.(v - 1)
+      done;
+      let preds = Array.make off.(n) 0 in
+      for u = 0 to n - 1 do
+        let row = g.rows.(u) in
+        for i = 0 to (Array.length row / 2) - 1 do
+          let v = row.((2 * i) + 1) in
+          off.(v) <- off.(v) - 1;
+          preds.(off.(v)) <- u
+        done
+      done;
+      (off, preds)
 
     let expanded g id =
       check_id "expanded" g id;
@@ -556,10 +691,8 @@ module Make (P : Protocol.S) = struct
     let path_to g id =
       check_id "path_to" g id;
       let rec go acc id =
-        match g.parents.(id) with
-        | -1, _ -> acc
-        | parent, Some e -> go (e :: acc) parent
-        | _, None -> acc
+        let p = g.parent.(id) in
+        if p < 0 then acc else go (event_of_code g g.parent_code.(id) :: acc) p
       in
       go [] id
   end
@@ -588,26 +721,24 @@ module Make (P : Protocol.S) = struct
     let classify g =
       if not (Explore.complete g) then raise Incomplete;
       let n = Explore.size g in
-      let masks = Array.make n 0 in
-      let preds = Array.make n [] in
-      for u = 0 to n - 1 do
-        masks.(u) <- mask_of_values (C.decision_values (Explore.config g u));
-        List.iter (fun (_, v) -> preds.(v) <- u :: preds.(v)) (Explore.succ g u)
-      done;
+      let masks =
+        Array.init n (fun u -> mask_of_values (C.decision_values (Explore.config g u)))
+      in
+      let off, preds = Explore.predecessors g in
       let queue = Queue.create () in
       for u = 0 to n - 1 do
         if masks.(u) <> 0 then Queue.push u queue
       done;
       while not (Queue.is_empty queue) do
         let v = Queue.pop queue in
-        List.iter
-          (fun u ->
-            let nm = masks.(u) lor masks.(v) in
-            if nm <> masks.(u) then begin
-              masks.(u) <- nm;
-              Queue.push u queue
-            end)
-          preds.(v)
+        for k = off.(v) to off.(v + 1) - 1 do
+          let u = preds.(k) in
+          let nm = masks.(u) lor masks.(v) in
+          if nm <> masks.(u) then begin
+            masks.(u) <- nm;
+            Queue.push u queue
+          end
+        done
       done;
       Array.map
         (function
@@ -764,14 +895,26 @@ module Make (P : Protocol.S) = struct
       counterexamples : (int * C.event) list;
     }
 
-    let e_successor g v e =
-      List.find_map
-        (fun (ev, t) -> if C.event_equal ev e then Some t else None)
-        (Explore.succ g v)
+    (* The target of [v]'s edge with event code [code], or [-1]. *)
+    let e_successor g v code =
+      let row = Explore.row g v in
+      let rec go i =
+        if i >= Array.length row then -1 else if row.(i) = code then row.(i + 1) else go (i + 2)
+      in
+      go 0
+
+    (* [f c t] for each of [v]'s edges whose event code [c] is not [code]. *)
+    let iter_avoiding g v code f =
+      let row = Explore.row g v in
+      for i = 0 to (Array.length row / 2) - 1 do
+        let c = row.(2 * i) in
+        if c <> code then f c row.((2 * i) + 1)
+      done
 
     (* Does D = e(reachable-from-[start]-without-[e]) contain a bivalent
-       configuration?  BFS with early exit. *)
-    let d_contains_bivalent g valences start e =
+       configuration, for the event [e] with code [code]?  BFS with early
+       exit. *)
+    let d_contains_bivalent g valences start code =
       let seen = Array.make (Explore.size g) false in
       let queue = Queue.create () in
       seen.(start) <- true;
@@ -779,17 +922,14 @@ module Make (P : Protocol.S) = struct
       let found = ref false in
       while (not !found) && not (Queue.is_empty queue) do
         let v = Queue.pop queue in
-        (match e_successor g v e with
-        | Some t when Valency.equal_valence valences.(t) Valency.Bivalent -> found := true
-        | Some _ | None -> ());
-        if not !found then
-          List.iter
-            (fun (ev, t) ->
-              if (not (C.event_equal ev e)) && not seen.(t) then begin
+        let t = e_successor g v code in
+        if t >= 0 && Valency.equal_valence valences.(t) Valency.Bivalent then found := true
+        else
+          iter_avoiding g v code (fun _ t ->
+              if not seen.(t) then begin
                 seen.(t) <- true;
                 Queue.push t queue
               end)
-            (Explore.succ g v)
       done;
       !found
 
@@ -812,7 +952,7 @@ module Make (P : Protocol.S) = struct
                (fun (e, _) ->
                  if !checked >= max_pairs then raise Exit;
                  incr checked;
-                 if d_contains_bivalent g valences id e then incr holding
+                 if d_contains_bivalent g valences id (Explore.event_code g e) then incr holding
                  else if List.length !counterexamples < 16 then
                    counterexamples := (id, e) :: !counterexamples)
                (Explore.succ g id))
@@ -834,7 +974,7 @@ module Make (P : Protocol.S) = struct
     }
 
     (* Members of the avoid-[e] region from [start]. *)
-    let region g start e =
+    let region g start code =
       let seen = Array.make (Explore.size g) false in
       let queue = Queue.create () in
       seen.(start) <- true;
@@ -843,13 +983,11 @@ module Make (P : Protocol.S) = struct
       while not (Queue.is_empty queue) do
         let v = Queue.pop queue in
         members := v :: !members;
-        List.iter
-          (fun (ev, t) ->
-            if (not (C.event_equal ev e)) && not seen.(t) then begin
+        iter_avoiding g v code (fun _ t ->
+            if not seen.(t) then begin
               seen.(t) <- true;
               Queue.push t queue
             end)
-          (Explore.succ g v)
       done;
       !members
 
@@ -868,8 +1006,9 @@ module Make (P : Protocol.S) = struct
       let case1 = ref 0 in
       let case2 = ref 0 in
       let uniform = ref 0 in
-      let e_valence v e =
-        Option.map (fun t -> valences.(t)) (e_successor g v e)
+      let e_valence v code =
+        let t = e_successor g v code in
+        if t < 0 then None else Some valences.(t)
       in
       (try
          List.iter
@@ -878,21 +1017,22 @@ module Make (P : Protocol.S) = struct
                (fun (e, _) ->
                  if !checked >= max_pairs then raise Exit;
                  incr checked;
-                 if not (d_contains_bivalent g valences id e) then begin
+                 let code = Explore.event_code g e in
+                 if not (d_contains_bivalent g valences id code) then begin
                    incr failing;
-                   let members = region g id e in
+                   let members = region g id code in
                    (* the proof's pivot: one step inside the region flips the
                       e-successor's univalence *)
                    let witness =
                      List.find_map
                        (fun u ->
-                         match e_valence u e with
+                         match e_valence u code with
                          | Some (Valency.Univalent a) ->
                              List.find_map
                                (fun ((e' : C.event), t) ->
                                  if C.event_equal e' e then None
                                  else
-                                   match e_valence t e with
+                                   match e_valence t code with
                                    | Some (Valency.Univalent b)
                                      when not (Value.equal a b) ->
                                        Some e'.dest
@@ -910,7 +1050,7 @@ module Make (P : Protocol.S) = struct
                        let values =
                          List.filter_map
                            (fun u ->
-                             match e_valence u e with
+                             match e_valence u code with
                              | Some (Valency.Univalent v) -> Some v
                              | Some _ | None -> None)
                            members
@@ -967,10 +1107,7 @@ module Make (P : Protocol.S) = struct
       in
       let n = Explore.size g in
       (* Backward reachability from decision-bearing configurations. *)
-      let preds = Array.make n [] in
-      for u = 0 to n - 1 do
-        List.iter (fun (_, v) -> preds.(v) <- u :: preds.(v)) (Explore.succ g u)
-      done;
+      let off, preds = Explore.predecessors g in
       let can_decide = Array.make n false in
       let queue = Queue.create () in
       for u = 0 to n - 1 do
@@ -981,13 +1118,13 @@ module Make (P : Protocol.S) = struct
       done;
       while not (Queue.is_empty queue) do
         let v = Queue.pop queue in
-        List.iter
-          (fun u ->
-            if not can_decide.(u) then begin
-              can_decide.(u) <- true;
-              Queue.push u queue
-            end)
-          preds.(v)
+        for k = off.(v) to off.(v + 1) - 1 do
+          let u = preds.(k) in
+          if not can_decide.(u) then begin
+            can_decide.(u) <- true;
+            Queue.push u queue
+          end
+        done
       done;
       let witness = ref None in
       (try
@@ -1015,9 +1152,8 @@ module Make (P : Protocol.S) = struct
       let counter = ref 0 in
       let components = ref [] in
       let succs v =
-        List.filter_map
-          (fun (_, t) -> if keep t then Some t else None)
-          (Explore.succ g v)
+        let row = Explore.row g v in
+        List.filter keep (List.init (Array.length row / 2) (fun i -> row.((2 * i) + 1)))
       in
       let visit root =
         let frames = ref [ (root, ref (succs root)) ] in
@@ -1190,38 +1326,32 @@ module Make (P : Protocol.S) = struct
        no node of the avoid-e region has a bivalent e-successor. *)
     let find_stage_schedule g valences start e =
       let n = Explore.size g in
+      let code = Explore.event_code g e in
       let parent = Array.make n (-2) in
       (* -2 unseen, -1 root *)
-      let parent_event = Array.make n None in
+      let parent_code = Array.make n 0 in
       let queue = Queue.create () in
       parent.(start) <- -1;
       Queue.push start queue;
       let target = ref None in
       while !target = None && not (Queue.is_empty queue) do
         let v = Queue.pop queue in
-        (match Lemma.e_successor g v e with
-        | Some t when Valency.equal_valence valences.(t) Valency.Bivalent ->
-            target := Some v
-        | Some _ | None -> ());
-        if !target = None then
-          List.iter
-            (fun (ev, t) ->
-              if (not (C.event_equal ev e)) && parent.(t) = -2 then begin
+        let t = Lemma.e_successor g v code in
+        if t >= 0 && Valency.equal_valence valences.(t) Valency.Bivalent then target := Some v
+        else
+          Lemma.iter_avoiding g v code (fun c t ->
+              if parent.(t) = -2 then begin
                 parent.(t) <- v;
-                parent_event.(t) <- Some ev;
+                parent_code.(t) <- c;
                 Queue.push t queue
               end)
-            (Explore.succ g v)
       done;
       match !target with
       | None -> None
       | Some v ->
           let rec build acc v =
             if parent.(v) = -1 then acc
-            else
-              match parent_event.(v) with
-              | Some ev -> build (ev :: acc) parent.(v)
-              | None -> acc
+            else build (Explore.event_of_code g parent_code.(v) :: acc) parent.(v)
           in
           Some (build [] v)
 

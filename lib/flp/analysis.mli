@@ -84,10 +84,17 @@ module Make (P : Protocol.S) : sig
         Lemma 3 set [%C]).  Exploration stops interning new configurations
         once [max_configs] is reached; the result is then {e incomplete}.
 
-        Visited configurations are stored {e packed} ({!Config.S.Packed}) in
-        one intern table keyed on (FNV hash, packed key).  The BFS runs one
-        wave (frontier) at a time, and every write to the table — part
-        interning, ID assignment, insertion — happens in frontier order.
+        Visited configurations are stored {e packed} ({!Config.S.Packed}):
+        the keys sit back to back in one byte arena, and one open-addressing
+        intern table (linear probing over a power-of-two array of ids, each
+        slot's FNV hash beside it, load at most 1/2) maps a key to its id.
+        Each node's edges are one unboxed row of [(event code, target)]
+        integer pairs ({!Config.S.Packed.event_code}), and its BFS parent is
+        an id plus an event code, so the stored graph holds no boxed event,
+        list or tuple.  The BFS runs one wave (frontier) at a time, and
+        every write to the store — part interning, ID assignment,
+        insertion — happens in frontier order; ids never depend on the
+        table's slot layout.
 
         [jobs] (default [1]) sets the number of worker domains used to
         expand a wave.  A wave of at least [seq_threshold] (default [128])
@@ -113,8 +120,11 @@ module Make (P : Protocol.S) : sig
         when a pool was spawned, and — when tracing — an [explore] span with
         one [explore.wave] event per BFS wave.  The store reports
         [explore.store.probes] (see {!probe_count}), the
-        [explore.store.max_chain] gauge (the longest hash-bucket chain,
-        computed once after the run), and the packed-codec gauges
+        [explore.store.max_chain] gauge (the table's longest probe run: the
+        most consecutive occupied slots, wrapping, so no lookup, hit or
+        miss, reads more than that many slots plus one empty slot), the
+        [explore.store.capacity] gauge (the table's slot count), both
+        computed once after the run, and the packed-codec gauges
         [explore.packed.bytes] / [explore.packed.dict_states] /
         [explore.packed.dict_msgs].  Under a reduction mode it additionally
         records [explore.por.pruned] (enabled events never applied),
@@ -137,7 +147,10 @@ module Make (P : Protocol.S) : sig
 
     val succ : graph -> int -> (C.event * int) list
     (** Outgoing edges of an expanded node (empty for frontier nodes of an
-        incomplete graph).  Raises [Invalid_argument] unless
+        incomplete graph), in exploration order.  The events are rebuilt
+        from the stored event codes on every call: each is {!C.event_equal}
+        to the event that was applied, but not physically shared with it or
+        with the events of another call.  Raises [Invalid_argument] unless
         [0 <= id < size g]. *)
 
     val expanded : graph -> int -> bool
@@ -173,8 +186,9 @@ module Make (P : Protocol.S) : sig
         counter exists to expose. *)
 
     val packed_bytes : graph -> int
-    (** Total bytes of packed configuration keys stored — the graph's
-        resident configuration payload (part dictionaries excluded). *)
+    (** Total bytes of packed configuration keys stored, which is the used
+        length of the key arena — the graph's resident configuration
+        payload (part dictionaries excluded). *)
 
     val path_to : graph -> int -> C.event list
     (** A shortest schedule from the root to the given node.  Raises

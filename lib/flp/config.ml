@@ -73,6 +73,10 @@ module type S = sig
     val unpack : store -> string -> t
 
     val hash : string -> int
+
+    val event_code : store -> event -> int
+
+    val event_of_code : store -> int -> event
   end
 end
 
@@ -380,6 +384,24 @@ module Make (P : Protocol.S) : S with type state = P.state and type msg = P.msg 
         done
       done;
       { states; buffer = !buffer }
+
+    (* Event codes: [dest] for a null step, [n * (1 + msg id) + dest] for a
+       delivery, with the message's id from the same part dictionary the
+       keys use. *)
+    let event_code s (e : event) =
+      check_dest e.dest;
+      match e.msg with
+      | None -> e.dest
+      | Some m -> (
+          match MTbl.find_opt s.msg_ids m with
+          | Some id -> (P.n * (1 + id)) + e.dest
+          | None -> invalid_arg "Config.Packed.event_code: message never interned")
+
+    let event_of_code s code =
+      let id = (code / P.n) - 1 in
+      if code < 0 || id >= s.msg_count then
+        invalid_arg "Config.Packed.event_of_code: code out of range";
+      if id < 0 then null_event code else deliver (code mod P.n) s.msgs.(id)
 
     (* FNV-1a, masked to 32 bits per step so the value is identical on every
        platform word size. *)

@@ -148,6 +148,19 @@ module type S = sig
     val hash : string -> int
     (** FNV-1a over the packed bytes — deterministic across platforms and
         runs, cheap enough to precompute once per successor. *)
+
+    val event_code : store -> event -> int
+    (** An event as one [int]: [dest] for a null step and
+        [n * (1 + id) + dest] for a delivery of the message with part id
+        [id], so the codes of one store's events are distinct.  The message
+        must already be interned — any delivery enabled in a packed
+        configuration's buffer is.  Raises [Invalid_argument] otherwise, or
+        when [dest] is out of range. *)
+
+    val event_of_code : store -> int -> event
+    (** Inverse of {!event_code}: the decoded event is {!event_equal} to the
+        encoded one.  Raises [Invalid_argument] on a code no event of this
+        store has. *)
   end
 end
 

@@ -192,6 +192,72 @@ let test_matches_reference_bfs () =
       (matches_reference ~budget:40_000 label protocol)
   done
 
+(* Edges are stored as integer event codes and decoded on read: every
+   decoded edge must still be the event that leads to its target, and
+   every decoded parent path must still lead from the root to its node,
+   under each reduction mode and on the pooled merge as well as inline. *)
+let round_trips ~budget label protocol =
+  let module P = (val protocol : Protocol.S) in
+  let module A = Analysis.Make (P) in
+  let root = A.C.initial (Array.init P.n (fun i -> Value.of_int (i land 1))) in
+  List.for_all
+    (fun (mode, reduction, jobs) ->
+      let label = Printf.sprintf "%s %s jobs=%d" label mode jobs in
+      let g = A.Explore.explore ~jobs ~seq_threshold:0 ~reduction ~max_configs:budget root in
+      A.Explore.complete g
+      &&
+      (for u = 0 to A.Explore.size g - 1 do
+         let c = A.Explore.config g u in
+         List.iter
+           (fun (e, v) ->
+             if not (A.C.equal (A.C.apply c e) (A.Explore.config g v)) then
+               Alcotest.failf "%s: edge %a of %d does not lead to %d" label A.C.pp_event e u v)
+           (A.Explore.succ g u);
+         if not (A.C.equal (A.C.apply_schedule root (A.Explore.path_to g u)) c) then
+           Alcotest.failf "%s: path to %d does not replay" label u
+       done;
+       true))
+    [ ("none", `None, 1); ("none", `None, 2); ("sleep", `Sleep, 1); ("sleep", `Sleep, 2) ]
+
+let test_edge_codes_round_trip () =
+  let checked =
+    List.filter
+      (fun (e : Zoo.entry) -> round_trips ~budget:40_000 e.name e.protocol)
+      Zoo.all
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " checked")
+        true
+        (List.exists (fun (e : Zoo.entry) -> e.name = name) checked))
+    [ "race:2"; "benor-det:1" ]
+
+(* The intern table's health: no probe may walk a long run of occupied
+   slots.  At load <= 1/2 with a well-spread hash the longest run grows
+   like log(capacity). *)
+let test_probe_runs_stay_short () =
+  List.iter
+    (fun (label, protocol) ->
+      let module P = (val protocol : Protocol.S) in
+      let module A = Analysis.Make (P) in
+      let metrics = Obs.Metrics.create () in
+      let root = A.C.initial (Array.init P.n (fun i -> Value.of_int (i land 1))) in
+      let g = A.Explore.explore ~obs:(Obs.create ~metrics ()) ~max_configs:1_000_000 root in
+      let gauge name = Obs.Metrics.gauge_value (Obs.Metrics.gauge metrics name) in
+      let run = gauge "explore.store.max_chain" and capacity = gauge "explore.store.capacity" in
+      let log2 = int_of_float (Float.log2 (float_of_int capacity)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: capacity %d is a power of two >= 2 * %d configs" label capacity
+           (A.Explore.size g))
+        true
+        (capacity = 1 lsl log2 && capacity >= 2 * A.Explore.size g);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: longest probe run %d < 4 * log2 %d" label run capacity)
+        true
+        (run > 0 && run < 4 * log2))
+    [ ("race:3", Zoo.race ~cap:3); ("pipeline:10", Zoo.pipeline ~ticks:10) ]
+
 let test_valency_and_wait () =
   (* decision of and-wait is input0 AND input1, so every initial
      configuration is univalent *)
@@ -313,6 +379,8 @@ let () =
           Alcotest.test_case "filter excludes process" `Quick test_filter_excludes_process;
           Alcotest.test_case "edges are applications" `Quick test_edges_are_applications;
           Alcotest.test_case "matches a reference BFS" `Slow test_matches_reference_bfs;
+          Alcotest.test_case "edge codes round-trip" `Slow test_edge_codes_round_trip;
+          Alcotest.test_case "probe runs stay short" `Quick test_probe_runs_stay_short;
         ] );
       ( "valency",
         [
