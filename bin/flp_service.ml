@@ -12,6 +12,10 @@
 
 let die fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt
 
+(* A degenerate cell (a count below 1) is a usage error: one line, exit 2. *)
+let usage fmt =
+  Format.kasprintf (fun m -> Format.eprintf "flp_service: %s@." m; exit 2) fmt
+
 let parse_queue = function
   | "heap" -> Sim.Engine.Queue_heap
   | "wheel" -> Sim.Engine.Queue_wheel
@@ -103,6 +107,11 @@ let run protocols policies queues loads clients batches pipelines n shards delay
           policies)
       protocols
   in
+  if jobs < 1 then usage "jobs must be >= 1, got %d" jobs;
+  List.iter
+    (fun cell ->
+      match Service.Runner.validate cell with Ok () -> () | Error e -> usage "%s" e)
+    cells;
   let hist_lo, hist_hi, hist_bins =
     match hist_bounds with None -> (0.0, 20.0, 40) | Some s -> parse_hist_bounds s
   in

@@ -131,48 +131,38 @@ let map ?chunk t f input =
       | Some _ -> invalid_arg "Pool.map: chunk must be >= 1"
       | None -> max 1 (1 + ((n - 1) / (t.jobs * 4)))
     in
-    (* Unboxed fill: the caller computes the first result itself and seeds
-       the output array with it, then the batch claims chunks of the
-       remaining indices.  This replaces the old ['a option array] scheme,
-       which boxed every result in [Some] and then ran a second full
-       [Array.map] pass just to unwrap — double allocation and a
-       cache-hostile extra traversal on the hottest path in the tree. *)
-    if not live then begin
-      let out = Array.make n (f input.(0)) in
-      let cursor = Atomic.make 1 in
+    (* Every worker, the caller included, claims chunk numbers from one
+       atomic cursor and fills a fresh array per chunk; one [Array.concat]
+       then joins the chunks in input order.  No result is boxed, and no
+       index is computed before the batch starts, so the caller's share
+       runs concurrently with the others'. *)
+    let nchunks = 1 + ((n - 1) / chunk) in
+    let parts = Array.make nchunks [||] in
+    let cursor = Atomic.make 0 in
+    let fill k =
+      let start = k * chunk in
+      parts.(k) <- Array.init (Stdlib.min chunk (n - start)) (fun j -> f input.(start + j))
+    in
+    if not live then
       run t (fun _ ->
           let running = ref true in
           while !running do
-            let start = Atomic.fetch_and_add cursor chunk in
-            if start >= n then running := false
-            else
-              for i = start to Stdlib.min n (start + chunk) - 1 do
-                out.(i) <- f input.(i)
-              done
-          done);
-      out
-    end
+            let k = Atomic.fetch_and_add cursor 1 in
+            if k >= nchunks then running := false else fill k
+          done)
     else begin
       (* Each worker accumulates busy time into its own slot; the pool's
-         pending-count handshake publishes the writes before we read them.
-         The seed element is worker 0's time: it runs on the calling domain
-         before the batch is dispatched. *)
+         pending-count handshake publishes the writes before we read them. *)
       let busy = Array.make t.jobs 0.0 in
       let b0 = Obs.Clock.now () in
-      let out = Array.make n (f input.(0)) in
-      busy.(0) <- Obs.Clock.elapsed b0;
-      Obs.Metrics.incr ~worker:0 t.m_chunks 1;
-      let cursor = Atomic.make 1 in
       run t (fun w ->
           let running = ref true in
           while !running do
-            let start = Atomic.fetch_and_add cursor chunk in
-            if start >= n then running := false
+            let k = Atomic.fetch_and_add cursor 1 in
+            if k >= nchunks then running := false
             else begin
               let c0 = Obs.Clock.now () in
-              for i = start to Stdlib.min n (start + chunk) - 1 do
-                out.(i) <- f input.(i)
-              done;
+              fill k;
               busy.(w) <- busy.(w) +. Obs.Clock.elapsed c0;
               Obs.Metrics.incr ~worker:w t.m_chunks 1
             end
@@ -182,9 +172,9 @@ let map ?chunk t f input =
       for w = 0 to t.jobs - 1 do
         Obs.Metrics.add_seconds ~worker:w t.m_busy busy.(w);
         Obs.Metrics.add_seconds ~worker:w t.m_idle (Float.max 0.0 (dur -. busy.(w)))
-      done;
-      out
-    end
+      done
+    end;
+    Array.concat (Array.to_list parts)
   end
 
 let shutdown t =

@@ -43,13 +43,15 @@ val run : t -> (int -> unit) -> unit
     is re-raised after the batch completes. *)
 
 val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map t f input] is [Array.map f input] computed by the pool: the caller
-    computes [f input.(0)] itself to seed the (unboxed) output array, then
-    workers repeatedly claim contiguous chunks of [chunk] indices (default:
-    sized for a few chunks per worker) from an atomic cursor.  Output order
-    always matches input order regardless of which worker computed what.
-    [f] must be safe to call from multiple domains — pure functions over
-    immutable data qualify. *)
+(** [map t f input] is [Array.map f input] computed by the pool: every
+    worker, the caller included, repeatedly claims a contiguous chunk of
+    [chunk] indices (default: sized for a few chunks per worker) from an
+    atomic cursor and maps it into an array of its own; the chunks are
+    concatenated in input order at the end, so no result is boxed.  [f] is
+    called exactly once per index, and output order always matches input
+    order regardless of which worker computed what.  [f] must be safe to
+    call from multiple domains — pure functions over immutable data
+    qualify. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent.  Using the pool after

@@ -7,7 +7,29 @@ module type CFG = sig
   val now : unit -> float
 end
 
-type timer_target = Inst of { inst : int; dtag : int } | Client of int
+(* Engine timer tags encode their own target, so no table maps them back.
+   Bit 0 is the kind.  A client timer's tag is [c lsl 1], [c] being the
+   client's local index on its replica.  A decree timer's tag is odd and
+   packs the instance id into the next [inst_bits] bits and the decree-local
+   tag above them, which keeps every tag a non-negative 63-bit int. *)
+let inst_bits = 31
+
+let inst_limit = 1 lsl inst_bits
+
+let dtag_limit = 1 lsl (Sys.int_size - inst_bits - 2)
+
+let client_tag c = c lsl 1
+
+let decree_tag ~inst ~dtag =
+  if inst < 0 || inst >= inst_limit || dtag < 0 || dtag >= dtag_limit then
+    invalid_arg (Printf.sprintf "Mux: decree timer (instance %d, tag %d) out of range" inst dtag);
+  (((dtag lsl inst_bits) lor inst) lsl 1) lor 1
+
+(* Grow [a] to hold index [i], doubling, with [fill] in the new cells. *)
+let grown a i fill =
+  let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 module Make (D : Decree.S) (C : CFG) = struct
   let name = "service-" ^ D.name
@@ -25,21 +47,28 @@ module Make (D : Decree.S) (C : CFG) = struct
   type state = {
     pid : int;
     rng : Sim.Rng.t;  (* never drawn from; keyed derivation only *)
-    insts : (int, D.state) Hashtbl.t;
-    timers : (int, timer_target) Hashtbl.t;
-    mutable next_tag : int;
+    mutable insts : D.state array;  (* by instance id; meaningful where [known] *)
+    mutable known : Bytes.t;  (* instance id -> '\001' once [insts] holds its state *)
+    filler : D.state;  (* fills [insts] cells no instance has reached *)
     queue : command Queue.t;
     mutable inflight : int;
     mutable next_inst : int;  (* local counter; global id = next_inst * n + pid *)
-    batches : (int, command list) Hashtbl.t;  (* my open decrees -> their cargo *)
+    mutable batches : command list array;
+        (* my decree [k * n + pid] at [k] -> its cargo; [[]] once decided *)
     clients : client array;  (* clients owned by this replica *)
   }
 
-  let fresh_tag st target =
-    let tag = st.next_tag in
-    st.next_tag <- tag + 1;
-    Hashtbl.replace st.timers tag target;
-    tag
+  let known st inst = inst < Bytes.length st.known && Bytes.get st.known inst <> '\000'
+
+  let set_inst st inst d =
+    if inst >= Array.length st.insts then begin
+      st.insts <- grown st.insts inst st.filler;
+      let known = Bytes.make (Array.length st.insts) '\000' in
+      Bytes.blit st.known 0 known 0 (Bytes.length st.known);
+      st.known <- known
+    end;
+    st.insts.(inst) <- d;
+    Bytes.set st.known inst '\001'
 
   let submit st c =
     let cl = st.clients.(c) in
@@ -54,22 +83,27 @@ module Make (D : Decree.S) (C : CFG) = struct
      cycle through [pump] consumes queued commands or pipeline budget. *)
   let rec exec st ~n ~inst (acts : D.msg Sim.Engine.action list) :
       msg Sim.Engine.action list =
-    List.concat_map
-      (fun (a : D.msg Sim.Engine.action) ->
-        match a with
-        | Sim.Engine.Send (dest, m) -> [ Sim.Engine.Send (dest, { inst; m }) ]
-        | Sim.Engine.Broadcast m -> [ Sim.Engine.Broadcast { inst; m } ]
-        | Sim.Engine.Set_timer (delay, dtag) ->
-            [ Sim.Engine.Set_timer (delay, fresh_tag st (Inst { inst; dtag })) ]
-        | Sim.Engine.Decide v -> decide st ~n ~inst v)
-      acts
+    (* Actions are translated in list order: a [Decide] runs the owner's
+       side effects before any later action of the same list is looked at. *)
+    match acts with
+    | [] -> []
+    | Sim.Engine.Send (dest, m) :: rest ->
+        Sim.Engine.Send (dest, { inst; m }) :: exec st ~n ~inst rest
+    | Sim.Engine.Broadcast m :: rest ->
+        Sim.Engine.Broadcast { inst; m } :: exec st ~n ~inst rest
+    | Sim.Engine.Set_timer (delay, dtag) :: rest ->
+        let tag = decree_tag ~inst ~dtag in
+        Sim.Engine.Set_timer (delay, tag) :: exec st ~n ~inst rest
+    | Sim.Engine.Decide v :: rest ->
+        let here = decide st ~n ~inst v in
+        here @ exec st ~n ~inst rest
 
   and decide st ~n ~inst _v =
     if inst mod n = st.pid then
-      match Hashtbl.find_opt st.batches inst with
-      | None -> [] (* duplicate decide; decree guards make this unreachable *)
-      | Some commands ->
-          Hashtbl.remove st.batches inst;
+      match st.batches.(inst / n) with
+      | [] -> [] (* duplicate decide; decree guards make this unreachable *)
+      | commands ->
+          st.batches.(inst / n) <- [];
           st.inflight <- st.inflight - 1;
           Collector.instance_decided C.collector;
           let time = C.now () in
@@ -98,7 +132,7 @@ module Make (D : Decree.S) (C : CFG) = struct
         let cl = st.clients.(c) in
         if cl.remaining <= 0 then []
         else
-          [ Sim.Engine.Set_timer (Gen.think_delay ~think cl.rng, fresh_tag st (Client c)) ]
+          [ Sim.Engine.Set_timer (Gen.think_delay ~think cl.rng, client_tag c) ]
 
   and pump st ~n =
     if st.inflight >= C.pipeline || Queue.is_empty st.queue then []
@@ -108,12 +142,14 @@ module Make (D : Decree.S) (C : CFG) = struct
         else take (k - 1) (Queue.pop st.queue :: acc)
       in
       let commands = take C.batch [] in
-      let inst = (st.next_inst * n) + st.pid in
-      st.next_inst <- st.next_inst + 1;
+      let k = st.next_inst in
+      let inst = (k * n) + st.pid in
+      st.next_inst <- k + 1;
       let rng = Sim.Rng.split_at st.rng ((2 * inst) + 1) in
       let dstate, dacts = D.propose ~n ~pid:st.pid ~value:inst ~rng in
-      Hashtbl.replace st.insts inst dstate;
-      Hashtbl.replace st.batches inst commands;
+      set_inst st inst dstate;
+      if k >= Array.length st.batches then st.batches <- grown st.batches k [];
+      st.batches.(k) <- commands;
       st.inflight <- st.inflight + 1;
       Collector.instance_opened C.collector;
       exec st ~n ~inst dacts @ pump st ~n
@@ -127,7 +163,7 @@ module Make (D : Decree.S) (C : CFG) = struct
     let gap = Gen.interarrival ~rate cl.rng in
     let next =
       if C.now () +. gap <= horizon then
-        [ Sim.Engine.Set_timer (gap, fresh_tag st (Client c)) ]
+        [ Sim.Engine.Set_timer (gap, client_tag c) ]
       else []
     in
     next @ pump st ~n
@@ -153,13 +189,13 @@ module Make (D : Decree.S) (C : CFG) = struct
       {
         pid;
         rng;
-        insts = Hashtbl.create 64;
-        timers = Hashtbl.create 64;
-        next_tag = 0;
+        insts = [||];
+        known = Bytes.empty;
+        filler = D.join ~n ~pid;
         queue = Queue.create ();
         inflight = 0;
         next_inst = 0;
-        batches = Hashtbl.create 64;
+        batches = [||];
         clients;
       }
     in
@@ -176,39 +212,37 @@ module Make (D : Decree.S) (C : CFG) = struct
               let gap = Gen.interarrival ~rate cl.rng in
               if gap <= horizon then
                 acts :=
-                  Sim.Engine.Set_timer (gap, fresh_tag st (Client c)) :: !acts)
+                  Sim.Engine.Set_timer (gap, client_tag c) :: !acts)
             st.clients;
           List.rev !acts
     in
     (st, actions)
 
   let on_message ~n ~pid st ~src { inst; m } =
-    let d =
-      match Hashtbl.find_opt st.insts inst with
-      | Some d -> d
-      | None -> D.join ~n ~pid
-    in
+    let had = known st inst in
+    let d = if had then st.insts.(inst) else D.join ~n ~pid in
     let d', acts = D.on_message ~n ~pid d ~src m in
-    Hashtbl.replace st.insts inst d';
+    if had then st.insts.(inst) <- d' else set_inst st inst d';
     (st, exec st ~n ~inst acts)
 
   let on_timer ~n ~pid st ~tag =
-    match Hashtbl.find_opt st.timers tag with
-    | None -> (st, [])
-    | Some target -> (
-        Hashtbl.remove st.timers tag;
-        match target with
-        | Inst { inst; dtag } -> (
-            match Hashtbl.find_opt st.insts inst with
-            | None -> (st, [])
-            | Some d ->
-                let d', acts = D.on_timer ~n ~pid d ~tag:dtag in
-                Hashtbl.replace st.insts inst d';
-                (st, exec st ~n ~inst acts))
-        | Client c -> (
-            match C.load with
-            | Gen.Closed _ ->
-                submit st c;
-                (st, pump st ~n)
-            | Gen.Open { rate; horizon } -> (st, arrival st ~n c ~rate ~horizon)))
+    if tag < 0 then invalid_arg (Printf.sprintf "Mux: timer tag %d out of range" tag)
+    else if tag land 1 = 0 then begin
+      let c = tag lsr 1 in
+      if c >= Array.length st.clients then
+        invalid_arg (Printf.sprintf "Mux: timer tag %d names no client of replica %d" tag pid);
+      match C.load with
+      | Gen.Closed _ ->
+          submit st c;
+          (st, pump st ~n)
+      | Gen.Open { rate; horizon } -> (st, arrival st ~n c ~rate ~horizon)
+    end
+    else begin
+      let inst = (tag lsr 1) land (inst_limit - 1) and dtag = tag lsr (inst_bits + 1) in
+      if not (known st inst) then
+        invalid_arg (Printf.sprintf "Mux: timer tag %d names no instance of replica %d" tag pid);
+      let d', acts = D.on_timer ~n ~pid st.insts.(inst) ~tag:dtag in
+      st.insts.(inst) <- d';
+      (st, exec st ~n ~inst acts)
+    end
 end

@@ -2,12 +2,17 @@
 
     {!Make} turns a single-decree protocol {!Decree.S} plus a workload
     configuration into one {!Sim.Engine.APP} whose [n] processes are the
-    service replicas.  Each replica keeps an instance table (instance id →
-    decree state); messages travel in instance-tagged envelopes and are
-    routed to their decree, lazily creating passive replica state on first
-    contact.  Decree-local timers are remapped onto fresh engine tags
-    through a per-replica dispatch table, and decree-level [Decide] actions
-    are {e intercepted} — the engine's per-process output register is
+    service replicas.  Each replica keeps its decree states in an array
+    indexed by instance id; messages travel in instance-tagged envelopes
+    and are routed to their decree, lazily creating passive replica state
+    on first contact.  An engine timer tag encodes its own target, so nothing maps
+    it back: bit 0 is clear for a client timer, whose tag is twice the
+    client's local index, and set for a decree timer, whose tag packs the
+    instance id (31 bits) and the decree-local tag (the bits above) over
+    that bit.  Encoding a negative or too-large instance or decree tag, and
+    firing a tag that names no client or no known instance of the replica,
+    raise [Invalid_argument].  Decree-level [Decide] actions are
+    {e intercepted} — the engine's per-process output register is
     write-once, so decisions are recorded in the {!Collector} instead (the
     engine run always ends [Quiescent], by drain).
 

@@ -19,6 +19,20 @@ let cell_label c =
     (match c.queue with Sim.Engine.Queue_heap -> "heap" | Sim.Engine.Queue_wheel -> "wheel")
     (Gen.to_string c.load) c.clients c.shards
 
+let validate c =
+  let positive =
+    [
+      ("clients", c.clients);
+      ("n", c.n);
+      ("shards", c.shards);
+      ("batch", c.batch);
+      ("pipeline", c.pipeline);
+    ]
+  in
+  match List.find_opt (fun (_, v) -> v < 1) positive with
+  | Some (field, v) -> Error (Printf.sprintf "%s must be >= 1, got %d" field v)
+  | None -> Ok ()
+
 let run_shard cell ~shard =
   let (module D : Decree.S) = Decree.get cell.protocol in
   let collector = Collector.create ~clients:cell.clients in
@@ -52,6 +66,12 @@ let run_shard cell ~shard =
   Collector.freeze collector ~result ~wall_s
 
 let run ?(jobs = 1) ?(obs = Obs.disabled) ?hist_lo ?hist_hi ?hist_bins cells =
+  List.iter
+    (fun cell ->
+      match validate cell with
+      | Ok () -> ()
+      | Error e -> invalid_arg (Printf.sprintf "Service.Runner.run: %s: %s" (cell_label cell) e))
+    cells;
   let tasks =
     Array.of_list
       (List.concat_map

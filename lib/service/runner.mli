@@ -25,6 +25,12 @@ val cell_label : cell -> string
 (** Compact ["protocol/policy/queue/load/cN/sK"] identifier for report
     keys and progress lines. *)
 
+val validate : cell -> (unit, string) result
+(** [Error] names the first degenerate field: [clients], [n], [shards],
+    [batch] and [pipeline] must each be at least 1.  With [batch = 0] an
+    owner would open empty decrees forever; the others would yield a report
+    with no commands or clients in it. *)
+
 val run_shard : cell -> shard:int -> Collector.shard
 (** One engine run; safe to call concurrently from multiple domains. *)
 
@@ -37,6 +43,7 @@ val run :
   cell list ->
   (cell * Report.t) list
 (** Run every shard of every cell through one pool, regroup per cell in
-    order, and merge.  When [obs] is live, records [service.submitted],
+    order, and merge.  Raises [Invalid_argument] before running anything
+    when {!validate} rejects a cell.  When [obs] is live, records [service.submitted],
     [service.completed], [service.opened], [service.decided] counters and
     the [service.peak_inflight] gauge across all cells. *)

@@ -98,7 +98,13 @@ module Make (A : APP) = struct
     let master = Rng.create cfg.seed in
     let net_rng = Rng.split master in
     let proc_rngs = Array.init cfg.n (fun _ -> Rng.split master) in
-    let states = Array.make cfg.n None in
+    (* Live process states, dense: [states.(pid)] is meaningful only when
+       [has_state.(pid)], and a step overwrites it in place rather than
+       allocating a fresh [Some].  The array is made at the first state
+       (a ['a array] needs an element to fill it with). *)
+    let states : A.state array ref = ref [||] in
+    let has_state = Array.make cfg.n false in
+    let state_opt pid = if has_state.(pid) then Some !states.(pid) else None in
     let decisions = Array.make cfg.n None in
     let decision_times = Array.make cfg.n nan in
     let delivered_to = Array.make cfg.n 0 in
@@ -251,7 +257,9 @@ module Make (A : APP) = struct
            against a post-init mask that may already exclude them. *)
         Option.iter (fun r -> rec_step r ~pid ~kind:Causal.Recorder.Init None) recorder;
         let st, actions = A.init ~n:cfg.n ~pid ~input:cfg.inputs.(pid) ~rng:proc_rngs.(pid) in
-        states.(pid) <- Some st;
+        if Array.length !states = 0 then states := Array.make cfg.n st;
+        !states.(pid) <- st;
+        has_state.(pid) <- true;
         apply_actions pid actions
       end
     done;
@@ -300,13 +308,13 @@ module Make (A : APP) = struct
                   | None -> ()
                   | Some r ->
                       rec_step r ~pid:dest ~kind:(Causal.Recorder.Deliver { src; sid })
-                        states.(dest));
-                  match states.(dest) with
-                  | None -> ()
-                  | Some st ->
-                      let st', actions = A.on_message ~n:cfg.n ~pid:dest st ~src msg in
-                      states.(dest) <- Some st';
-                      apply_actions dest actions
+                        (state_opt dest));
+                  if has_state.(dest) then begin
+                    let states = !states in
+                    let st', actions = A.on_message ~n:cfg.n ~pid:dest states.(dest) ~src msg in
+                    states.(dest) <- st';
+                    apply_actions dest actions
+                  end
                 end
             | Timer { pid; tag; sid } ->
                 if not (crashed pid) then begin
@@ -319,13 +327,14 @@ module Make (A : APP) = struct
                   (match recorder with
                   | None -> ()
                   | Some r ->
-                      rec_step r ~pid ~kind:(Causal.Recorder.Timer { tag; sid }) states.(pid));
-                  match states.(pid) with
-                  | None -> ()
-                  | Some st ->
-                      let st', actions = A.on_timer ~n:cfg.n ~pid st ~tag in
-                      states.(pid) <- Some st';
-                      apply_actions pid actions
+                      rec_step r ~pid ~kind:(Causal.Recorder.Timer { tag; sid })
+                        (state_opt pid));
+                  if has_state.(pid) then begin
+                    let states = !states in
+                    let st', actions = A.on_timer ~n:cfg.n ~pid states.(pid) ~tag in
+                    states.(pid) <- st';
+                    apply_actions pid actions
+                  end
                 end)
     done;
     if instrumented then begin
@@ -350,7 +359,7 @@ module Make (A : APP) = struct
         { result with violations = "agreement violated" :: result.violations }
       else result
     in
-    (result, states)
+    (result, Array.init cfg.n state_opt)
 
   let run_verbose ?obs cfg ~on_event =
     fst

@@ -4,9 +4,14 @@
     for the same instant pop in insertion order, which keeps whole simulations
     reproducible across runs and platforms.
 
-    Layout: structure of arrays — keys in a flat [float array] of times and
-    an [int array] of sequence numbers, payloads in a parallel array — so
-    sifts compare unboxed keys and move a hole rather than swapping slots. *)
+    Layout: structure of arrays.  Keys sit in a flat [float array] of times
+    and an [int array] of sequence numbers, beside an [int array] of slot
+    ids that names where each key's payload lives in a separate payload
+    array.  Sifts compare unboxed keys and move a hole through those three
+    unboxed arrays, so reordering never writes a boxed value: the payload
+    array is written once per {!push} and once per {!pop}.  The slot ids
+    are a permutation of the capacity, live slots first and free ones after,
+    so a push reuses the slot the last pop freed. *)
 
 type 'a t
 

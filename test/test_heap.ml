@@ -187,6 +187,56 @@ let prop_differential =
         !reference;
       !ok && Sim.Heap.pop h = None)
 
+let prop_clear_interleaved =
+  (* Like the differential property, with a rare [clear] mixed in.  Pushes
+     outnumber pops 3:2, so the heap regrows its backing arrays past 16, 32
+     and 64 between clears: a clear must free every slot for reuse, and
+     pops after it must see only later pushes. *)
+  QCheck.Test.make ~name:"clear interleaved with push/pop and regrowth" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 600) (int_bound 200))
+    (fun ops ->
+      let h = Sim.Heap.create () in
+      let reference = ref [] in
+      let ref_insert time seq =
+        let rec go = function
+          | [] -> [ (time, seq) ]
+          | ((t', s') as hd) :: tl ->
+              if t' < time || (t' = time && s' < seq) then hd :: go tl else (time, seq) :: hd :: tl
+        in
+        reference := go !reference
+      in
+      let seq = ref 0 in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (if op = 0 then begin
+             Sim.Heap.clear h;
+             reference := []
+           end
+           else if op <= 80 then begin
+             match (Sim.Heap.pop h, !reference) with
+             | None, [] -> ()
+             | Some (t, v), (t', v') :: tl ->
+                 if t <> t' || v <> v' then ok := false;
+                 reference := tl
+             | Some _, [] | None, _ :: _ -> ok := false
+           end
+           else begin
+             let time = float_of_int (op mod 5) *. 0.5 in
+             Sim.Heap.push h ~time !seq;
+             ref_insert time !seq;
+             incr seq
+           end);
+          if Sim.Heap.size h <> List.length !reference then ok := false)
+        ops;
+      List.iter
+        (fun (t', v') ->
+          match Sim.Heap.pop h with
+          | Some (t, v) -> if t <> t' || v <> v' then ok := false
+          | None -> ok := false)
+        !reference;
+      !ok && Sim.Heap.is_empty h)
+
 (* A reference key: (time in eighths of a second, seq).  Every time the
    property pushes is an exact multiple of 1/8, so integer ticks order the
    keys exactly as their float times do. *)
@@ -263,6 +313,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_heapsort;
           QCheck_alcotest.to_alcotest prop_stable;
           QCheck_alcotest.to_alcotest prop_differential;
+          QCheck_alcotest.to_alcotest prop_clear_interleaved;
           QCheck_alcotest.to_alcotest prop_service_scale;
         ] );
     ]

@@ -40,6 +40,43 @@ let test_map_chunk_sizes () =
       Alcotest.(check (array string)) (Printf.sprintf "chunk=%d" chunk) expected got)
     [ 1; 2; 17; 97; 1000 ]
 
+(* Shapes where the chunking could drop or repeat an index: one input, fewer
+   inputs than workers, and a chunk larger than the input. *)
+let map_shapes = [ (1, None); (2, None); (5, Some 64); (97, Some 10) ]
+
+let test_map_calls_once_per_index () =
+  List.iter
+    (fun (n, chunk) ->
+      let calls = Array.init n (fun _ -> Atomic.make 0) in
+      let total = Atomic.make 0 in
+      let got =
+        Parallel.Pool.with_pool ~jobs:3 (fun pool ->
+            Parallel.Pool.map ?chunk pool
+              (fun i ->
+                Atomic.incr calls.(i);
+                Atomic.incr total;
+                i)
+              (Array.init n Fun.id))
+      in
+      let label = Printf.sprintf "n=%d" n in
+      Alcotest.(check int) (label ^ ": calls") n (Atomic.get total);
+      Array.iteri
+        (fun i c -> Alcotest.(check int) (Printf.sprintf "%s: index %d" label i) 1 (Atomic.get c))
+        calls;
+      Alcotest.(check int) (label ^ ": length") n (Array.length got))
+    map_shapes
+
+let test_map_order_matches_array_map () =
+  List.iter
+    (fun (n, chunk) ->
+      let input = Array.init n (fun i -> float_of_int ((i * 37) mod 11)) in
+      let f x = (x *. 2.0) +. 0.5 in
+      let got =
+        Parallel.Pool.with_pool ~jobs:3 (fun pool -> Parallel.Pool.map ?chunk pool f input)
+      in
+      Alcotest.(check (array (float 0.0))) (Printf.sprintf "n=%d" n) (Array.map f input) got)
+    map_shapes
+
 let test_run_covers_all_workers () =
   Parallel.Pool.with_pool ~jobs:4 (fun pool ->
       let hits = Array.make 4 false in
@@ -359,6 +396,8 @@ let () =
           Alcotest.test_case "map matches Array.map" `Quick test_map_matches_array_map;
           Alcotest.test_case "map on empty input" `Quick test_map_empty;
           Alcotest.test_case "chunk sizes" `Quick test_map_chunk_sizes;
+          Alcotest.test_case "map calls f once per index" `Quick test_map_calls_once_per_index;
+          Alcotest.test_case "map order = Array.map" `Quick test_map_order_matches_array_map;
           Alcotest.test_case "run covers all workers" `Quick test_run_covers_all_workers;
           Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
           Alcotest.test_case "pool reusable after exception" `Quick

@@ -181,6 +181,138 @@ let test_adversarial_policy_completes () =
   Alcotest.(check int) "all complete under admissible lifo" r.Service.Report.submitted
     r.Service.Report.completed
 
+(* The schedule pin: exact counts, latency quantiles, the latency sum and
+   every client's completions for both protocols under a closed and an open
+   load, with batching and a bounded pipeline in play.  The expected values
+   were recorded before the event heap's slot-id sifts and the Mux's array
+   tables landed; any change to the event order moves at least one of them.
+   Floats are compared exactly, written in hex. *)
+type fingerprint = {
+  steps : int;
+  sent : int;
+  delivered : int;
+  decided : int;
+  p50 : float;
+  p999 : float;
+  latency_sum : float;
+  per_client : int list;
+}
+
+let fingerprint (r : Service.Report.t) =
+  let shards = Array.to_list r.Service.Report.shards in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 shards in
+  {
+    steps = sum (fun (s : Service.Collector.shard) -> s.steps);
+    sent = sum (fun (s : Service.Collector.shard) -> s.sent);
+    delivered = sum (fun (s : Service.Collector.shard) -> s.delivered);
+    decided = r.Service.Report.decided;
+    p50 = r.Service.Report.p50;
+    p999 = r.Service.Report.p999;
+    latency_sum =
+      List.fold_left
+        (fun acc (s : Service.Collector.shard) -> Array.fold_left ( +. ) acc s.latencies)
+        0.0 shards;
+    per_client =
+      List.concat_map (fun (s : Service.Collector.shard) -> Array.to_list s.per_client) shards;
+  }
+
+let test_schedule_fingerprint () =
+  let closed = Service.Gen.Closed { think = 0.5; ops = 3 }
+  and open_ = Service.Gen.Open { rate = 2.0; horizon = 6.0 } in
+  let threes = List.init 24 (fun _ -> 3)
+  and arrivals =
+    [ 12; 11; 5; 14; 19; 13; 12; 11; 14; 18; 16; 7; 7; 9; 10; 13; 14; 12; 16; 13; 11; 12; 6; 11 ]
+  in
+  List.iter
+    (fun (protocol, load, want) ->
+      let label = protocol ^ "/" ^ Service.Gen.to_string load in
+      let got =
+        fingerprint (report (cell ~protocol ~load ~batch:2 ~pipeline:4 ~seed:3 ()))
+      in
+      Alcotest.(check int) (label ^ ": steps") want.steps got.steps;
+      Alcotest.(check int) (label ^ ": sent") want.sent got.sent;
+      Alcotest.(check int) (label ^ ": delivered") want.delivered got.delivered;
+      Alcotest.(check int) (label ^ ": decided") want.decided got.decided;
+      Alcotest.(check (float 0.0)) (label ^ ": p50") want.p50 got.p50;
+      Alcotest.(check (float 0.0)) (label ^ ": p999") want.p999 got.p999;
+      Alcotest.(check (float 0.0)) (label ^ ": latency sum") want.latency_sum got.latency_sum;
+      Alcotest.(check (list int)) (label ^ ": per client") want.per_client got.per_client)
+    [
+      ( "fast",
+        closed,
+        {
+          steps = 468;
+          sent = 360;
+          delivered = 360;
+          decided = 60;
+          p50 = 0x1.cff68167010dfp-1;
+          p999 = 0x1.966acec6eeaebp+0;
+          latency_sum = 0x1.09192f52cbedcp+6;
+          per_client = threes;
+        } );
+      ( "classic",
+        closed,
+        {
+          steps = 923;
+          sent = 791;
+          delivered = 791;
+          decided = 60;
+          p50 = 0x1.c0fb69bdf1c32p+0;
+          p999 = 0x1.28165a04c7a72p+2;
+          latency_sum = 0x1.63c778516b6f4p+7;
+          per_client = threes;
+        } );
+      ( "fast",
+        open_,
+        {
+          steps = 1504;
+          sent = 1044;
+          delivered = 1044;
+          decided = 174;
+          p50 = 0x1.4bc068c145528p+0;
+          p999 = 0x1.5ca05181a4672p+1;
+          latency_sum = 0x1.8350b9f36e163p+8;
+          per_client = arrivals;
+        } );
+      ( "classic",
+        open_,
+        {
+          steps = 2415;
+          sent = 1927;
+          delivered = 1927;
+          decided = 156;
+          p50 = 0x1.77d4936cfbe38p+2;
+          p999 = 0x1.b9421597215a5p+3;
+          latency_sum = 0x1.c116125aba5fap+10;
+          per_client = arrivals;
+        } );
+    ]
+
+(* A count below 1 in any field is rejected before anything runs: with
+   [batch = 0] an owner opened empty decrees until the step limit, and the
+   other fields produced reports of nan/inf fairness. *)
+let test_degenerate_cells_rejected () =
+  List.iter
+    (fun (field, c) ->
+      (match Service.Runner.validate c with
+      | Ok () -> Alcotest.failf "%s = 0 validated" field
+      | Error e ->
+          Alcotest.(check string) (field ^ ": message") (field ^ " must be >= 1, got 0") e);
+      Alcotest.(check bool) (field ^ ": run raises") true
+        (try
+           ignore (Service.Runner.run [ c ]);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("clients", cell ~clients:0 ());
+      ("n", cell ~n:0 ());
+      ("shards", cell ~shards:0 ());
+      ("batch", cell ~batch:0 ());
+      ("pipeline", cell ~pipeline:0 ());
+    ];
+  Alcotest.(check bool) "the default cell validates" true
+    (Service.Runner.validate (cell ()) = Ok ())
+
 let () =
   Alcotest.run "service"
     [
@@ -198,5 +330,7 @@ let () =
           Alcotest.test_case "latency accounting" `Quick test_latency_accounting;
           Alcotest.test_case "adversarial policy completes" `Quick
             test_adversarial_policy_completes;
+          Alcotest.test_case "schedule fingerprint" `Quick test_schedule_fingerprint;
+          Alcotest.test_case "degenerate cells rejected" `Quick test_degenerate_cells_rejected;
         ] );
     ]
