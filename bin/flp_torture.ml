@@ -32,6 +32,10 @@ let parse_policy s =
 
 let die fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt
 
+(* A degenerate campaign size is a usage error: one line, exit 2. *)
+let usage fmt =
+  Format.kasprintf (fun m -> Format.eprintf "flp_torture: %s@." m; exit 2) fmt
+
 let parse_policies specs =
   List.map
     (fun s -> match parse_policy s with Ok k -> (s, k) | Error e -> die "%s" e)
@@ -110,6 +114,9 @@ let parse_hist_bounds s =
 
 let run protocols policies n ones delay_spec seeds jobs max_steps reduction
     hist_bounds out obs =
+  (match Workload.Campaign.validate ~jobs ~seeds ~n ~ones ~max_steps with
+  | Ok () -> ()
+  | Error e -> usage "%s" e);
   let protocols = if protocols = [] then [ "ben-or" ] else protocols in
   let policy_strs =
     if policies = [] then [ "oblivious"; "starve:0"; "rr-killer" ] else policies

@@ -16,7 +16,13 @@
     is delivered within a bounded number of scheduling decisions: runs under
     the guard are admissible in the paper's sense, so an undecided run under
     a guarded adversary exhibits FLP's window of vulnerability, not a
-    starved queue. *)
+    starved queue.
+
+    Cost: the guard keeps one overtake count per pending event in two
+    [int] arrays ordered by id, the order of [view.items], so each commit
+    is one O(pending) merge of [int]s, with no hashing.  It also keeps the
+    largest count, so [choose] scans the view only when some count may
+    have reached the budget. *)
 
 type stats = {
   mutable forced : int;  (** times the guard overrode the inner policy *)

@@ -12,9 +12,8 @@ let fifo () =
 let lifo () = stateless "lifo" (fun v -> v.S.items.(Array.length v.S.items - 1).S.id)
 
 let starve ~victim () =
-  stateless
-    (Printf.sprintf "starve:%d" victim)
-    (fun v -> S.earliest ~prefer:(fun it -> S.dest_of it <> victim) v)
+  let prefer it = S.dest_of it <> victim in
+  stateless (Printf.sprintf "starve:%d" victim) (fun v -> S.earliest ~prefer v)
 
 let partition ~block ~rejoin_at () =
   let in_block p = List.mem p block in
@@ -23,11 +22,10 @@ let partition ~block ~rejoin_at () =
     | S.Msg { src; dst } -> in_block src <> in_block dst
     | S.Tmr _ -> false
   in
+  let prefer it = not (crossing it) in
   stateless
     (Format.asprintf "%a" Spec.pp (Spec.Partition { block; rejoin_at }))
-    (fun v ->
-      if v.S.now >= rejoin_at then S.earliest v
-      else S.earliest ~prefer:(fun it -> not (crossing it)) v)
+    (fun v -> if v.S.now >= rejoin_at then S.earliest v else S.earliest ~prefer v)
 
 let round_robin_killer () =
   stateless "rr-killer" (fun v ->

@@ -155,17 +155,26 @@ module Make (A : APP) = struct
           in
           let msg_of = function Deliver { msg; _ } -> Some msg | Timer _ -> None in
           let payload id = Option.bind (Scheduler.Table.payload table id) msg_of in
+          (* The view's status arrays are engine-owned and refreshed in
+             place before each [choose]; [delivered_to] is passed as is.  A
+             policy may read them only until its callback returns (see
+             [scheduler.mli]), so no step copies them. *)
+          let v_crashed = Array.make cfg.n false and v_decided = Array.make cfg.n false in
           let pop () =
             if Scheduler.Table.is_empty table then None
             else begin
+              for pid = 0 to cfg.n - 1 do
+                v_crashed.(pid) <- crashed pid;
+                v_decided.(pid) <- Option.is_some decisions.(pid)
+              done;
               let view =
                 {
                   Scheduler.now = !now;
                   n = cfg.n;
                   items = Scheduler.Table.items table;
-                  crashed = Array.init cfg.n crashed;
-                  decided = Array.map Option.is_some decisions;
-                  delivered_to = Array.copy delivered_to;
+                  crashed = v_crashed;
+                  decided = v_decided;
+                  delivered_to;
                 }
               in
               let id = pol.Scheduler.choose view ~payload in

@@ -42,16 +42,26 @@ let oblivious_order a b =
   | 0 -> Int.compare a.id b.id
   | c -> c
 
-let select pred v =
-  let best = ref None in
-  Array.iter
-    (fun it ->
-      if pred it then
-        match !best with
-        | Some b when oblivious_order b it <= 0 -> ()
-        | _ -> best := Some it)
-    v.items;
+(* [oblivious_order a b < 0], with the float test inlined: only a tie or a
+   NaN takes the call. *)
+let[@inline] earlier a b =
+  let ra = a.ready_at and rb = b.ready_at in
+  ra < rb || ((not (ra > rb)) && oblivious_order a b < 0)
+
+(* The slot of the earliest item of [items] satisfying [pred], or [-1].  A
+   scan by index: a better item turning up costs an int write, not a
+   [Some].  [pred] is asked only about items earlier than the best so far,
+   which in a shuffled view is a few per scan rather than every item. *)
+let select_index pred items =
+  let best = ref (-1) in
+  for i = 0 to Array.length items - 1 do
+    let it = items.(i) in
+    if (!best < 0 || earlier it items.(!best)) && pred it then best := i
+  done;
   !best
+
+let select pred v =
+  match select_index pred v.items with -1 -> None | i -> Some v.items.(i)
 
 (* Binary search for [id] among [items.(0 .. len-1)], which must be
    strictly increasing in [id]: the slot holding it, or [-1]. *)
@@ -69,15 +79,15 @@ let find v id =
   | i -> Some v.items.(i)
 
 let earliest ?prefer v =
-  let chosen =
+  let items = v.items in
+  if Array.length items = 0 then invalid_arg "Scheduler.earliest: no pending events";
+  let i =
     match prefer with
-    | None -> select (fun _ -> true) v
-    | Some pred -> (
-        match select pred v with Some _ as s -> s | None -> select (fun _ -> true) v)
+    | None -> -1
+    | Some pred -> select_index pred items
   in
-  match chosen with
-  | Some it -> it.id
-  | None -> invalid_arg "Scheduler.earliest: no pending events"
+  let i = if i < 0 then select_index (fun _ -> true) items else i in
+  items.(i).id
 
 module Table = struct
   (* Live entries sit in [items.(0 .. len-1)] and [payloads.(0 .. len-1)],

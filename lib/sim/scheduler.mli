@@ -31,6 +31,11 @@ type item = {
   kind : kind;
 }
 
+(** The network as a policy callback sees it.  A view and its arrays are
+    valid only until the callback returns: [crashed], [decided] and
+    [delivered_to] are engine-owned arrays that the engine refreshes in
+    place before each [choose].  A policy that keeps any of them must copy
+    it. *)
 type view = {
   now : float;  (** current simulated time *)
   n : int;
@@ -79,7 +84,10 @@ val oblivious_order : item -> item -> int
     to the engine's event heap ([(time, seq)] min-order). *)
 
 val select : (item -> bool) -> view -> item option
-(** Earliest item (in {!oblivious_order}) satisfying the predicate. *)
+(** Earliest item (in {!oblivious_order}) satisfying the predicate.  The
+    scan runs by index and allocates nothing but the returned [Some].  The
+    predicate is asked only about items earlier than the best match so
+    far, so it must be pure. *)
 
 val find : view -> int -> item option
 (** The pending item with this [id], by binary search: O(log n), relying on
@@ -88,8 +96,8 @@ val find : view -> int -> item option
 val earliest : ?prefer:(item -> bool) -> view -> int
 (** Earliest item overall, or earliest satisfying [prefer] when any does —
     the "withhold these as long as possible" shape shared by the starvation
-    and partition policies.  Raises [Invalid_argument] on an empty view (the
-    engine never calls a policy with one). *)
+    and partition policies.  Allocates nothing.  Raises [Invalid_argument]
+    on an empty view (the engine never calls a policy with one). *)
 
 (** {2 Pending-event table}
 

@@ -5,7 +5,7 @@ type t = {
   mutable min : float;
   mutable max : float;
   mutable total : float;
-  mutable samples : float list;  (* retained for percentiles *)
+  mutable samples : float array;  (* [samples.(0 .. n-1)], for percentiles *)
   mutable sorted : float array option;  (* cache, invalidated by [add] *)
 }
 
@@ -17,7 +17,7 @@ let create () =
     min = infinity;
     max = neg_infinity;
     total = 0.0;
-    samples = [];
+    samples = [||];
     sorted = None;
   }
 
@@ -29,7 +29,15 @@ let add t x =
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x;
   t.total <- t.total +. x;
-  t.samples <- x :: t.samples;
+  (* A growable float array holds its samples unboxed: one word each, where
+     a list pays a cons cell plus a boxed float. *)
+  let cap = Array.length t.samples in
+  if t.n > cap then begin
+    let a = Array.make (max 16 (2 * cap)) 0.0 in
+    Array.blit t.samples 0 a 0 cap;
+    t.samples <- a
+  end;
+  t.samples.(t.n - 1) <- x;
   t.sorted <- None
 
 let add_list t xs = List.iter (add t) xs
@@ -57,7 +65,12 @@ let sorted_samples t =
   match t.sorted with
   | Some a -> a
   | None ->
-      let a = Array.of_list t.samples in
+      (* Newest first, the order the samples had when they were kept in a
+         list: [Array.sort] is not stable, and [Float.compare] ties -0.0
+         with 0.0 and every NaN with every other, so the input order
+         decides which of those bit patterns lands at each rank. *)
+      let n = t.n and samples = t.samples in
+      let a = Array.init n (fun i -> samples.(n - 1 - i)) in
       Array.sort Float.compare a;
       t.sorted <- Some a;
       a

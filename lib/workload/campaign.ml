@@ -118,6 +118,20 @@ let cell_of_trials ?(hist_lo = 0.0) ?(hist_hi = 20.0) ?(hist_bins = 40) ~protoco
     latency_hist = latency_hist_of ~hist_lo ~hist_hi ~hist_bins trials;
   }
 
+let validate ~jobs ~seeds ~n ~ones ~max_steps =
+  let checks =
+    [
+      ("jobs", jobs, 1);
+      ("seeds", seeds, 1);
+      ("n", n, 1);
+      ("ones", ones, 0);
+      ("max-steps", max_steps, 1);
+    ]
+  in
+  match List.find_opt (fun (_, v, lo) -> v < lo) checks with
+  | Some (field, v, lo) -> Error (Printf.sprintf "%s must be >= %d, got %d" field lo v)
+  | None -> Ok ()
+
 let run ?(jobs = 1) ?(obs = Obs.disabled) ?hist_lo ?hist_hi ?hist_bins ~arms ~seeds
     () =
   let metrics = obs.Obs.metrics in

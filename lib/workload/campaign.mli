@@ -67,6 +67,14 @@ val sim_arm :
     payloads and cannot be built this way — construct their [arm.run] by
     hand around [Sim.Engine.Make(App).run_scheduled]. *)
 
+val validate :
+  jobs:int -> seeds:int -> n:int -> ones:int -> max_steps:int -> (unit, string) result
+(** Check a campaign's sizes before anything runs: [jobs], [seeds] (the
+    number of seeds), [n] and [max_steps] must be [>= 1] and [ones] [>= 0].
+    The error names the first bad field, as in ["seeds must be >= 1, got
+    0"].  A degenerate size otherwise either raises deep inside the run or
+    yields a report of [nan] statistics. *)
+
 val run :
   ?jobs:int ->
   ?obs:Obs.t ->

@@ -144,6 +144,17 @@ let pinned_policy_runs =
     ("admissible:16:starve:0", 1, 124, 140, 124, 2.2587600336938372, 1);
     ("admissible:16:starve:0", 7, 70, 100, 70, 1.0208603290335139, 1);
     ("admissible:16:starve:0", 42, 73, 100, 73, 1.0781897889694674, 1);
+    (* Low budgets, where the guard forces often: captured on the commit
+       preceding the array-backed guard. *)
+    ("admissible:1:lifo", 1, 71, 100, 71, 3.7543753314113362, 1);
+    ("admissible:1:lifo", 7, 75, 100, 75, 2.2850638626994417, 1);
+    ("admissible:1:lifo", 42, 69, 100, 69, 2.3105435299245487, 1);
+    ("admissible:2:starve:0", 1, 79, 108, 79, 1.1498120773194755, 1);
+    ("admissible:2:starve:0", 7, 68, 100, 68, 0.89051482535751803, 1);
+    ("admissible:2:starve:0", 42, 63, 100, 63, 0.80971471430862774, 1);
+    ("admissible:4:rr-killer", 1, 99, 140, 99, 1.3298344868870013, 1);
+    ("admissible:4:rr-killer", 7, 69, 100, 69, 0.9270569015429817, 1);
+    ("admissible:4:rr-killer", 42, 67, 100, 67, 0.78218194931492802, 1);
   ]
 
 let test_pinned_policy_schedules () =
@@ -490,6 +501,100 @@ let test_admissible_bad_budget () =
     (Invalid_argument "Sched.Admissible.wrap: budget must be >= 1")
     (fun () -> ignore (Sched.Admissible.wrap ~budget:0 (S.lift (Sched.Policy.fifo ()))))
 
+(* The guard as it was first written, over a polymorphic [Hashtbl] of
+   overtake counts probed per pending item: the oracle for the array-backed
+   guard, which must fire the same event at every step and report the same
+   statistics. *)
+module Ref_admissible = struct
+  let wrap_stats ~budget (inner : 'msg S.policy) =
+    let stats = { Sched.Admissible.forced = 0; max_overtaken = 0 } in
+    let overtaken : (int, int) Hashtbl.t = Hashtbl.create 64 in
+    let count id = Option.value ~default:0 (Hashtbl.find_opt overtaken id) in
+    let owed (v : S.view) it = not v.crashed.(S.dest_of it) in
+    let choose v ~payload =
+      match S.select (fun it -> owed v it && count it.id >= budget) v with
+      | Some it ->
+          stats.forced <- stats.forced + 1;
+          it.id
+      | None -> inner.S.choose v ~payload
+    in
+    let committed (v : S.view) ~payload id =
+      (match S.find v id with
+      | None -> ()
+      | Some fired ->
+          Array.iter
+            (fun it ->
+              if it.S.id <> id && S.oblivious_order it fired < 0 then begin
+                let c = count it.S.id + 1 in
+                Hashtbl.replace overtaken it.S.id c;
+                if c > stats.max_overtaken then stats.max_overtaken <- c
+              end)
+            v.S.items);
+      Hashtbl.remove overtaken id;
+      inner.S.committed v ~payload id
+    in
+    ({ S.name = Printf.sprintf "admissible:%d:%s" budget inner.S.name; choose; committed }, stats)
+
+  (* [Sched.Policy.of_spec], with every guard level, nested ones included,
+     built by the reference. *)
+  let rec of_spec : Sched.Spec.t -> S.blind = function
+    | Sched.Spec.Admissible { budget; inner } -> fst (wrap_stats ~budget (of_spec inner))
+    | spec -> Sched.Policy.of_spec spec
+end
+
+let inner_specs n =
+  Sched.Spec.
+    [|
+      Fifo;
+      Lifo;
+      Starve 0;
+      Starve (n - 1);
+      Round_robin_killer;
+      Partition { block = [ 0; 1 ]; rejoin_at = 2.0 };
+      Admissible { budget = 3; inner = Starve 1 };
+      Admissible { budget = 1; inner = Lifo };
+    |]
+
+let prop_guard_matches_reference =
+  QCheck.Test.make ~name:"array guard = Hashtbl guard" ~count:400
+    QCheck.(quad (int_bound 3) (int_range 1 8) (int_bound 7) (int_range 1 1000))
+    (fun (proto, budget, inner, seed) ->
+      let n = match proto with 0 -> 3 | 1 -> 4 | 2 -> 5 | _ -> 4 in
+      let inner = (inner_specs n).(inner) in
+      let cfg =
+        {
+          (E.default_cfg ~n ~inputs:(Array.init n (fun i -> i land 1)) ~seed) with
+          E.delays = Sim.Delay.Exponential 0.4;
+          max_steps = 20_000;
+          (* a third of the runs crash the last process, whose pending events
+             the guard then no longer owes *)
+          crash_times = Array.init n (fun i -> if i = n - 1 && seed mod 3 = 0 then Some 0.5 else None);
+        }
+      in
+      let agree run =
+        let policy, stats =
+          Sched.Admissible.wrap_stats ~budget (S.lift (Sched.Policy.of_spec inner))
+        in
+        let ref_policy, ref_stats =
+          Ref_admissible.wrap_stats ~budget (S.lift (Ref_admissible.of_spec inner))
+        in
+        let (r : E.result) = run policy and (r' : E.result) = run ref_policy in
+        r.steps = r'.steps && r.sent = r'.sent && r.delivered = r'.delivered
+        && Float.equal r.end_time r'.end_time
+        && r.decisions = r'.decisions
+        && stats.Sched.Admissible.forced = ref_stats.Sched.Admissible.forced
+        && stats.max_overtaken = ref_stats.max_overtaken
+      in
+      let ok =
+        if proto = 3 then agree (fun policy -> Sink_engine.run_scheduled ~policy cfg)
+        else agree (fun policy -> Benor.run_scheduled ~policy cfg)
+      in
+      let label =
+        Printf.sprintf "n=%d budget=%d inner=%s seed=%d" n budget (Sched.Spec.to_string inner) seed
+      in
+      if not ok then QCheck.Test.fail_report label;
+      ok)
+
 (* ------------------------------------------------------------------ *)
 (* The Model_app bridge and the valency chaser *)
 
@@ -682,6 +787,7 @@ let () =
           Alcotest.test_case "delivers everything" `Quick test_admissible_delivers_everything;
           Alcotest.test_case "guard stats" `Quick test_admissible_guard_stats;
           Alcotest.test_case "bad budget" `Quick test_admissible_bad_budget;
+          QCheck_alcotest.to_alcotest prop_guard_matches_reference;
         ] );
       ( "chaser",
         [

@@ -81,6 +81,104 @@ let prop_welford_matches_naive =
       let naive = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
       abs_float (Stats.Summary.mean s -. naive) < 1e-6)
 
+(* The list-based summary the unboxed one replaced, kept as a reference:
+   same Welford update, samples consed newest first, sorted on demand. *)
+module Ref_summary = struct
+  type t = {
+    mutable n : int;
+    mutable mean : float;
+    mutable m2 : float;
+    mutable min : float;
+    mutable max : float;
+    mutable total : float;
+    mutable samples : float list;
+  }
+
+  let create () =
+    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0; samples = [] }
+
+  let add t x =
+    t.n <- t.n + 1;
+    let delta = x -. t.mean in
+    t.mean <- t.mean +. (delta /. float_of_int t.n);
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+    if x < t.min then t.min <- x;
+    if x > t.max then t.max <- x;
+    t.total <- t.total +. x;
+    t.samples <- x :: t.samples
+
+  let mean t = if t.n = 0 then nan else t.mean
+  let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
+  let min t = if t.n = 0 then nan else t.min
+  let max t = if t.n = 0 then nan else t.max
+
+  let percentile t p =
+    if t.n = 0 then nan
+    else begin
+      let a = Array.of_list t.samples in
+      Array.sort Float.compare a;
+      let p = Float.max 0.0 (Float.min 100.0 p) in
+      let rank = p /. 100.0 *. float_of_int (Array.length a - 1) in
+      let lo = int_of_float (floor rank) in
+      let hi = int_of_float (ceil rank) in
+      if lo = hi then a.(lo)
+      else begin
+        let w = rank -. float_of_int lo in
+        (a.(lo) *. (1.0 -. w)) +. (a.(hi) *. w)
+      end
+    end
+end
+
+(* Samples drawn to collide: NaNs of both signs, both infinities, both
+   zeros, and a small pool of repeated values, plus arbitrary floats. *)
+let gen_sample =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ Float.nan; -.Float.nan; infinity; neg_infinity; 0.0; -0.0 ]);
+        (3, oneofl [ 1.0; 2.5; -3.0; 1e300; -1e-300 ]);
+        (2, float);
+      ])
+
+(* An op is an [add] or a round of queries; queries interleave with adds so
+   the sorted cache is built, invalidated and rebuilt. *)
+let gen_ops =
+  QCheck.Gen.(
+    list_size (0 -- 200)
+      (frequency
+         [ (4, map (fun x -> `Add x) gen_sample); (1, map (fun p -> `Query p) (float_range (-10.0) 110.0)) ]))
+
+let prop_summary_matches_list_reference =
+  let print_op = function
+    | `Add x -> Printf.sprintf "add %h" x
+    | `Query p -> Printf.sprintf "query %h" p
+  in
+  QCheck.Test.make ~name:"unboxed summary = list reference, bit for bit" ~count:500
+    (QCheck.make ~print:QCheck.Print.(list print_op) gen_ops)
+    (fun ops ->
+      let s = Stats.Summary.create () and r = Ref_summary.create () in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let agree p =
+        Stats.Summary.count s = r.Ref_summary.n
+        && same (Stats.Summary.mean s) (Ref_summary.mean r)
+        && same (Stats.Summary.variance s) (Ref_summary.variance r)
+        && same (Stats.Summary.min s) (Ref_summary.min r)
+        && same (Stats.Summary.max s) (Ref_summary.max r)
+        && same (Stats.Summary.total s) r.Ref_summary.total
+        && List.for_all
+             (fun q -> same (Stats.Summary.percentile s q) (Ref_summary.percentile r q))
+             [ p; 0.0; 50.0; 99.9; 100.0 ]
+      in
+      List.for_all
+        (function
+          | `Add x ->
+              Stats.Summary.add s x;
+              Ref_summary.add r x;
+              true
+          | `Query p -> agree p)
+        ops
+      && agree 25.0)
+
 let test_histogram_bins () =
   let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
   List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.6; 9.9 ];
@@ -156,6 +254,7 @@ let () =
             test_percentile_nan_total_order;
           QCheck_alcotest.to_alcotest prop_mean_in_range;
           QCheck_alcotest.to_alcotest prop_welford_matches_naive;
+          QCheck_alcotest.to_alcotest prop_summary_matches_list_reference;
         ] );
       ( "histogram",
         [

@@ -208,6 +208,28 @@ let test_summary_to_json_empty_is_null () =
       Alcotest.(check bool) "nan mean is null" true
         (Flp_json.member "mean" json = Some Flp_json.Null)
 
+(* A campaign size out of range is rejected by name before anything runs:
+   [jobs = 0] and negative [seeds]/[ones] used to escape as uncaught
+   exceptions, and [n = 0], [seeds = 0] or a negative [max_steps] produced
+   nan-filled or all-[limited] reports. *)
+let test_campaign_validate () =
+  let check ?(jobs = 1) ?(seeds = 10) ?(n = 3) ?(ones = 1) ?(max_steps = 1000) () =
+    Workload.Campaign.validate ~jobs ~seeds ~n ~ones ~max_steps
+  in
+  List.iter
+    (fun (field, got, want) ->
+      Alcotest.(check (result unit string)) field (Error want) got)
+    [
+      ("jobs", check ~jobs:0 (), "jobs must be >= 1, got 0");
+      ("seeds", check ~seeds:0 (), "seeds must be >= 1, got 0");
+      ("negative seeds", check ~seeds:(-1) (), "seeds must be >= 1, got -1");
+      ("n", check ~n:0 (), "n must be >= 1, got 0");
+      ("ones", check ~ones:(-1) (), "ones must be >= 0, got -1");
+      ("max-steps", check ~max_steps:(-5) (), "max-steps must be >= 1, got -5");
+    ];
+  Alcotest.(check (result unit string)) "defaults validate" (Ok ()) (check ());
+  Alcotest.(check (result unit string)) "no ones validates" (Ok ()) (check ~ones:0 ())
+
 let () =
   Alcotest.run "workload"
     [
@@ -237,4 +259,5 @@ let () =
           Alcotest.test_case "aggregate json roundtrip" `Quick test_aggregate_to_json_roundtrip;
           Alcotest.test_case "empty summary is null" `Quick test_summary_to_json_empty_is_null;
         ] );
+      ("campaign", [ Alcotest.test_case "validate" `Quick test_campaign_validate ]);
     ]
