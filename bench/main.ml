@@ -783,8 +783,8 @@ let e18 () =
   let module R1 = Sim.Engine.Make (R1_app) in
   let module R2 = Sim.Engine.Make (R2_app) in
   let none ~pid:_ actions = actions in
-  let r1 ~corrupt cfg = R1.run_corrupted ~corrupt cfg in
-  let r2 ~corrupt cfg = R2.run_corrupted ~corrupt cfg in
+  let r1 ~corrupt cfg = R1.run ~corrupt cfg in
+  let r2 ~corrupt cfg = R2.run ~corrupt cfg in
   row ~n:4 ~f:1 ~label:"honest sender" ~corrupt:none ~byzantine:[] r1;
   row ~n:4 ~f:1 ~label:"equivocating sender"
     ~corrupt:(RBC.corrupt_set (RBC.equivocate ~n:4) [ 0 ])
@@ -926,16 +926,16 @@ let micro () =
       Test.make ~name:"E20:benor-n5-recorded"
         (Staged.stage (fun () ->
              ignore
-               (BE.run_recorded
+               (BE.run ~recorder:(Causal.Recorder.create ~n:5)
                   (Sim.Engine.default_cfg ~n:5
                      ~inputs:(Workload.Scenario.alternating 5)
                      ~seed:1))));
-      (let _, recorder =
-         BE.run_recorded
-           (Sim.Engine.default_cfg ~n:5
-              ~inputs:(Workload.Scenario.alternating 5)
-              ~seed:1)
-       in
+      (let recorder = Causal.Recorder.create ~n:5 in
+       ignore
+         (BE.run ~recorder
+            (Sim.Engine.default_cfg ~n:5
+               ~inputs:(Workload.Scenario.alternating 5)
+               ~seed:1));
        Test.make ~name:"E20:causal-analyses"
          (Staged.stage (fun () ->
               for pid = 0 to Causal.Recorder.n recorder - 1 do

@@ -1,7 +1,7 @@
 (* Partial-order reduction benchmark.
 
    Explores a few zoo state spaces under every reduction mode (`None,
-   `Persistent, `Sleep) at jobs = 1, 2, 4 and reports the reduction ratio
+   `Sleep) at jobs = 1, 2, 4 and reports the reduction ratio
    (full configs / reduced configs), pruning counters and wall-clock, as
    both a human-readable table and a [BENCH_por.json] artifact for CI trend
    tracking.  Reduced exploration is bit-deterministic across jobs, so the
@@ -17,7 +17,7 @@
 
 let jobs_levels = [ 1; 2; 4 ]
 
-let modes = [ ("none", `None); ("persistent", `Persistent); ("sleep", `Sleep) ]
+let modes = [ ("none", `None); ("sleep", `Sleep) ]
 
 let bench_protocols = [ "pipeline:3"; "parity"; "race:2"; "benor-det:1" ]
 

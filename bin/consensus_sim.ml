@@ -22,7 +22,14 @@ let parse_crash_spec n spec =
       (String.split_on_char ',' spec);
   crash_times
 
+(* A degenerate count is a usage error: one line, exit 2. *)
+let usage fmt =
+  Format.kasprintf (fun m -> Format.eprintf "consensus_sim: %s@." m; exit 2) fmt
+
 let run app n ones crash_spec delay_spec seeds max_steps obs =
+  if n < 1 then usage "n must be >= 1, got %d" n;
+  if ones < 0 || ones > n then usage "ones must be between 0 and n = %d, got %d" n ones;
+  if seeds < 1 then usage "seeds must be >= 1, got %d" seeds;
   let delays =
     match Sim.Delay.of_string delay_spec with
     | Ok d -> d

@@ -12,6 +12,10 @@
 
 let die fmt = Format.kasprintf (fun m -> Format.eprintf "%s@."  m; exit 1) fmt
 
+(* A degenerate count is a usage error: one line, exit 2. *)
+let usage fmt =
+  Format.kasprintf (fun m -> Format.eprintf "flp_causal: %s@." m; exit 2) fmt
+
 let default_protocols =
   [ "and-wait"; "leader"; "majority"; "first-wins"; "benor-det:1"; "parity";
     "pipeline:3"; "race:2" ]
@@ -41,7 +45,8 @@ let run_cell ~delays ~max_steps ~ones ~cones ~critical ~show_width ~audit_indep 
           sched = Sched.Policy.factory cell.spec;
         }
       in
-      let result, r = E.run_recorded ?may:M.may_mask cfg in
+      let r = Causal.Recorder.create ~n:P.n in
+      let result = E.run ~recorder:r ?may:M.may_mask cfg in
       let b = Buffer.create 256 in
       let label = Printf.sprintf "%s x %s seed=%d" cell.proto cell.policy cell.seed in
       Printf.bprintf b "== %s ==\n" label;
@@ -68,6 +73,9 @@ let run_cell ~delays ~max_steps ~ones ~cones ~critical ~show_width ~audit_indep 
 
 let run protocols policies seeds ones delay_spec max_steps jobs cones critical
     show_width audit_indep chrome obs =
+  if jobs < 1 then usage "jobs must be >= 1, got %d" jobs;
+  if seeds < 1 then usage "seeds must be >= 1, got %d" seeds;
+  if ones < 0 then usage "ones must be >= 0, got %d" ones;
   let protocols = if protocols = [] then default_protocols else protocols in
   let policies = if policies = [] then [ "fifo" ] else policies in
   let specs =

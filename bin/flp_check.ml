@@ -14,7 +14,6 @@ let pp_inputs ppf inputs =
 
 let pp_reduction ppf = function
   | `None -> Format.pp_print_string ppf "none"
-  | `Persistent -> Format.pp_print_string ppf "persistent"
   | `Sleep -> Format.pp_print_string ppf "sleep"
 
 let run_checks name max_configs trials jobs reduction dot_file obs =
@@ -72,14 +71,14 @@ let run_checks name max_configs trials jobs reduction dot_file obs =
          quantify over interior structure and always explore unreduced. *)
       (match reduction with
       | `None -> ()
-      | (`Persistent | `Sleep) as red ->
+      | `Sleep ->
           let full = A.Explore.explore ~jobs ~obs ~max_configs (A.C.initial mixed) in
           let g =
-            A.Explore.explore ~jobs ~obs ~reduction:red ~max_configs
+            A.Explore.explore ~jobs ~obs ~reduction ~max_configs
               (A.C.initial mixed)
           in
           Format.printf "@.Partial-order reduction (inputs %a, mode %a):@." pp_inputs
-            mixed pp_reduction red;
+            mixed pp_reduction reduction;
           Format.printf "  configurations:  %d full -> %d reduced (%.2fx)@."
             (A.Explore.size full) (A.Explore.size g)
             (float_of_int (A.Explore.size full) /. float_of_int (max 1 (A.Explore.size g)));
@@ -96,8 +95,18 @@ let run_checks name max_configs trials jobs reduction dot_file obs =
               (if A.Valency.equal_valence vf vr then "agree"
                else "DISAGREE (this would be a bug!)")
           end);
+      (* Lemma 3 and the trichotomy classify complete graphs only: a budget
+         that truncates one is a usage error, like --max-configs 0. *)
+      let budget_exceeded () =
+        Format.eprintf
+          "flp_check: --max-configs %d truncates a graph that Lemma 3 and the trichotomy \
+           need in full; raise the budget@."
+          max_configs;
+        exit 2
+      in
       (* Lemma 3 on the mixed-input run, when it is bivalent *)
       (match A.Valency.of_initial ~jobs ~obs ~max_configs mixed with
+      | exception A.Valency.Incomplete -> budget_exceeded ()
       | A.Valency.Bivalent ->
           let s = A.Lemma.check_lemma3 ~jobs ~obs ~max_configs mixed in
           Format.printf
@@ -110,7 +119,10 @@ let run_checks name max_configs trials jobs reduction dot_file obs =
                protocol stops being totally correct)@."
       | _ -> Format.printf "@.Lemma 3 skipped: inputs %a are not bivalent@." pp_inputs mixed);
       (* trichotomy *)
-      let v = A.Lemma.classify ~jobs ~obs ~max_configs () in
+      let v =
+        try A.Lemma.classify ~jobs ~obs ~max_configs ()
+        with A.Valency.Incomplete -> budget_exceeded ()
+      in
       Format.printf "@.Impossibility trichotomy:@.";
       Format.printf "  partially correct:          %b@." v.partially_correct;
       (match v.correctness_detail.conflict_witness with
@@ -161,14 +173,14 @@ let jobs_arg =
            ~doc:"Worker domains for state-space exploration (deterministic at any value).")
 
 let por_arg =
-  let modes = [ ("none", `None); ("persistent", `Persistent); ("sleep", `Sleep) ] in
+  let modes = [ ("none", `None); ("sleep", `Sleep) ] in
   Arg.(
     value
     & opt (enum modes) `None
     & info [ "por" ] ~docv:"MODE"
         ~doc:
           "Partial-order reduction for the root-based checks (Lemma 2, the \
-           reduced-vs-full comparison): $(b,none), $(b,persistent) or $(b,sleep).  \
+           reduced-vs-full comparison): $(b,none) or $(b,sleep).  \
            Lemma 3 and the trichotomy always explore unreduced.")
 
 let list_arg = Arg.(value & flag & info [ "list" ] ~doc:"List available protocols and exit.")

@@ -99,7 +99,7 @@ let arms_for ~pname ~policies ~n ~ones ~delays ~max_steps ~reduction =
                           | Some budget -> Sched.Admissible.wrap ~budget policy
                         in
                         Workload.Campaign.trial_of_result ~inputs
-                          (E.run_scheduled ~policy c));
+                          (E.run ~policy c));
                   })
             policies)
   | other -> die "unknown protocol %S (ben-or | ben-or-det | zoo:NAME)" other
@@ -211,14 +211,14 @@ let max_steps_arg =
   Arg.(value & opt int 200_000 & info [ "max-steps" ] ~docv:"N" ~doc:"Event budget per trial.")
 
 let por_arg =
-  let modes = [ ("none", `None); ("persistent", `Persistent); ("sleep", `Sleep) ] in
+  let modes = [ ("none", `None); ("sleep", `Sleep) ] in
   Arg.(
     value
     & opt (enum modes) `None
     & info [ "por" ] ~docv:"MODE"
         ~doc:
           "Partial-order reduction for the chaser's valence-table exploration: \
-           $(b,none), $(b,persistent) or $(b,sleep).  A smaller oracle table, \
+           $(b,none) or $(b,sleep).  A smaller oracle table, \
            but a weaker chase (interior valences may under-approximate).")
 
 let hist_bounds_arg =

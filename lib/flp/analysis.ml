@@ -2,12 +2,9 @@ module Make (P : Protocol.S) = struct
   module C = Config.Make (P)
 
   module Explore = struct
-    type reduction = [ `None | `Persistent | `Sleep ]
+    type reduction = [ `None | `Sleep ]
 
-    let reduction_name = function
-      | `None -> "none"
-      | `Persistent -> "persistent"
-      | `Sleep -> "sleep"
+    let reduction_name = function `None -> "none" | `Sleep -> "sleep"
 
     (* Lemma 1 as a pruning oracle: the model-agnostic analyzer only needs to
        know which process an event steps, whether it consumes a message, and
@@ -208,7 +205,7 @@ module Make (P : Protocol.S) = struct
 
     (* A work item: a node, its configuration (so the hot path never
        unpacks), and the sleep snapshot it was enqueued with.  With [`None]
-       and [`Persistent] the snapshot is always empty. *)
+       the snapshot is always empty. *)
     type entry = { node : int; cfg : C.t; sleep : C.event list }
 
     (* What the read-only probe learned about one successor.  [Dup] is
@@ -281,7 +278,7 @@ module Make (P : Protocol.S) = struct
             slept = 0;
             partial = false;
           }
-      | (`Persistent | `Sleep) as red ->
+      | `Sleep ->
           (* Null steps that change nothing ([s·t = s]) contribute nothing to
              reachability; dropping them up front keeps the ample seed from
              being wasted on a quiesced process.  Deliveries always at least
@@ -294,25 +291,17 @@ module Make (P : Protocol.S) = struct
           in
           let d = I.ample cfg live in
           let amp = d.I.events in
-          let chosen_evs, slept =
-            match red with
-            | `Persistent -> (amp, 0)
-            | `Sleep ->
-                let in_sleep e = List.exists (C.event_equal e) sleep in
-                let keep = List.filter (fun e -> not (in_sleep e)) amp in
-                (keep, List.length amp - List.length keep)
-          in
+          let in_sleep e = List.exists (C.event_equal e) sleep in
+          let chosen_evs = List.filter (fun e -> not (in_sleep e)) amp in
+          let slept = List.length amp - List.length chosen_evs in
           let chosen =
             let rec go acc before = function
               | [] -> List.rev acc
               | t :: more ->
                   let z =
-                    match red with
-                    | `Persistent -> []
-                    | `Sleep ->
-                        List.filter
-                          (fun (s : C.event) -> s.dest <> (t : C.event).dest)
-                          (sleep @ List.rev before)
+                    List.filter
+                      (fun (s : C.event) -> s.dest <> (t : C.event).dest)
+                      (sleep @ List.rev before)
                   in
                   go ((t, C.apply cfg t, z) :: acc) (t :: before) more
             in
@@ -595,7 +584,7 @@ module Make (P : Protocol.S) = struct
           (C.Packed.msg_count g.store.pstore);
         (match reduction with
         | `None -> ()
-        | `Persistent | `Sleep ->
+        | `Sleep ->
             Obs.Metrics.incr (Obs.Metrics.counter m "explore.por.pruned") g.pruned;
             Obs.Metrics.incr (Obs.Metrics.counter m "explore.por.sleep_hits") g.sleep_hits;
             Obs.Metrics.incr (Obs.Metrics.counter m "explore.por.proviso") g.proviso_hits);

@@ -29,23 +29,35 @@ module Make (P : Protocol.S) : sig
     type graph
     (** Reachable configuration graph from a root, possibly truncated. *)
 
-    type reduction = [ `None | `Persistent | `Sleep ]
+    type reduction = [ `None | `Sleep ]
     (** Partial-order reduction mode, powered by the [Indep] static
         independence analyzer over the protocol's declared
         {!Protocol.S.may_send} footprints (Lemma 1 turned into a pruning
         oracle):
 
         - [`None]: explore every enabled event (the default);
-        - [`Persistent]: at each configuration explore only a persistent set
-          of events — all enabled events of a process group no outside
-          process can ever send into — plus a BFS cycle proviso
-          (Bošnački–Holzmann: a partial expansion all of whose successors
-          were already visited is expanded fully) to prevent the ignoring
-          problem;
-        - [`Sleep]: [`Persistent] plus sleep sets, which additionally skip
-          events whose exploration is already delegated to a sibling branch
-          (sleep sets are intersected on re-visits and the node re-expanded
-          when they shrink).
+        - [`Sleep]: three rules together.
+          {ol
+          {- {b Persistent set.}  At each configuration explore only a
+             persistent set of the enabled events: all enabled events of a
+             process group no outside process can ever send into
+             ([Indep.Make.ample]).  Any execution leaving the set starts
+             with an event independent of it, so by Lemma 1 it can be
+             reordered to start inside the set.}
+          {- {b Sleep sets.}  Each node carries a sleep set: events whose
+             exploration an earlier sibling branch already covers.  The
+             [i]-th chosen event hands its successor the parent's sleep set
+             plus the events chosen before it, minus every event of its own
+             process (events of distinct processes commute by Lemma 1).
+             Events in a node's sleep set are skipped.  When a node is
+             reached again along another path its stored set is
+             intersected with the new one, and the node is re-expanded if
+             the set shrank, so a skip is only kept if every path into the
+             node promises it.}
+          {- {b Cycle proviso.}  A partial expansion all of whose
+             successors were already visited is expanded fully
+             (Bošnački–Holzmann's BFS proviso), so no event is ignored
+             forever along a cycle.}}
 
         Decisions are write-once, so "value [v] is decided somewhere" is a
         stable predicate; persistent-set theory then guarantees a reduced
@@ -165,7 +177,7 @@ module Make (P : Protocol.S) : sig
     (** The reduction mode the graph was explored under. *)
 
     val pruned_count : graph -> int
-    (** Enabled events never applied thanks to persistent-set pruning. *)
+    (** Enabled events outside the persistent set, never applied. *)
 
     val sleep_hit_count : graph -> int
     (** Enabled events skipped because a sleep set delegated them to a

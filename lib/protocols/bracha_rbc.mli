@@ -16,7 +16,7 @@
     [ceil((n + f + 1) / 2)] matching echoes, or on [f + 1] matching readies
     (the amplification step); deliver on [2 f + 1] matching readies.
 
-    Byzantine behaviour is injected with {!Sim.Engine.Make.run_corrupted}:
+    Byzantine behaviour is injected with the [corrupt] hook of {!Sim.Engine.Make.run}:
     {!equivocate} makes the sender split the correct processes between two
     values; {!poison} makes a non-sender echo/ready the wrong value. *)
 

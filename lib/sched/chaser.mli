@@ -51,7 +51,7 @@ module Make (P : Flp.Protocol.S) : sig
 
   val policy :
     ?max_configs:int ->
-    ?reduction:[ `None | `Persistent | `Sleep ] ->
+    ?reduction:[ `None | `Sleep ] ->
     ?cache:cache ->
     inputs:Flp.Value.t array ->
     unit ->

@@ -26,7 +26,7 @@ module Make (P : Flp.Protocol.S) : sig
       masks carry information the independence audit can judge. *)
 
   val may_mask : (pid:int -> state -> int) option
-  (** [P.may_send] folded into the bitmask form [Sim.Engine.run_recorded]
-      expects: bit [d] set iff the process may still send to [d] from the
+  (** [P.may_send] folded into the bitmask form the [may] hook of
+      [Sim.Engine.Make.run] expects: bit [d] set iff the process may still send to [d] from the
       given state.  [None] exactly when the protocol is unannotated. *)
 end

@@ -43,7 +43,7 @@ module type CFG = sig
   val collector : Collector.t
 
   val now : unit -> float
-  (** Current simulated time; wire to {!Sim.Engine.Make.run_observed}. *)
+  (** Current simulated time; wire to the [on_step] hook of {!Sim.Engine.Make.run}. *)
 end
 
 module Make (D : Decree.S) (C : CFG) : Sim.Engine.APP

@@ -61,7 +61,7 @@ let run_shard cell ~shard =
     }
   in
   let t0 = Obs.Clock.now () in
-  let result = E.run_observed cfg ~on_step:(fun t -> now_ref := t) in
+  let result = E.run ~on_step:(fun t -> now_ref := t) cfg in
   let wall_s = Obs.Clock.now () -. t0 in
   Collector.freeze collector ~result ~wall_s
 

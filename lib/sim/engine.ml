@@ -76,9 +76,8 @@ let decided_count r =
   Array.fold_left (fun acc d -> if d = None then acc else acc + 1) 0 r.decisions
 
 module Make (A : APP) = struct
-  (* [sid] is the causal send id when a flight recorder is attached
-     ([run_recorded]), [-1] otherwise; it links each delivery back to the
-     event that sent it. *)
+  (* [sid] is the causal send id when a flight recorder is attached, [-1]
+     otherwise; it links each delivery back to the event that sent it. *)
   type ev =
     | Deliver of { dest : int; src : int; msg : A.msg; sid : int }
     | Timer of { pid : int; tag : int; sid : int }
@@ -87,11 +86,14 @@ module Make (A : APP) = struct
 
   (* [trace] and [recorder] are options, and every trace event and recorder
      step kind is built behind a match on them: a run with neither attached
-     (every [run]/[run_observed] call) allocates no record nobody reads. *)
-  let run_states_corrupted ?(obs = Obs.disabled) ?policy ?recorder ?trace ?on_step cfg
-      ~on_event ~corrupt =
+     allocates no record nobody reads. *)
+  let run_states ?(obs = Obs.disabled) ?policy ?(corrupt = no_corruption) ?on_step ?trace
+      ?recorder ?may cfg =
     if Array.length cfg.inputs <> cfg.n then invalid_arg "Engine.run: inputs length";
     if Array.length cfg.crash_times <> cfg.n then invalid_arg "Engine.run: crash_times length";
+    Option.iter
+      (fun r -> if Causal.Recorder.n r <> cfg.n then invalid_arg "Engine.run: recorder size")
+      recorder;
     let metrics = obs.Obs.metrics in
     let instrumented = Obs.Metrics.enabled metrics in
     let g_hwm = Obs.Metrics.gauge metrics "sim.heap_hwm" in
@@ -201,24 +203,24 @@ module Make (A : APP) = struct
        recorder, so callers build its step kind only when there is one; the
        other three hooks are no-ops when no recorder is attached. *)
     let cur_eid = ref (-1) in
-    let rec_step (r, may) ~pid ~kind st =
+    let rec_step r ~pid ~kind st =
       let mask = match (may, st) with Some f, Some st -> f ~pid st | _ -> -1 in
       cur_eid := Causal.Recorder.step r ~pid ~time:!now ~kind ~may:mask
     in
     let rec_send ~dst =
       match recorder with
       | None -> -1
-      | Some (r, _) -> Causal.Recorder.send r ~eid:!cur_eid ~dst ~time:!now
+      | Some r -> Causal.Recorder.send r ~eid:!cur_eid ~dst ~time:!now
     in
     let rec_arm () =
       match recorder with
       | None -> -1
-      | Some (r, _) -> Causal.Recorder.arm r ~eid:!cur_eid ~time:!now
+      | Some r -> Causal.Recorder.arm r ~eid:!cur_eid ~time:!now
     in
     let rec_decide v =
       match recorder with
       | None -> ()
-      | Some (r, _) -> Causal.Recorder.decide r ~eid:!cur_eid ~value:v
+      | Some r -> Causal.Recorder.decide r ~eid:!cur_eid ~value:v
     in
     let send ~src ~dest msg =
       incr sent;
@@ -305,11 +307,6 @@ module Make (A : APP) = struct
                 if not (crashed dest) then begin
                   incr delivered;
                   delivered_to.(dest) <- delivered_to.(dest) + 1;
-                  (* The sprintf is deferred behind the option so quiet runs
-                     pay nothing for the narration hook on the hot path. *)
-                  (match on_event with
-                  | None -> ()
-                  | Some f -> f t (Printf.sprintf "deliver %d->%d" src dest));
                   (match trace with
                   | None -> ()
                   | Some f -> f (Trace.Delivery { time = t; src; dst = dest }));
@@ -327,9 +324,6 @@ module Make (A : APP) = struct
                 end
             | Timer { pid; tag; sid } ->
                 if not (crashed pid) then begin
-                  (match on_event with
-                  | None -> ()
-                  | Some f -> f t (Printf.sprintf "timer p%d tag=%d" pid tag));
                   (match trace with
                   | None -> ()
                   | Some f -> f (Trace.Timer_fired { time = t; pid; tag }));
@@ -370,41 +364,14 @@ module Make (A : APP) = struct
     in
     (result, Array.init cfg.n state_opt)
 
-  let run_verbose ?obs cfg ~on_event =
-    fst
-      (run_states_corrupted ?obs cfg ~on_event:(Some on_event) ~corrupt:no_corruption)
+  let run ?obs ?policy ?corrupt ?on_step ?trace ?recorder ?may cfg =
+    fst (run_states ?obs ?policy ?corrupt ?on_step ?trace ?recorder ?may cfg)
 
-  let run ?obs cfg =
-    fst (run_states_corrupted ?obs cfg ~on_event:None ~corrupt:no_corruption)
-
-  let run_states ?obs cfg =
-    run_states_corrupted ?obs cfg ~on_event:None ~corrupt:no_corruption
-
-  let run_observed ?obs ?policy cfg ~on_step =
-    fst
-      (run_states_corrupted ?obs ?policy ~on_step cfg ~on_event:None
-         ~corrupt:no_corruption)
-
-  let run_corrupted ?obs ~corrupt cfg =
-    fst (run_states_corrupted ?obs cfg ~on_event:None ~corrupt)
-
-  let run_scheduled ?obs ~policy cfg =
-    fst (run_states_corrupted ?obs ~policy cfg ~on_event:None ~corrupt:no_corruption)
-
-  let run_recorded ?obs ?policy ?may cfg =
-    let r = Causal.Recorder.create ~n:cfg.n in
-    let result, _ =
-      run_states_corrupted ?obs ?policy ~recorder:(r, may) cfg ~on_event:None
-        ~corrupt:no_corruption
-    in
-    (result, r)
+  let run_observed ?obs ?policy cfg ~on_step = run ?obs ?policy ~on_step cfg
 
   let run_traced ?obs cfg =
     let events = ref [] in
-    let result, _ =
-      run_states_corrupted ?obs cfg ~on_event:None ~corrupt:no_corruption
-        ~trace:(fun e -> events := e :: !events)
-    in
+    let result = run ?obs ~trace:(fun e -> events := e :: !events) cfg in
     let crashes =
       Array.to_list cfg.crash_times
       |> List.mapi (fun pid c -> (pid, c))

@@ -103,20 +103,70 @@ val validity_ok : inputs:int array -> result -> bool
 val decided_count : result -> int
 
 module Make (A : APP) : sig
-  val run : ?obs:Obs.t -> cfg -> result
-  (** [obs] (default {!Obs.disabled}) records [sim.events] (events
-      processed), [sim.sent], [sim.delivered], and the [sim.heap_hwm] gauge —
-      the event heap's high-water mark, i.e. the peak size of the FLP message
-      buffer plus armed timers.  The disabled default adds no clock reads or
-      atomic traffic to the event loop. *)
+  val run :
+    ?obs:Obs.t ->
+    ?policy:A.msg Scheduler.policy ->
+    ?corrupt:(pid:int -> A.msg action list -> A.msg action list) ->
+    ?on_step:(float -> unit) ->
+    ?trace:(Trace.event -> unit) ->
+    ?recorder:Causal.Recorder.t ->
+    ?may:(pid:int -> A.state -> int) ->
+    cfg ->
+    result
+  (** Run [cfg] to completion.  Every hook is optional, and only [policy]
+      and [corrupt] (the adversary) may change the run:
 
-  val run_verbose : ?obs:Obs.t -> cfg -> on_event:(float -> string -> unit) -> result
-  (** Like [run] but reports each processed event for tracing/demos. *)
+      - [obs] (default {!Obs.disabled}) records [sim.events], [sim.sent],
+        [sim.delivered] and the [sim.heap_hwm] gauge (peak size of the FLP
+        message buffer plus armed timers).  Disabled, it adds no clock reads
+        or atomic traffic to the event loop.
+      - [policy], a possibly {e content-adaptive} policy that may read
+        payloads, overrides [cfg.sched] and picks the pending event that
+        fires at every step.  Pass a fresh policy per run: policies are
+        stateful.  Time stays monotonic: an event fired ahead of its sampled
+        arrival leaves the clock at [max now ready_at].
+      - [corrupt ~pid] (default the identity) rewrites every action list
+        process [pid] emits: Byzantine faults (equivocation, dropped or
+        invented sends, forged decisions) for the Byzantine-tolerant
+        protocols of the paper's reference list.  {!agreement_ok} and
+        {!validity_ok} do not know who is corrupt; exclude them in the
+        harness.
+      - [on_step t] sees the simulated clock before each event is
+        dispatched.  Processes get no clock in the FLP model, so a harness
+        that timestamps protocol activity (the service measuring decision
+        latency) reads it here.  It must not mutate simulation state.
+      - [trace] receives every delivery, timer firing and decision, in
+        execution order ({!run_traced} adds the crashes).
+      - [recorder], a fresh {!Causal.Recorder.t} for [cfg.n] processes,
+        records every executed step (dense ids in delivery order,
+        program-order and message edges, Lamport/vector clocks) and links
+        each send, timer arm and decision to its step; it costs one array
+        write per step or send.  [may], read only with a recorder, gives the
+        may-send bitmask of the pre-state each delivery or timer step
+        consumes (bit [d] set iff the process may still send to [d]); init
+        steps carry the unknown mask [-1].  Masks are single words, so a
+        recorder needs [cfg.n <= 62]; one made for another [n] raises
+        [Invalid_argument]. *)
 
-  val run_states : ?obs:Obs.t -> cfg -> result * A.state option array
-  (** Like [run], additionally returning each process's final internal state
-      ([None] for initially-dead processes that never initialised), for
-      protocol-specific invariant checks in tests and benches. *)
+  val run_states :
+    ?obs:Obs.t ->
+    ?policy:A.msg Scheduler.policy ->
+    ?corrupt:(pid:int -> A.msg action list -> A.msg action list) ->
+    ?on_step:(float -> unit) ->
+    ?trace:(Trace.event -> unit) ->
+    ?recorder:Causal.Recorder.t ->
+    ?may:(pid:int -> A.state -> int) ->
+    cfg ->
+    result * A.state option array
+  (** Like {!run}, with the same hooks, additionally returning each
+      process's final internal state ([None] for initially-dead processes
+      that never initialised), for protocol-specific invariant checks in
+      tests and benches. *)
+
+  val run_traced : ?obs:Obs.t -> cfg -> result * Trace.event list
+  (** Like {!run} with a [trace] hook, returning the time-ordered trace of
+      deliveries, timer firings, decisions, {e and} crashes, ready for
+      {!Trace.pp_diagram}. *)
 
   val run_observed :
     ?obs:Obs.t ->
@@ -124,57 +174,6 @@ module Make (A : APP) : sig
     cfg ->
     on_step:(float -> unit) ->
     result
-  (** Like [run] (or [run_scheduled] when [policy] is given), calling
-      [on_step t] with the simulated clock before each event is dispatched.
-      APP callbacks receive no ambient time — the FLP model gives processes
-      no clock — so a {e harness} that must timestamp protocol-level
-      activity (e.g. the service workload measuring decision latency)
-      observes the clock here, outside the protocol.  The hook must not
-      mutate simulation state. *)
-
-  val run_traced : ?obs:Obs.t -> cfg -> result * Trace.event list
-  (** Like [run], additionally returning the time-ordered trace of
-      deliveries, timer firings, decisions, and crashes, ready for
-      {!Trace.pp_diagram}. *)
-
-  val run_recorded :
-    ?obs:Obs.t ->
-    ?policy:A.msg Scheduler.policy ->
-    ?may:(pid:int -> A.state -> int) ->
-    cfg ->
-    result * Causal.Recorder.t
-  (** Like [run] (or [run_scheduled] when [policy] is given), with a causal
-      flight recorder attached: every executed step becomes a
-      {!Causal.Recorder} event — dense ids in delivery order, program-order
-      and message edges, Lamport/vector clocks — and every send, timer arm,
-      and decision is linked to the step that performed it.  [may], when
-      given, computes the may-send footprint bitmask of the {e pre-}state a
-      delivery or timer step consumes (bit [d] set iff the process may still
-      send to [d]); init steps have no recorded pre-state and carry the
-      unknown mask [-1].  Recording costs one array write per step/send and
-      never affects the schedule, so results match [run] exactly.  Requires
-      [cfg.n <= 62] (footprint masks are single-word bitmasks). *)
-
-  val run_scheduled : ?obs:Obs.t -> policy:A.msg Scheduler.policy -> cfg -> result
-  (** Like [run], but the given (possibly {e content-adaptive}) policy
-      overrides [cfg.sched]: at every step the policy — which may read
-      message payloads through its accessor — picks the pending event that
-      fires next.  The caller must pass a fresh policy instance per run
-      (policies are stateful).  Time stays monotonic: firing an event ahead
-      of its sampled arrival leaves the clock at [max now ready_at]. *)
-
-  val run_corrupted :
-    ?obs:Obs.t ->
-    corrupt:(pid:int -> A.msg action list -> A.msg action list) ->
-    cfg ->
-    result
-  (** Byzantine faults: every action list a process emits passes through
-      [corrupt] before the engine executes it.  A Byzantine process is one
-      whose [corrupt ~pid] rewrites sends (equivocation: replace a
-      [Broadcast] by contradictory [Send]s), drops them, or invents traffic;
-      honest processes use the identity.  FLP proper needs only crash
-      faults — this hook serves the Byzantine-tolerant protocols of the
-      paper's reference list (Bracha-style reliable broadcast).  Note that
-      agreement/validity helpers do not know which processes are corrupt;
-      exclude them in the harness. *)
+  (** [run ?obs ?policy ~on_step cfg].  Kept, with this signature, only
+      because the benchmark harness ([flpbench/workloads.ml]) calls it. *)
 end

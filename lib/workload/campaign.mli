@@ -65,7 +65,7 @@ val sim_arm :
     installs [Sched.Policy.factory spec] as the engine's scheduler, and
     runs.  Adaptive policies (the valency chaser) need typed access to
     payloads and cannot be built this way — construct their [arm.run] by
-    hand around [Sim.Engine.Make(App).run_scheduled]. *)
+    hand around [Sim.Engine.Make(App).run ~policy]. *)
 
 val validate :
   jobs:int -> seeds:int -> n:int -> ones:int -> max_steps:int -> (unit, string) result

@@ -37,7 +37,7 @@ let test_silent_byzantine_member () =
   (* one non-sender says nothing at all: the other three still deliver *)
   let corrupt = RBC.corrupt_set (fun ~pid:_ _ -> []) [ 3 ] in
   for seed = 1 to 20 do
-    let r = R1.run_corrupted ~corrupt (cfg ~n:4 ~v:1 seed) in
+    let r = R1.run ~corrupt (cfg ~n:4 ~v:1 seed) in
     let ds = correct_decisions ~byzantine:[ 3 ] r in
     Alcotest.(check int) "three deliver" 3 (List.length ds);
     Alcotest.(check bool) "value 1" true (List.for_all (fun d -> d = 1) ds)
@@ -47,7 +47,7 @@ let test_poisoning_member () =
   (* one non-sender flips every echo/ready it relays: n = 4 > 3f masks it *)
   let corrupt = RBC.corrupt_set RBC.poison [ 2 ] in
   for seed = 1 to 20 do
-    let r = R1.run_corrupted ~corrupt (cfg ~n:4 ~v:0 seed) in
+    let r = R1.run ~corrupt (cfg ~n:4 ~v:0 seed) in
     let ds = correct_decisions ~byzantine:[ 2 ] r in
     Alcotest.(check int) "three deliver" 3 (List.length ds);
     Alcotest.(check bool) "value 0" true (List.for_all (fun d -> d = 0) ds)
@@ -59,7 +59,7 @@ let test_equivocating_sender_consistency () =
   for seed = 1 to 50 do
     let n = 4 in
     let corrupt = RBC.corrupt_set (RBC.equivocate ~n) [ 0 ] in
-    let r = R1.run_corrupted ~corrupt (cfg ~n ~v:1 seed) in
+    let r = R1.run ~corrupt (cfg ~n ~v:1 seed) in
     let ds = correct_decisions ~byzantine:[ 0 ] r in
     Alcotest.(check bool) "consistency" true (all_equal ds);
     (* totality: all or nothing among the three correct processes *)
@@ -75,7 +75,7 @@ let test_equivocation_with_slack () =
       else if pid = 5 then RBC.poison ~pid actions
       else actions
     in
-    let r = R2.run_corrupted ~corrupt (cfg ~n ~v:0 seed) in
+    let r = R2.run ~corrupt (cfg ~n ~v:0 seed) in
     let ds = correct_decisions ~byzantine:[ 0; 5 ] r in
     Alcotest.(check bool) "consistency" true (all_equal ds);
     Alcotest.(check bool) "totality" true (List.length ds = 0 || List.length ds = 5)
@@ -103,7 +103,7 @@ let test_bound_violation_breaks () =
           actions
       else actions
     in
-    let r = R1.run_corrupted ~corrupt (cfg ~n ~v:1 seed) in
+    let r = R1.run ~corrupt (cfg ~n ~v:1 seed) in
     let ds = correct_decisions ~byzantine:[ 0; 1 ] r in
     if not (all_equal ds) then broken := true
   done;
@@ -116,7 +116,7 @@ let test_bound_violation_breaks () =
 let test_no_spontaneous_delivery () =
   (* without the sender's initial, nothing is ever delivered *)
   let corrupt = RBC.corrupt_set (fun ~pid:_ _ -> []) [ 0 ] in
-  let r = R1.run_corrupted ~corrupt (cfg ~n:4 ~v:1 5) in
+  let r = R1.run ~corrupt (cfg ~n:4 ~v:1 5) in
   Alcotest.(check int) "nobody delivers" 0 (Sim.Engine.decided_count r);
   Alcotest.(check bool) "quiescent" true (r.outcome = Sim.Engine.Quiescent)
 

@@ -147,7 +147,8 @@ let run_zoo name ~policy ~seed ~ones =
           max_steps = 50_000;
         }
       in
-      (E.run_recorded ?may:M.may_mask cfg, M.annotated)
+      let r = Causal.Recorder.create ~n:P.n in
+      ((E.run ~recorder:r ?may:M.may_mask cfg, r), M.annotated)
 
 let digest r =
   let b = Buffer.create 256 in

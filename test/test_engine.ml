@@ -132,23 +132,26 @@ let test_agreement_helpers () =
 
 let test_cfg_validation () =
   Alcotest.check_raises "inputs length" (Invalid_argument "Engine.run: inputs length")
-    (fun () -> ignore (E.run { (base 3 1) with inputs = [| 0 |] }))
+    (fun () -> ignore (E.run { (base 3 1) with inputs = [| 0 |] }));
+  Alcotest.check_raises "recorder size" (Invalid_argument "Engine.run: recorder size")
+    (fun () -> ignore (E.run ~recorder:(Causal.Recorder.create ~n:2) (base 3 1)))
 
-let test_run_verbose_events () =
-  let events = ref 0 in
-  let _ = E.run_verbose (base 3 8) ~on_event:(fun _ _ -> incr events) in
-  Alcotest.(check int) "six deliveries traced" 6 !events
+let test_trace_hook_deliveries () =
+  let deliveries = ref 0 in
+  let trace = function Sim.Trace.Delivery _ -> incr deliveries | _ -> () in
+  ignore (E.run ~trace (base 3 8));
+  Alcotest.(check int) "six deliveries traced" 6 !deliveries
 
 let test_corrupt_identity_is_run () =
   let r1 = E.run (base 4 11) in
-  let r2 = E.run_corrupted ~corrupt:(fun ~pid:_ a -> a) (base 4 11) in
+  let r2 = E.run ~corrupt:(fun ~pid:_ a -> a) (base 4 11) in
   Alcotest.(check int) "same steps" r1.steps r2.steps;
   Alcotest.(check (float 1e-12)) "same end time" r1.end_time r2.end_time
 
 let test_corrupt_silence () =
   (* muting p0 removes its three broadcasts; the echo protocol then blocks *)
   let corrupt ~pid actions = if pid = 0 then [] else actions in
-  let r = E.run_corrupted ~corrupt (base 4 12) in
+  let r = E.run ~corrupt (base 4 12) in
   Alcotest.(check int) "nine messages only" 9 r.sent;
   Alcotest.(check bool) "blocked" true (r.outcome = Sim.Engine.Quiescent)
 
@@ -158,7 +161,7 @@ let test_corrupt_can_decide_for_process () =
   let corrupt ~pid actions =
     if pid = 2 then Sim.Engine.Decide 99 :: actions else actions
   in
-  let r = E.run_corrupted ~corrupt (base 3 13) in
+  let r = E.run ~corrupt (base 3 13) in
   Alcotest.(check (option int)) "forged decision" (Some 99) r.decisions.(2)
 
 let test_self_send () =
@@ -202,12 +205,14 @@ let test_bad_destination_recorded () =
 
 (* The trace and recorder hooks fire on exactly the executed steps, and
    attaching them changes nothing: for timer-setting protocols under both
-   queues and a few crash patterns, [run], [run_traced] and [run_recorded]
-   agree on the result, the trace holds one [Delivery] per delivered
-   message and one [Timer_fired] per timer step, and the recorder holds
-   those same steps — in the same order, at the same instants — after one
-   init step per process alive at time 0.  A guard that drops a hook fails
-   here. *)
+   queues and a few crash patterns, the bare [run], [run_traced], [run]
+   with a recorder, and one [run] with every passive hook attached at once
+   (trace, recorder, on_step and an identity corrupt) agree on the result;
+   [on_step] fires once per step, the trace holds one [Delivery] per
+   delivered message and one [Timer_fired] per timer step, and the recorder
+   holds those same steps — in the same order, at the same instants — after
+   one init step per process alive at time 0.  A guard that drops a hook
+   fails here. *)
 (* Field by field, with [Float.compare] on the times: an undecided process
    carries a NaN decision time, and NaN is not [=] to itself. *)
 let same_result (a : Sim.Engine.result) (b : Sim.Engine.result) =
@@ -231,9 +236,19 @@ module Hooks (A : Sim.Engine.APP) = struct
     in
     let r = M.run cfg in
     let rt, trace = M.run_traced cfg in
-    let rr, recorder = M.run_recorded cfg in
+    let recorder = Causal.Recorder.create ~n in
+    let rr = M.run ~recorder cfg in
+    let on_steps = ref 0 in
+    let ra =
+      M.run ~trace:ignore ~recorder:(Causal.Recorder.create ~n)
+        ~on_step:(fun _ -> incr on_steps)
+        ~corrupt:(fun ~pid:_ a -> a)
+        cfg
+    in
     Alcotest.(check bool) (label "run_traced result = run") true (same_result r rt);
-    Alcotest.(check bool) (label "run_recorded result = run") true (same_result r rr);
+    Alcotest.(check bool) (label "recorded result = run") true (same_result r rr);
+    Alcotest.(check bool) (label "all hooks result = run") true (same_result r ra);
+    Alcotest.(check int) (label "on_step once per step") r.steps !on_steps;
     let steps =
       List.filter_map
         (function
@@ -334,7 +349,7 @@ let () =
           Alcotest.test_case "write-once violation" `Quick test_write_once_violation_reported;
           Alcotest.test_case "agreement helpers" `Quick test_agreement_helpers;
           Alcotest.test_case "cfg validation" `Quick test_cfg_validation;
-          Alcotest.test_case "verbose tracing" `Quick test_run_verbose_events;
+          Alcotest.test_case "verbose tracing" `Quick test_trace_hook_deliveries;
           Alcotest.test_case "corrupt identity" `Quick test_corrupt_identity_is_run;
           Alcotest.test_case "corrupt silence" `Quick test_corrupt_silence;
           Alcotest.test_case "corrupt forged decision" `Quick

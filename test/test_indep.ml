@@ -141,7 +141,7 @@ let test_zoo_equivalence () =
                 (dec g = dfull);
               if A.Explore.size g < A.Explore.size full then
                 strict := label :: !strict)
-            [ ("persistent", `Persistent); ("sleep", `Sleep) ])
+            [ ("sleep", `Sleep) ])
         (A.Lemma.all_inputs ()))
     Zoo.all;
   (* The reduction must actually bite somewhere, else it is dead weight. *)
@@ -158,7 +158,7 @@ let test_pipeline_reduction_ratio () =
   let inputs = Array.init P.n (fun i -> Value.of_int (i land 1)) in
   let root = A.C.initial inputs in
   let full = A.Explore.explore ~max_configs:budget root in
-  let red = A.Explore.explore ~reduction:`Persistent ~max_configs:budget root in
+  let red = A.Explore.explore ~reduction:`Sleep ~max_configs:budget root in
   Alcotest.(check bool) "at least 2x fewer configurations" true
     (A.Explore.size full >= 2 * A.Explore.size red);
   Alcotest.(check bool) "pruning counted" true (A.Explore.pruned_count red > 0);
@@ -182,7 +182,7 @@ let test_truncation_composes () =
       Alcotest.(check bool) "within budget" true (A.Explore.size g <= 50);
       Alcotest.check_raises "classify refuses truncated graphs" A.Valency.Incomplete
         (fun () -> ignore (A.Valency.classify g)))
-    [ `Persistent; `Sleep ]
+    [ `Sleep ]
 
 let test_filter_composes () =
   (* The filtered system (pid 0 frozen) is itself a transition system; the
@@ -211,7 +211,7 @@ let test_filter_composes () =
            (A.Valency.classify g).(A.Explore.root g));
       Alcotest.(check bool) "decided union preserved" true
         (dec g = dec full))
-    [ `Persistent; `Sleep ]
+    [ `Sleep ]
 
 let test_reduced_jobs_deterministic () =
   List.iter
@@ -247,7 +247,7 @@ let test_reduced_jobs_deterministic () =
               true
               (List.length s1 = List.length s4 && List.for_all2 edge_equal s1 s4)
           done)
-        [ `Persistent; `Sleep ])
+        [ `Sleep ])
     [ "pipeline:3"; "race:2" ]
 
 (* ------------------------------------------------------------------ *)
@@ -312,7 +312,7 @@ let test_unannotated_degrades_soundly () =
            (A.Valency.classify g).(A.Explore.root g));
       Alcotest.(check bool) "decided union preserved" true
         (dec g = dec full))
-    [ `Persistent; `Sleep ]
+    [ `Sleep ]
 
 let () =
   Alcotest.run "indep"

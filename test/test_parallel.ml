@@ -258,7 +258,6 @@ let test_jobs_reduction_matrix () =
                 Printf.sprintf "race:2 %s jobs=%d"
                   (match reduction with
                   | `None -> "none"
-                  | `Persistent -> "persistent"
                   | `Sleep -> "sleep")
                   jobs
               in
@@ -289,7 +288,7 @@ let test_jobs_reduction_matrix () =
                 (label ^ ": packed bytes")
                 (A.Explore.packed_bytes base) (A.Explore.packed_bytes g))
             [ 1; 2; 4 ])
-        [ `None; `Persistent; `Sleep ]
+        [ `None; `Sleep ]
 
 (* ------------------------------------------------------------------ *)
 (* Splitting a wave over the pool                                      *)

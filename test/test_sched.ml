@@ -343,7 +343,7 @@ let test_committed_reads_fired_payload () =
           | Some _ | None -> ());
     }
   in
-  ignore (Benor.run_scheduled ~policy (benor_n3_cfg 1));
+  ignore (Benor.run ~policy (benor_n3_cfg 1));
   Alcotest.(check bool) "messages fired" true (!fired > 0);
   Alcotest.(check int) "fired payloads readable" 0 !missing
 
@@ -488,7 +488,7 @@ let test_admissible_guard_stats () =
     Sched.Admissible.wrap_stats ~budget (S.lift (Sched.Policy.starve ~victim:0 ()))
   in
   let cfg = E.default_cfg ~n:4 ~inputs:[| 0; 1; 0; 1 |] ~seed:3 in
-  let r = Sink_engine.run_scheduled ~policy cfg in
+  let r = Sink_engine.run ~policy cfg in
   Alcotest.(check int) "all delivered" r.sent r.delivered;
   Alcotest.(check bool) "guard forced deliveries" true (stats.Sched.Admissible.forced > 0);
   Alcotest.(check bool)
@@ -586,8 +586,8 @@ let prop_guard_matches_reference =
         && stats.max_overtaken = ref_stats.max_overtaken
       in
       let ok =
-        if proto = 3 then agree (fun policy -> Sink_engine.run_scheduled ~policy cfg)
-        else agree (fun policy -> Benor.run_scheduled ~policy cfg)
+        if proto = 3 then agree (fun policy -> Sink_engine.run ~policy cfg)
+        else agree (fun policy -> Benor.run ~policy cfg)
       in
       let label =
         Printf.sprintf "n=%d budget=%d inner=%s seed=%d" n budget (Sched.Spec.to_string inner) seed
@@ -647,7 +647,7 @@ let test_chaser_suppresses_decisions () =
   let chased =
     decided_with (fun cfg ->
         let policy, stats = Ch.policy ~max_configs:600_000 ~cache ~inputs:vinputs () in
-        let r = ME.run_scheduled ~policy cfg in
+        let r = ME.run ~policy cfg in
         total_diverged := !total_diverged + stats.Sched.Chaser.diverged;
         r)
   in
@@ -655,7 +655,7 @@ let test_chaser_suppresses_decisions () =
     decided_with (fun cfg ->
         let policy, _ = Ch.policy ~max_configs:600_000 ~cache ~inputs:vinputs () in
         let policy = Sched.Admissible.wrap ~budget:16 policy in
-        ME.run_scheduled ~policy cfg)
+        ME.run ~policy cfg)
   in
   Alcotest.(check int) "mirror never diverged" 0 !total_diverged;
   Alcotest.(check bool)
@@ -676,7 +676,7 @@ let test_chaser_cache_shared () =
   let cache = Ch.cache () in
   let run seed =
     let policy, stats = Ch.policy ~max_configs:600_000 ~cache ~inputs:vinputs () in
-    ignore (ME.run_scheduled ~policy (E.default_cfg ~n:3 ~inputs ~seed));
+    ignore (ME.run ~policy (E.default_cfg ~n:3 ~inputs ~seed));
     stats
   in
   let first = run 1 in
