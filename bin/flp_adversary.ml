@@ -5,7 +5,12 @@
    pending message — while steering every stage, via Lemma 3, into a
    bivalent configuration.  On a totally correct protocol it would run
    forever; on any real (finite) protocol it eventually reports the exact
-   stage at which the Lemma 3 hypothesis fails. *)
+   stage at which the Lemma 3 hypothesis fails.
+
+   Exit codes: 0 the run completed, got stuck or could not start (reported
+   on stdout); 1 [--inputs] of the wrong length, or a state space beyond
+   [--max-configs]; 2 an unknown protocol (one line on stderr); 124
+   cmdliner errors. *)
 
 let parse_inputs s n =
   if String.length s <> n then None
@@ -20,7 +25,7 @@ let run name inputs_str stages max_configs verbose obs =
   match Flp.Zoo.find name with
   | None ->
       Format.eprintf "unknown protocol %S (see flp_check --list)@." name;
-      exit 1
+      exit 2
   | Some protocol ->
       let module P = (val protocol : Flp.Protocol.S) in
       let module A = Flp.Analysis.Make (P) in

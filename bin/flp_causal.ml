@@ -8,11 +8,17 @@
    pure report-building computations and print afterwards in grid order, so
    the output is byte-identical at every jobs level.  [--chrome] merges
    every cell's DAG into one Perfetto-loadable trace (one Chrome process
-   per cell). *)
+   per cell).
+
+   Exit codes: 0 success; 1 an independence soundness violation, or a bad
+   policy or delay spec; 2 usage errors, each one line on stderr: an
+   unknown protocol, or [--jobs], [--seeds] or [--ones] out of range; 124
+   cmdliner errors. *)
 
 let die fmt = Format.kasprintf (fun m -> Format.eprintf "%s@."  m; exit 1) fmt
 
-(* A degenerate count is a usage error: one line, exit 2. *)
+(* An unknown protocol or a degenerate count is a usage error: one line,
+   exit 2. *)
 let usage fmt =
   Format.kasprintf (fun m -> Format.eprintf "flp_causal: %s@." m; exit 2) fmt
 
@@ -31,7 +37,7 @@ type outcome = {
 
 let run_cell ~delays ~max_steps ~ones ~cones ~critical ~show_width ~audit_indep cell =
   match Flp.Zoo.find cell.proto with
-  | None -> die "unknown zoo protocol %S (see flp_check --list)" cell.proto
+  | None -> usage "unknown zoo protocol %S (see flp_check --list)" cell.proto
   | Some protocol ->
       let module P = (val protocol : Flp.Protocol.S) in
       let module M = Sched.Model_app.Make (P) in
@@ -101,7 +107,8 @@ let run protocols policies seeds ones delay_spec max_steps jobs cones critical
      message instead of killing a worker domain. *)
   Array.iter
     (fun c ->
-      if Option.is_none (Flp.Zoo.find c.proto) then die "unknown zoo protocol %S" c.proto)
+      if Option.is_none (Flp.Zoo.find c.proto) then
+        usage "unknown zoo protocol %S (see flp_check --list)" c.proto)
     cells;
   let outcomes =
     Parallel.Pool.with_pool ~metrics:obs.Obs.metrics ~jobs (fun pool ->

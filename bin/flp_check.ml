@@ -4,7 +4,13 @@
    - the Lemma 1 commutativity check,
    - the valence of every initial configuration (Lemma 2),
    - the Lemma 3 bivalence-preservation statistics,
-   - partial correctness and blocking runs (the impossibility trichotomy). *)
+   - partial correctness and blocking runs (the impossibility trichotomy).
+
+   Exit codes: 0 checks ran (a violated property is reported on stdout, not
+   in the exit code); 2 usage errors, each one line on stderr: an unknown
+   protocol, [--jobs] or [--max-configs] below 1, a budget that truncates a
+   graph Lemma 3 or the trichotomy needs, an unwritable [--dot] file; 124
+   cmdliner errors. *)
 
 let list_protocols () =
   List.iter (fun (e : Flp.Zoo.entry) -> print_endline e.name) Flp.Zoo.all
@@ -20,7 +26,7 @@ let run_checks name max_configs trials jobs reduction dot_file obs =
   match Flp.Zoo.find name with
   | None ->
       Format.eprintf "unknown protocol %S; try --list@." name;
-      exit 1
+      exit 2
   | Some protocol ->
       let module P = (val protocol : Flp.Protocol.S) in
       let module A = Flp.Analysis.Make (P) in

@@ -8,11 +8,17 @@
    pool; reports merge deterministically, so the emitted JSON is
    byte-identical at every --jobs (and deliberately does not record the
    jobs count).  Host wall-clock numbers only appear under --wall — keep
-   them out of committed artifacts. *)
+   them out of committed artifacts.
+
+   Exit codes: 0 success; 1 a bad queue, policy, delay, --load or
+   --hist-bounds spec, or zipped flags of mismatched lengths; 2 usage
+   errors, each one line on stderr: an unknown protocol, or a count below 1;
+   124 cmdliner errors. *)
 
 let die fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt
 
-(* A degenerate cell (a count below 1) is a usage error: one line, exit 2. *)
+(* An unknown protocol or a degenerate cell (a count below 1) is a usage
+   error: one line, exit 2. *)
 let usage fmt =
   Format.kasprintf (fun m -> Format.eprintf "flp_service: %s@." m; exit 2) fmt
 
@@ -48,7 +54,7 @@ let run protocols policies queues loads clients batches pipelines n shards delay
   List.iter
     (fun p ->
       if Option.is_none (Service.Decree.find p) then
-        die "unknown protocol %S (fast | classic)" p)
+        usage "unknown protocol %S (fast | classic)" p)
     protocols;
   let policies = if policies = [] then [ "oblivious" ] else policies in
   let policies =

@@ -6,7 +6,12 @@
    "ben-or-det", arbitrary n) and zoo model protocols ("zoo:NAME", n fixed
    by the protocol) run through the Sched.Model_app bridge.  Policies are
    Sched.Spec strings, plus the content-adaptive "chaser[:MAXCONFIGS]"
-   (zoo protocols only), composable as "admissible:BUDGET:chaser[:MC]". *)
+   (zoo protocols only), composable as "admissible:BUDGET:chaser[:MC]".
+
+   Exit codes: 0 success; 1 a bad policy, delay or --hist-bounds spec, or a
+   chaser policy on a protocol that is not zoo:NAME; 2 usage errors, each
+   one line on stderr: an unknown protocol (top-level or zoo:NAME) or a
+   degenerate campaign size; 124 cmdliner errors. *)
 
 type policy_kind =
   | Blind of Sched.Spec.t
@@ -32,7 +37,8 @@ let parse_policy s =
 
 let die fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt
 
-(* A degenerate campaign size is a usage error: one line, exit 2. *)
+(* An unknown protocol or a degenerate campaign size is a usage error: one
+   line, exit 2. *)
 let usage fmt =
   Format.kasprintf (fun m -> Format.eprintf "flp_torture: %s@." m; exit 2) fmt
 
@@ -66,7 +72,7 @@ let arms_for ~pname ~policies ~n ~ones ~delays ~max_steps ~reduction =
   | _ when String.length pname > 4 && String.sub pname 0 4 = "zoo:" -> (
       let zname = String.sub pname 4 (String.length pname - 4) in
       match Flp.Zoo.find zname with
-      | None -> die "unknown zoo protocol %S (see flp_check --list)" zname
+      | None -> usage "unknown zoo protocol %S (see flp_check --list)" zname
       | Some protocol ->
           let module P = (val protocol : Flp.Protocol.S) in
           let module M = Sched.Model_app.Make (P) in
@@ -102,7 +108,7 @@ let arms_for ~pname ~policies ~n ~ones ~delays ~max_steps ~reduction =
                           (E.run ~policy c));
                   })
             policies)
-  | other -> die "unknown protocol %S (ben-or | ben-or-det | zoo:NAME)" other
+  | other -> usage "unknown protocol %S (ben-or | ben-or-det | zoo:NAME)" other
 
 let parse_hist_bounds s =
   match String.split_on_char ',' s with

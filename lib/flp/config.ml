@@ -125,10 +125,17 @@ module Make (P : Protocol.S) : S with type state = P.state and type msg = P.msg 
     check_dest e.dest;
     match e.msg with None -> true | Some m -> MB.mem t.buffer ~dest:e.dest m
 
+  (* The null events are built once; [events] shares their records (and,
+     with an empty buffer, the whole list). *)
+  let nulls = List.init P.n null_event
+
   let events t =
-    let nulls = List.init P.n null_event in
-    let delivers = List.map (fun (d, m) -> deliver d m) (MB.deliverable t.buffer) in
-    nulls @ delivers
+    let b = (t.buffer :> MB.entry array) in
+    let delivers = ref [] in
+    for i = Array.length b - 1 downto 0 do
+      delivers := deliver b.(i).dest b.(i).msg :: !delivers
+    done;
+    match !delivers with [] -> nulls | ds -> nulls @ ds
 
   let event_equal e1 e2 =
     e1.dest = e2.dest
@@ -287,71 +294,91 @@ module Make (P : Protocol.S) : S with type state = P.state and type msg = P.msg 
 
     let msg_count s = s.msg_count
 
-    let intern_state s st =
-      match STbl.find_opt s.state_ids st with
-      | Some id -> id
-      | None ->
-          let id = s.state_count in
-          if id >= Array.length s.states then begin
-            let na = Array.make (max 16 (2 * Array.length s.states)) st in
-            Array.blit s.states 0 na 0 id;
-            s.states <- na
-          end;
-          s.states.(id) <- st;
-          STbl.add s.state_ids st id;
-          s.state_count <- id + 1;
-          id
+    (* The next id for a part the store has not seen. *)
+    let add_state s st =
+      let id = s.state_count in
+      if id >= Array.length s.states then begin
+        let na = Array.make (max 16 (2 * Array.length s.states)) st in
+        Array.blit s.states 0 na 0 id;
+        s.states <- na
+      end;
+      s.states.(id) <- st;
+      STbl.add s.state_ids st id;
+      s.state_count <- id + 1;
+      id
 
-    let intern_msg s m =
-      match MTbl.find_opt s.msg_ids m with
-      | Some id -> id
-      | None ->
-          let id = s.msg_count in
-          if id >= Array.length s.msgs then begin
-            let na = Array.make (max 16 (2 * Array.length s.msgs)) m in
-            Array.blit s.msgs 0 na 0 id;
-            s.msgs <- na
-          end;
-          s.msgs.(id) <- m;
-          MTbl.add s.msg_ids m id;
-          s.msg_count <- id + 1;
-          id
-
-    let add_varint buf n =
-      let rec go n =
-        if n < 0x80 then Buffer.add_char buf (Char.chr n)
-        else begin
-          Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-          go (n lsr 7)
-        end
-      in
-      go n
+    let add_msg s m =
+      let id = s.msg_count in
+      if id >= Array.length s.msgs then begin
+        let na = Array.make (max 16 (2 * Array.length s.msgs)) m in
+        Array.blit s.msgs 0 na 0 id;
+        s.msgs <- na
+      end;
+      s.msgs.(id) <- m;
+      MTbl.add s.msg_ids m id;
+      s.msg_count <- id + 1;
+      id
 
     exception Unknown_part
 
-    (* [intern:false] must not mutate the store: it is the read-only probe
-       the parallel explorer runs from worker domains while the store is
-       frozen between waves. *)
+    let state_id ~intern s st =
+      match STbl.find s.state_ids st with
+      | id -> id
+      | exception Not_found -> if intern then add_state s st else raise Unknown_part
+
+    let msg_id ~intern s m =
+      match MTbl.find s.msg_ids m with
+      | id -> id
+      | exception Not_found -> if intern then add_msg s m else raise Unknown_part
+
+    let rec varint_len n = if n < 0x80 then 1 else 1 + varint_len (n lsr 7)
+
+    (* Writes [n] at [pos]; returns the position after it. *)
+    let rec put_varint b pos n =
+      if n < 0x80 then begin
+        Bytes.unsafe_set b pos (Char.unsafe_chr n);
+        pos + 1
+      end
+      else begin
+        Bytes.unsafe_set b pos (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+        put_varint b (pos + 1) (n lsr 7)
+      end
+
+    (* Two passes over the configuration, both in place: the first looks up
+       every part id (into [ids]: the [n] state ids, then one message id
+       per buffer entry) and sums the varint lengths, the second writes
+       them into [Bytes] of exactly that size.  [intern:false] must not
+       mutate the store: it is the read-only probe the parallel explorer
+       runs from worker domains while the store is frozen between waves. *)
     let encode ~intern s (cfg : t) =
-      let state_id st =
-        if intern then intern_state s st
-        else match STbl.find_opt s.state_ids st with Some id -> id | None -> raise Unknown_part
-      in
-      let msg_id m =
-        if intern then intern_msg s m
-        else match MTbl.find_opt s.msg_ids m with Some id -> id | None -> raise Unknown_part
-      in
-      let buf = Buffer.create 32 in
-      Array.iter (fun st -> add_varint buf (state_id st)) cfg.states;
-      let entries = MB.to_list cfg.buffer in
-      add_varint buf (List.length entries);
-      List.iter
-        (fun (dest, m, mult) ->
-          add_varint buf dest;
-          add_varint buf (msg_id m);
-          add_varint buf mult)
-        entries;
-      Buffer.contents buf
+      let b = (cfg.buffer :> MB.entry array) in
+      let entries = Array.length b in
+      let ids = Array.make (P.n + entries) 0 in
+      let len = ref (varint_len entries) in
+      for i = 0 to P.n - 1 do
+        let id = state_id ~intern s cfg.states.(i) in
+        ids.(i) <- id;
+        len := !len + varint_len id
+      done;
+      for j = 0 to entries - 1 do
+        let e = b.(j) in
+        let id = msg_id ~intern s e.msg in
+        ids.(P.n + j) <- id;
+        len := !len + varint_len e.dest + varint_len id + varint_len e.count
+      done;
+      let key = Bytes.create !len in
+      let pos = ref 0 in
+      for i = 0 to P.n - 1 do
+        pos := put_varint key !pos ids.(i)
+      done;
+      pos := put_varint key !pos entries;
+      for j = 0 to entries - 1 do
+        let e = b.(j) in
+        pos := put_varint key !pos e.dest;
+        pos := put_varint key !pos ids.(P.n + j);
+        pos := put_varint key !pos e.count
+      done;
+      Bytes.unsafe_to_string key
 
     let pack s t = encode ~intern:true s t
 
@@ -407,9 +434,9 @@ module Make (P : Protocol.S) : S with type state = P.state and type msg = P.msg 
        platform word size. *)
     let[@detlint.pure] hash key =
       let h = ref 0x811c9dc5 in
-      String.iter
-        (fun c -> h := ((!h lxor Char.code c) * 0x01000193) land 0xffffffff)
-        key;
+      for i = 0 to String.length key - 1 do
+        h := ((!h lxor Char.code (String.unsafe_get key i)) * 0x01000193) land 0xffffffff
+      done;
       !h land max_int
   end
 end

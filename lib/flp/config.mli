@@ -47,7 +47,9 @@ module type S = sig
 
   val events : t -> event list
   (** Every applicable event: one null event per process, then one delivery
-      event per distinct pending [(dest, msg)] pair, in canonical order. *)
+      event per distinct pending [(dest, msg)] pair, in canonical order.
+      The null events are built once per protocol and shared; with an
+      empty buffer the list itself is. *)
 
   val event_equal : event -> event -> bool
 
@@ -123,7 +125,15 @@ module type S = sig
       [pack] interns unseen parts as a side effect; [pack_ro] is the
       read-only variant that returns [None] when some part has never been
       interned (such a configuration cannot equal any packed one), safe to
-      call from parallel workers while no domain is packing. *)
+      call from parallel workers while no domain is packing.
+
+      Both are the explorer's per-successor cost, so the encoder makes two
+      passes and no list: the first looks each part up once (the [n] states,
+      then the message of each buffer entry, read in place from the
+      buffer's entry array) and sums the varint lengths; the second writes
+      the varints into one [Bytes] of exactly that length, which becomes
+      the key without a copy.  The only allocations are that key and one
+      small array of part ids. *)
   module Packed : sig
     type store
 
@@ -146,8 +156,9 @@ module type S = sig
     (** Exact inverse of {!pack} for keys produced by this store. *)
 
     val hash : string -> int
-    (** FNV-1a over the packed bytes — deterministic across platforms and
-        runs, cheap enough to precompute once per successor. *)
+    (** FNV-1a over the packed bytes, one loop over the string —
+        deterministic across platforms and runs, cheap enough to precompute
+        once per successor. *)
 
     val event_code : store -> event -> int
     (** An event as one [int]: [dest] for a null step and

@@ -9,54 +9,133 @@ module type MSG = sig
 end
 
 module Make (M : MSG) = struct
-  module Key = struct
-    type t = int * M.t
+  type entry = { dest : int; msg : M.t; count : int }
 
-    let compare (d1, m1) (d2, m2) =
-      let c = Int.compare d1 d2 in
-      if c <> 0 then c else M.compare m1 m2
-  end
+  (* Sorted by [(dest, msg)] with [M.compare] breaking ties, no two entries
+     on the same pair, every count positive.  Never mutated after it is
+     built: [send] and [receive] copy, so older versions stay valid. *)
+  type t = entry array
 
-  module Map = Stdlib.Map.Make (Key)
+  let empty = [||]
 
-  type t = int Map.t
+  let is_empty t = Array.length t = 0
 
-  let empty = Map.empty
+  let size t =
+    let s = ref 0 in
+    for i = 0 to Array.length t - 1 do
+      s := !s + t.(i).count
+    done;
+    !s
 
-  let is_empty = Map.is_empty
+  let compare_key dest msg e =
+    let c = Int.compare dest e.dest in
+    if c <> 0 then c else M.compare msg e.msg
 
-  let size t = Map.fold (fun _ c acc -> acc + c) t 0
+  (* Index of the entry on [(dest, msg)] if present, otherwise [-(i + 1)]
+     where [i] is the index the pair would be inserted at. *)
+  let locate t dest msg =
+    let rec go lo hi =
+      if lo >= hi then -(lo + 1)
+      else
+        let mid = (lo + hi) lsr 1 in
+        let c = compare_key dest msg t.(mid) in
+        if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+    in
+    go 0 (Array.length t)
 
   let count t ~dest msg =
-    match Map.find_opt (dest, msg) t with Some c -> c | None -> 0
+    let i = locate t dest msg in
+    if i >= 0 then t.(i).count else 0
 
-  let mem t ~dest msg = count t ~dest msg > 0
+  let mem t ~dest msg = locate t dest msg >= 0
+
+  let replace t i e =
+    let t' = Array.copy t in
+    t'.(i) <- e;
+    t'
 
   let send t ~dest msg =
-    Map.update (dest, msg) (function None -> Some 1 | Some c -> Some (c + 1)) t
+    let i = locate t dest msg in
+    if i >= 0 then replace t i { (t.(i)) with count = t.(i).count + 1 }
+    else begin
+      let i = -(i + 1) in
+      let len = Array.length t in
+      let e = { dest; msg; count = 1 } in
+      let t' = Array.make (len + 1) e in
+      Array.blit t 0 t' 0 i;
+      Array.blit t i t' (i + 1) (len - i);
+      t'
+    end
 
   let receive t ~dest msg =
-    match Map.find_opt (dest, msg) t with
-    | None | Some 0 -> raise Not_found
-    | Some 1 -> Map.remove (dest, msg) t
-    | Some c -> Map.add (dest, msg) (c - 1) t
+    let i = locate t dest msg in
+    if i < 0 then raise Not_found
+    else
+      let e = t.(i) in
+      if e.count > 1 then replace t i { e with count = e.count - 1 }
+      else begin
+        let len = Array.length t in
+        if len = 1 then empty
+        else begin
+          let t' = Array.make (len - 1) t.(0) in
+          Array.blit t 0 t' 0 i;
+          Array.blit t (i + 1) t' i (len - i - 1);
+          t'
+        end
+      end
 
-  let deliverable t = Map.fold (fun (d, m) _ acc -> (d, m) :: acc) t [] |> List.rev
+  let iter f t =
+    for i = 0 to Array.length t - 1 do
+      let e = t.(i) in
+      f e.dest e.msg e.count
+    done
+
+  let deliverable t = Array.fold_right (fun e acc -> (e.dest, e.msg) :: acc) t []
 
   let for_dest t dest =
-    Map.fold (fun (d, m) _ acc -> if d = dest then m :: acc else acc) t [] |> List.rev
+    Array.fold_right (fun e acc -> if e.dest = dest then e.msg :: acc else acc) t []
 
-  let to_list t = Map.fold (fun (d, m) c acc -> (d, m, c) :: acc) t [] |> List.rev
+  let to_list t = Array.fold_right (fun e acc -> (e.dest, e.msg, e.count) :: acc) t []
 
-  let equal = Map.equal ( = )
+  let equal t1 t2 =
+    let len = Array.length t1 in
+    len = Array.length t2
+    &&
+    let rec go i =
+      i >= len
+      ||
+      let a = t1.(i) and b = t2.(i) in
+      a.dest = b.dest && a.count = b.count && M.compare a.msg b.msg = 0 && go (i + 1)
+    in
+    go 0
 
-  let compare = Map.compare Int.compare
+  (* Lexicographic over the [(dest, msg, count)] sequence, a proper prefix
+     first: the order [Map.compare Int.compare] gave the map-backed buffer. *)
+  let compare t1 t2 =
+    let l1 = Array.length t1 and l2 = Array.length t2 in
+    let rec go i =
+      if i >= l1 then if i >= l2 then 0 else -1
+      else if i >= l2 then 1
+      else
+        let a = t1.(i) and b = t2.(i) in
+        let c = compare_key a.dest a.msg b in
+        if c <> 0 then c
+        else
+          let c = Int.compare a.count b.count in
+          if c <> 0 then c else go (i + 1)
+    in
+    go 0
 
   let hash t =
-    Map.fold (fun (d, m) c acc -> (acc * 31) + (d * 7) + (M.hash m * 13) + c) t 17
+    let h = ref 17 in
+    for i = 0 to Array.length t - 1 do
+      let e = t.(i) in
+      h := (!h * 31) + (e.dest * 7) + (M.hash e.msg * 13) + e.count
+    done;
+    !h
 
   let pp ppf t =
     Format.fprintf ppf "{";
-    List.iter (fun (d, m, c) -> Format.fprintf ppf " %dx(->%d, %a)" c d M.pp m) (to_list t);
+    iter (fun d m c -> Format.fprintf ppf " %dx(->%d, %a)" c d M.pp m) t;
     Format.fprintf ppf " }"
 end

@@ -6,10 +6,19 @@
     [receive(p)] — which pending message, or the null marker — is not decided
     here; {!Analysis} enumerates all choices as distinct events.
 
-    The representation is canonical (a sorted map to occurrence counts), so
-    two buffers holding the same multiset are structurally equal regardless
-    of send order.  That canonicity is what lets the model checker identify
-    configurations reached by commuting schedules (Lemma 1). *)
+    The representation is canonical, so two buffers holding the same
+    multiset are equal regardless of send order.  That canonicity is what
+    lets the model checker identify configurations reached by commuting
+    schedules (Lemma 1).
+
+    A buffer is one immutable array of [(dest, msg, count)] entries, sorted
+    by destination and then by [M.compare], with one entry per distinct
+    pair and every count positive.  [send] and [receive] binary-search the
+    pair and copy the array (a few words for the buffers the zoo reaches),
+    so every older version stays valid.  The type is [private] so that a
+    hot loop (the packed codec's encoder, [Config.events]) can read the
+    entries in place through a coercion, without a call per entry; no
+    caller writes to it. *)
 
 module type MSG = sig
   type t
@@ -22,7 +31,11 @@ module type MSG = sig
 end
 
 module Make (M : MSG) : sig
-  type t
+  type entry = private { dest : int; msg : M.t; count : int }
+
+  type t = private entry array
+  (** Sorted by [(dest, msg)], one entry per distinct pair, every [count]
+      at least 1. *)
 
   val empty : t
 
@@ -49,6 +62,10 @@ module Make (M : MSG) : sig
 
   val to_list : t -> (int * M.t * int) list
   (** Canonical [(dest, msg, multiplicity)] listing. *)
+
+  val iter : (int -> M.t -> int -> unit) -> t -> unit
+  (** [iter f t] calls [f dest msg multiplicity] on every entry, in
+      canonical order, without building a list. *)
 
   val equal : t -> t -> bool
 

@@ -9,7 +9,35 @@
 
     The extra equality / hashing / printing witnesses exist so that the
     explicit-state analyses ({!Analysis}) can canonicalise configurations.
-    They carry no semantic weight. *)
+    They carry no semantic weight, but the explorer calls them once per
+    process state and pending message of every successor it probes, so
+    their contract is:
+
+    - {b monomorphic}: written for the concrete [state] and [msg] types.
+      Polymorphic [( = )], [compare] and [Hashtbl.hash] are correct but walk
+      the value's runtime representation generically; every {!Zoo} protocol
+      states its witnesses field by field instead.
+    - {b [equal_state] is exact}: it holds iff the two states are the same
+      state (structural equality, field for field).  A coarser equality
+      merges distinct configurations.
+    - {b [compare_msg] order is the event and id order}: it is a total
+      order, and it sorts the message buffer, so it fixes the order of
+      [Config.events] and through it every explorer id, graph and report.
+      Another valid order still renumbers every graph; a witness replacing
+      [Stdlib.compare] must order exactly as it did.
+    - {b hashes respect equality}: [equal_state a b] implies
+      [hash_state a = hash_state b], and [compare_msg a b = 0] implies
+      [hash_msg a = hash_msg b].  The values are otherwise free (they only
+      place values in hash tables: the packed codec's intern tables, and
+      any table keyed on [Config.hash]), but should spread over the low
+      bits.
+    - {b no [==]}: physical equality depends on sharing, which the language
+      leaves unspecified; detlint's [physical-equality] rule rejects it, a
+      fast path included.
+
+    The [witness-coherence] lint rule audits reflexivity and hash coherence
+    on any protocol; [test_zoo]'s witness oracle checks the zoo's witnesses
+    against the polymorphic reference. *)
 
 module type S = sig
   type state

@@ -2,6 +2,42 @@ let pp_vopt ppf = function
   | None -> Format.pp_print_string ppf "_"
   | Some v -> Value.pp ppf v
 
+(* Monomorphic witness helpers (the contract is in {!Protocol.S}).  Every
+   [compare_msg] below orders as [Stdlib.compare] does on the same values:
+   field by field in declaration order, [Zero] before [One].  [Value]'s int
+   code, equality and order are restated here so that the witnesses inline
+   them. *)
+
+let value_int : Value.t -> int = function Zero -> 0 | One -> 1
+
+let value_equal a b = Int.equal (value_int a) (value_int b)
+
+let value_compare a b = Int.compare (value_int a) (value_int b)
+
+let vopt_equal a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> value_equal a b
+  | None, Some _ | Some _, None -> false
+
+(* One multiply-xorshift round per field: every input bit reaches the low
+   bits a [Hashtbl.Make] bucket index reads. *)
+let mix h x =
+  let h = (h lxor x) * 0x100000001b3 in
+  h lxor (h lsr 29)
+
+let vopt_hash = function None -> 0 | Some v -> 1 + value_int v
+
+(* [list_equal] and [list_hash] take a toplevel function, never a closure
+   built per call: the witnesses run once per state per successor. *)
+let rec list_equal eq a b =
+  match (a, b) with
+  | [], [] -> true
+  | x :: a, y :: b -> eq x y && list_equal eq a b
+  | [], _ :: _ | _ :: _, [] -> false
+
+let rec list_hash hash h = function [] -> h | x :: l -> list_hash hash (mix h (hash x)) l
+
 module And_wait = struct
   type state = { input : Value.t; sent : bool; peer : Value.t option }
 
@@ -26,16 +62,17 @@ module And_wait = struct
   (* [sent] is monotone (never reset), so this is hereditary. *)
   let may_send = Some (fun ~pid st d -> (not st.sent) && d = 1 - pid)
 
-  let equal_state = ( = )
+  let equal_state a b =
+    value_equal a.input b.input && Bool.equal a.sent b.sent && vopt_equal a.peer b.peer
 
-  let hash_state = Hashtbl.hash
+  let hash_state st = mix (mix (value_int st.input) (Bool.to_int st.sent)) (vopt_hash st.peer)
 
   let pp_state ppf st =
     Format.fprintf ppf "{x=%a sent=%b peer=%a}" Value.pp st.input st.sent pp_vopt st.peer
 
-  let compare_msg : msg -> msg -> int = Stdlib.compare
+  let compare_msg (Vote a) (Vote b) = value_compare a b
 
-  let hash_msg = Hashtbl.hash
+  let hash_msg (Vote v) = value_int v
 
   let pp_msg ppf (Vote v) = Format.fprintf ppf "vote:%a" Value.pp v
 end
@@ -67,18 +104,25 @@ module Leader = struct
   (* Only the (immutable) leader sends, once: [sent] is monotone. *)
   let may_send = Some (fun ~pid:_ st d -> st.leader && (not st.sent) && (d = 1 || d = 2))
 
-  let equal_state = ( = )
+  let equal_state a b =
+    Bool.equal a.leader b.leader
+    && value_equal a.input b.input
+    && Bool.equal a.sent b.sent
+    && vopt_equal a.heard b.heard
 
-  let hash_state = Hashtbl.hash
+  let hash_state st =
+    mix
+      (mix (mix (Bool.to_int st.leader) (value_int st.input)) (Bool.to_int st.sent))
+      (vopt_hash st.heard)
 
   let pp_state ppf st =
     Format.fprintf ppf "{%sx=%a sent=%b heard=%a}"
       (if st.leader then "leader " else "")
       Value.pp st.input st.sent pp_vopt st.heard
 
-  let compare_msg : msg -> msg -> int = Stdlib.compare
+  let compare_msg (Lead a) (Lead b) = value_compare a b
 
-  let hash_msg = Hashtbl.hash
+  let hash_msg (Lead v) = value_int v
 
   let pp_msg ppf (Lead v) = Format.fprintf ppf "lead:%a" Value.pp v
 end
@@ -95,7 +139,7 @@ module Majority = struct
   let init ~pid:_ ~input = { input; sent = false; votes = [] }
 
   let compare_vote (p1, v1) (p2, v2) =
-    match Int.compare p1 p2 with 0 -> Value.compare v1 v2 | c -> c
+    match Int.compare p1 p2 with 0 -> value_compare v1 v2 | c -> c
 
   let step ~pid st m =
     let st =
@@ -120,18 +164,26 @@ module Majority = struct
   (* One broadcast per process, gated by the monotone [sent] flag. *)
   let may_send = Some (fun ~pid st d -> (not st.sent) && d <> pid)
 
-  let equal_state = ( = )
+  let equal_vote (p1, v1) (p2, v2) = Int.equal p1 p2 && value_equal v1 v2
 
-  let hash_state = Hashtbl.hash
+  let vote_hash (p, v) = (2 * p) + value_int v
+
+  let equal_state a b =
+    value_equal a.input b.input
+    && Bool.equal a.sent b.sent
+    && list_equal equal_vote a.votes b.votes
+
+  let hash_state st =
+    mix (mix (value_int st.input) (Bool.to_int st.sent)) (list_hash vote_hash 0 st.votes)
 
   let pp_state ppf st =
     Format.fprintf ppf "{x=%a sent=%b votes=[%s]}" Value.pp st.input st.sent
       (String.concat ";"
          (List.map (fun (p, v) -> Printf.sprintf "%d:%s" p (Value.to_string v)) st.votes))
 
-  let compare_msg : msg -> msg -> int = Stdlib.compare
+  let compare_msg (Vote (p1, v1)) (Vote (p2, v2)) = compare_vote (p1, v1) (p2, v2)
 
-  let hash_msg = Hashtbl.hash
+  let hash_msg (Vote (p, v)) = vote_hash (p, v)
 
   let pp_msg ppf (Vote (src, v)) = Format.fprintf ppf "vote:%d:%a" src Value.pp v
 end
@@ -160,17 +212,19 @@ module First_wins = struct
   (* [sent] is monotone (never reset), so this is hereditary. *)
   let may_send = Some (fun ~pid st d -> (not st.sent) && d = 1 - pid)
 
-  let equal_state = ( = )
+  let equal_state a b =
+    value_equal a.input b.input && Bool.equal a.sent b.sent && vopt_equal a.decided b.decided
 
-  let hash_state = Hashtbl.hash
+  let hash_state st =
+    mix (mix (value_int st.input) (Bool.to_int st.sent)) (vopt_hash st.decided)
 
   let pp_state ppf st =
     Format.fprintf ppf "{x=%a sent=%b decided=%a}" Value.pp st.input st.sent pp_vopt
       st.decided
 
-  let compare_msg : msg -> msg -> int = Stdlib.compare
+  let compare_msg (Vote a) (Vote b) = value_compare a b
 
-  let hash_msg = Hashtbl.hash
+  let hash_msg (Vote v) = value_int v
 
   let pp_msg ppf (Vote v) = Format.fprintf ppf "vote:%a" Value.pp v
 end
@@ -218,7 +272,7 @@ let benor_det ~cap : Protocol.t =
           match Int.compare a.round b.round with
           | 0 -> (
               match Int.compare (rank a.kind) (rank b.kind) with
-              | 0 -> Option.compare Value.compare a.value b.value
+              | 0 -> Option.compare value_compare a.value b.value
               | c -> c)
           | c -> c)
       | c -> c
@@ -325,16 +379,33 @@ let benor_det ~cap : Protocol.t =
       Some
         (fun ~pid st d -> (match st.phase with Halted -> false | P1 | P2 -> true) && d <> pid)
 
-    let equal_state = ( = )
+    let equal_msg a b = compare_msg a b = 0
 
-    let hash_state = Hashtbl.hash
+    let hash_msg (m : msg) =
+      mix
+        (mix (mix m.src m.round) (match m.kind with Report -> 0 | Proposal -> 1))
+        (vopt_hash m.value)
+
+    let phase_rank = function P1 -> 0 | P2 -> 1 | Halted -> 2
+
+    let equal_state a b =
+      value_equal a.x b.x
+      && Int.equal a.round b.round
+      && Int.equal (phase_rank a.phase) (phase_rank b.phase)
+      && Bool.equal a.sent b.sent
+      && vopt_equal a.prop b.prop
+      && list_equal equal_msg a.inbox b.inbox
+      && vopt_equal a.decided b.decided
+
+    let hash_state st =
+      let h = mix (mix (value_int st.x) st.round) (phase_rank st.phase) in
+      let h = mix (mix h (Bool.to_int st.sent)) (vopt_hash st.prop) in
+      mix (mix h (list_hash hash_msg 0 st.inbox)) (vopt_hash st.decided)
 
     let pp_state ppf st =
       let phase = match st.phase with P1 -> "P1" | P2 -> "P2" | Halted -> "halt" in
       Format.fprintf ppf "{x=%a r=%d %s sent=%b prop=%a |inbox|=%d dec=%a}" Value.pp st.x
         st.round phase st.sent pp_vopt st.prop (List.length st.inbox) pp_vopt st.decided
-
-    let hash_msg = Hashtbl.hash
 
     let pp_msg ppf m =
       let kind = match m.kind with Report -> "R" | Proposal -> "P" in
@@ -415,19 +486,36 @@ let race ~cap : Protocol.t =
        process broadcasts its vote to both peers each round. *)
     let may_send = Some (fun ~pid st d -> (not st.halted) && d <> pid)
 
-    let equal_state = ( = )
+    (* Field by field in declaration order, as [Stdlib.compare] orders the
+       record. *)
+    let compare_msg (a : msg) (b : msg) =
+      match Int.compare a.src b.src with
+      | 0 -> ( match Int.compare a.round b.round with 0 -> value_compare a.value b.value | c -> c)
+      | c -> c
 
-    let hash_state = Hashtbl.hash
+    let equal_msg (a : msg) (b : msg) =
+      Int.equal a.src b.src && Int.equal a.round b.round && value_equal a.value b.value
+
+    let hash_msg (m : msg) = mix (mix m.src m.round) (value_int m.value)
+
+    let equal_state a b =
+      value_equal a.x b.x
+      && Int.equal a.round b.round
+      && Bool.equal a.sent b.sent
+      && Bool.equal a.halted b.halted
+      && list_equal equal_msg a.future b.future
+      && vopt_equal a.decided b.decided
+
+    let hash_state st =
+      let h = mix (mix (value_int st.x) st.round) (Bool.to_int st.sent) in
+      let h = mix (mix h (Bool.to_int st.halted)) (list_hash hash_msg 0 st.future) in
+      mix h (vopt_hash st.decided)
 
     let pp_state ppf st =
       Format.fprintf ppf "{x=%a r=%d%s%s dec=%a}" Value.pp st.x st.round
         (if st.sent then "" else " unsent")
         (if st.halted then " halt" else "")
         pp_vopt st.decided
-
-    let compare_msg : msg -> msg -> int = Stdlib.compare
-
-    let hash_msg = Hashtbl.hash
 
     let pp_msg ppf (m : msg) =
       Format.fprintf ppf "vote:%d:r%d:%a" m.src m.round Value.pp m.value
@@ -477,17 +565,22 @@ let pipeline ~ticks : Protocol.t =
         (fun ~pid st d ->
           (not st.sent) && ((pid = 0 && d = 1) || (pid = 1 && d = 2)))
 
-    let equal_state = ( = )
+    let equal_state a b =
+      value_equal a.x b.x
+      && Int.equal a.ticks b.ticks
+      && Bool.equal a.sent b.sent
+      && vopt_equal a.got b.got
 
-    let hash_state = Hashtbl.hash
+    let hash_state st =
+      mix (mix (mix (value_int st.x) st.ticks) (Bool.to_int st.sent)) (vopt_hash st.got)
 
     let pp_state ppf st =
       Format.fprintf ppf "{x=%a t=%d sent=%b got=%a}" Value.pp st.x st.ticks st.sent
         pp_vopt st.got
 
-    let compare_msg : msg -> msg -> int = Stdlib.compare
+    let compare_msg (Token a) (Token b) = value_compare a b
 
-    let hash_msg = Hashtbl.hash
+    let hash_msg (Token v) = value_int v
 
     let pp_msg ppf (Token v) = Format.fprintf ppf "token:%a" Value.pp v
   end)
@@ -542,9 +635,17 @@ module Parity = struct
   let may_send =
     Some (fun ~pid:_ st d -> match st with Pumper _ -> d = 1 | Gate _ -> d = 0)
 
-  let equal_state = ( = )
+  let equal_state a b =
+    match (a, b) with
+    | Pumper p, Pumper q ->
+        value_equal p.x q.x && Bool.equal p.started q.started && vopt_equal p.decided q.decided
+    | Gate g, Gate h -> Bool.equal g.parity h.parity && vopt_equal g.decided h.decided
+    | Pumper _, Gate _ | Gate _, Pumper _ -> false
 
-  let hash_state = Hashtbl.hash
+  let hash_state = function
+    | Pumper p ->
+        mix (mix (mix 0 (value_int p.x)) (Bool.to_int p.started)) (vopt_hash p.decided)
+    | Gate g -> mix (mix 1 (Bool.to_int g.parity)) (vopt_hash g.decided)
 
   let pp_state ppf = function
     | Pumper p -> Format.fprintf ppf "{pump x=%a dec=%a}" Value.pp p.x pp_vopt p.decided
@@ -552,9 +653,19 @@ module Parity = struct
         Format.fprintf ppf "{gate %s dec=%a}" (if g.parity then "odd" else "even") pp_vopt
           g.decided
 
-  let compare_msg : msg -> msg -> int = Stdlib.compare
+  (* [Stdlib.compare]'s order: the constant constructors first, by their
+     position among the constant ones (so [Vote_ack] before [Vote _]), then
+     the constructors with arguments, by position and then argument. *)
+  let msg_rank = function
+    | Ping -> 0
+    | Pong -> 1
+    | Vote_ack -> 2
+    | Vote v -> 3 + value_int v
+    | Decided v -> 5 + value_int v
 
-  let hash_msg = Hashtbl.hash
+  let compare_msg a b = Int.compare (msg_rank a) (msg_rank b)
+
+  let hash_msg = msg_rank
 
   let pp_msg ppf = function
     | Ping -> Format.pp_print_string ppf "ping"

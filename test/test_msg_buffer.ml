@@ -75,6 +75,8 @@ let test_to_list () =
   Alcotest.(check bool) "with multiplicity" true
     (MB.to_list b = [ (0, "a", 2); (1, "b", 1) ])
 
+let sign c = if c < 0 then -1 else if c > 0 then 1 else 0
+
 let ops_gen =
   QCheck.Gen.(list_size (1 -- 30) (pair (int_bound 3) (oneofl [ "a"; "b"; "c" ])))
 
@@ -104,6 +106,103 @@ let prop_persistence =
       | [] -> ());
       MB.to_list b = snapshot)
 
+(* A model test against a reference kept here: the [Map]-backed multiset
+   the array buffer replaced, with its order (destination, then message),
+   its [equal], its [compare] and its hash formula.  Random send/receive
+   sequences run on both; every observable must agree after every step. *)
+module Ref = struct
+  module Map = Map.Make (struct
+    type t = int * string
+
+    let compare (d1, m1) (d2, m2) =
+      let c = Int.compare d1 d2 in
+      if c <> 0 then c else String.compare m1 m2
+  end)
+
+  let send t ~dest m =
+    Map.update (dest, m) (function None -> Some 1 | Some c -> Some (c + 1)) t
+
+  let receive t ~dest m =
+    match Map.find_opt (dest, m) t with
+    | None -> raise Not_found
+    | Some 1 -> Map.remove (dest, m) t
+    | Some c -> Map.add (dest, m) (c - 1) t
+
+  let count t ~dest m = Option.value ~default:0 (Map.find_opt (dest, m) t)
+
+  let size t = Map.fold (fun _ c acc -> acc + c) t 0
+
+  let to_list t = List.map (fun ((d, m), c) -> (d, m, c)) (Map.bindings t)
+
+  let deliverable t = List.map fst (Map.bindings t)
+
+  let equal = Map.equal Int.equal
+
+  let compare = Map.compare Int.compare
+
+  let hash t =
+    Map.fold (fun (d, m) c acc -> (acc * 31) + (d * 7) + (Hashtbl.hash m * 13) + c) t 17
+end
+
+type op = Send of int * string | Receive of int * string
+
+let op_gen =
+  QCheck.Gen.(
+    let pair = pair (int_bound 3) (oneofl [ "a"; "b"; "c"; "d" ]) in
+    frequency [ (3, map (fun (d, m) -> Send (d, m)) pair); (2, map (fun (d, m) -> Receive (d, m)) pair) ])
+
+let pp_op = function
+  | Send (d, m) -> Printf.sprintf "send %d %s" d m
+  | Receive (d, m) -> Printf.sprintf "receive %d %s" d m
+
+let arbitrary_runs =
+  QCheck.make
+    ~print:(fun (a, b) ->
+      let show ops = String.concat "; " (List.map pp_op ops) in
+      Printf.sprintf "[%s] / [%s]" (show a) (show b))
+    QCheck.Gen.(pair (list_size (0 -- 40) op_gen) (list_size (0 -- 40) op_gen))
+
+(* Apply one op to both; a receive of an absent pair must raise on both
+   and leave both unchanged. *)
+let step (b, r) op =
+  match op with
+  | Send (d, m) -> (MB.send b ~dest:d m, Ref.send r ~dest:d m)
+  | Receive (d, m) -> (
+      match (MB.receive b ~dest:d m, Ref.receive r ~dest:d m) with
+      | b', r' -> (b', r')
+      | exception Not_found ->
+          if MB.mem b ~dest:d m || Ref.count r ~dest:d m > 0 then
+            QCheck.Test.fail_reportf "receive %d %s raised on one side only" d m;
+          (b, r))
+
+let agrees (b, r) =
+  MB.to_list b = Ref.to_list r
+  && MB.deliverable b = Ref.deliverable r
+  && MB.size b = Ref.size r
+  && MB.hash b = Ref.hash r
+  && List.for_all
+       (fun d ->
+         List.for_all (fun m -> MB.count b ~dest:d m = Ref.count r ~dest:d m) [ "a"; "b"; "c"; "d" ])
+       [ 0; 1; 2; 3 ]
+
+let prop_model =
+  QCheck.Test.make ~name:"array buffer = Map reference" ~count:500 arbitrary_runs
+    (fun (ops1, ops2) ->
+      let run ops =
+        List.fold_left
+          (fun acc op ->
+            let acc = step acc op in
+            if not (agrees acc) then QCheck.Test.fail_reportf "diverged after %s" (pp_op op);
+            acc)
+          (MB.empty, Ref.Map.empty) ops
+      in
+      let b1, r1 = run ops1 and b2, r2 = run ops2 in
+      MB.equal b1 b2 = Ref.equal r1 r2
+      && sign (MB.compare b1 b2) = sign (Ref.compare r1 r2)
+      && sign (MB.compare b2 b1) = sign (Ref.compare r2 r1)
+      && MB.equal b1 b1
+      && MB.compare b1 b1 = 0)
+
 let () =
   Alcotest.run "msg_buffer"
     [
@@ -122,5 +221,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_size_is_sum_of_counts;
           QCheck_alcotest.to_alcotest prop_send_receive_roundtrip;
           QCheck_alcotest.to_alcotest prop_persistence;
+          QCheck_alcotest.to_alcotest prop_model;
         ] );
     ]

@@ -80,6 +80,68 @@ let test_protocol_accessors () =
   Alcotest.(check int) "size" 2 (Protocol.size Zoo.and_wait);
   Alcotest.(check int) "majority size" 3 (Protocol.size Zoo.majority)
 
+(* The witness oracle.  Every protocol's [equal_state], [hash_state],
+   [compare_msg] and [hash_msg] are checked against polymorphic structural
+   equality and [compare] on states and messages sampled from its explored
+   graph: equality must agree exactly, equal values must hash alike, and
+   [compare_msg] must order as [compare] does, because that order fixes the
+   buffer's canonical order, [C.events] and so every explorer id.  The
+   sample strides over the whole graph, so it holds equal pairs (the same
+   part in many configurations) as well as distinct ones. *)
+let sign c = if c < 0 then -1 else if c > 0 then 1 else 0
+
+let oracle_cases =
+  List.map (fun (e : Zoo.entry) -> (e.name, e.protocol)) Zoo.all
+  @ [ ("race:3", Zoo.race ~cap:3); ("pipeline:40", Zoo.pipeline ~ticks:40) ]
+
+let check_witnesses name (protocol : Protocol.t) =
+  let module P = (val protocol : Protocol.S) in
+  let module A = Analysis.Make (P) in
+  let inputs = Array.init P.n (fun i -> Value.of_int (i land 1)) in
+  let g = A.Explore.explore ~max_configs:250_000 (A.C.initial inputs) in
+  let size = A.Explore.size g in
+  let stride = max 1 (size / 120) in
+  let states = ref [] and msgs = ref [] in
+  for k = 0 to (size - 1) / stride do
+    let c = A.Explore.config g (k * stride) in
+    states := Array.to_list (A.C.states c) @ !states;
+    msgs := List.map (fun (_, m, _) -> m) (A.C.pending c) @ !msgs
+  done;
+  let states = Array.of_list !states and msgs = Array.of_list !msgs in
+  if Array.length msgs = 0 then Alcotest.failf "%s: no message sampled" name;
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun b ->
+          let eq = P.equal_state a b in
+          if eq <> (a = b) then
+            Alcotest.failf "%s: equal_state says %b on %a vs %a" name eq P.pp_state a
+              P.pp_state b;
+          if eq && P.hash_state a <> P.hash_state b then
+            Alcotest.failf "%s: equal states %a hash apart" name P.pp_state a)
+        states)
+    states;
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun b ->
+          (* detlint: allow poly-compare -- the structural reference the witness is tested against; messages are float-free *)
+          let expected = sign (compare a b) in
+          if sign (P.compare_msg a b) <> expected then
+            Alcotest.failf "%s: compare_msg orders %a vs %a unlike compare (%d)" name P.pp_msg
+              a P.pp_msg b expected;
+          if expected = 0 && P.hash_msg a <> P.hash_msg b then
+            Alcotest.failf "%s: equal messages %a hash apart" name P.pp_msg a)
+        msgs)
+    msgs
+
+let oracle_tests =
+  List.map
+    (fun (name, protocol) ->
+      Alcotest.test_case ("witness oracle " ^ name) `Quick (fun () ->
+          check_witnesses name protocol))
+    oracle_cases
+
 let () =
   Alcotest.run "zoo"
     [
@@ -94,4 +156,5 @@ let () =
           Alcotest.test_case "invalid caps" `Quick test_benor_det_invalid_cap;
           Alcotest.test_case "protocol accessors" `Quick test_protocol_accessors;
         ] );
+      ("witnesses", oracle_tests);
     ]
