@@ -11,7 +11,8 @@
    per cell).
 
    Exit codes: 0 success; 1 an independence soundness violation, or a bad
-   policy or delay spec; 2 usage errors, each one line on stderr: an
+   policy or delay spec (a policy naming a pid outside the protocol's n
+   included); 2 usage errors, each one line on stderr: an
    unknown protocol, or [--jobs], [--seeds] or [--ones] out of range; 124
    cmdliner errors. *)
 
@@ -103,12 +104,18 @@ let run protocols policies seeds ones delay_spec max_steps jobs cones critical
       protocols
     |> Array.of_list
   in
-  (* Validate protocol names before fanning out, so a typo dies with a
-     message instead of killing a worker domain. *)
+  (* Validate protocol names, and each policy's pids against the
+     protocol's n, before fanning out, so a typo dies with a message
+     instead of killing a worker domain. *)
   Array.iter
     (fun c ->
-      if Option.is_none (Flp.Zoo.find c.proto) then
-        usage "unknown zoo protocol %S (see flp_check --list)" c.proto)
+      match Flp.Zoo.find c.proto with
+      | None -> usage "unknown zoo protocol %S (see flp_check --list)" c.proto
+      | Some protocol -> (
+          let module P = (val protocol : Flp.Protocol.S) in
+          match Sched.Spec.check_pids ~n:P.n c.spec with
+          | Ok () -> ()
+          | Error e -> die "%s" e))
     cells;
   let outcomes =
     Parallel.Pool.with_pool ~metrics:obs.Obs.metrics ~jobs (fun pool ->

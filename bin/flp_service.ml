@@ -11,7 +11,8 @@
    them out of committed artifacts.
 
    Exit codes: 0 success; 1 a bad queue, policy, delay, --load or
-   --hist-bounds spec, or zipped flags of mismatched lengths; 2 usage
+   --hist-bounds spec (a policy naming a pid outside 0..n-1 included), or
+   zipped flags of mismatched lengths; 2 usage
    errors, each one line on stderr: an unknown protocol, or a count below 1;
    124 cmdliner errors. *)
 
@@ -118,6 +119,10 @@ let run protocols policies queues loads clients batches pipelines n shards delay
     (fun cell ->
       match Service.Runner.validate cell with Ok () -> () | Error e -> usage "%s" e)
     cells;
+  (* after the counts, so that a bad [n] is reported as such *)
+  List.iter
+    (fun p -> match Sched.Spec.check_pids ~n p with Ok () -> () | Error e -> die "%s" e)
+    policies;
   let hist_lo, hist_hi, hist_bins =
     match hist_bounds with None -> (0.0, 20.0, 40) | Some s -> parse_hist_bounds s
   in

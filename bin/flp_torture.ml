@@ -8,10 +8,11 @@
    Sched.Spec strings, plus the content-adaptive "chaser[:MAXCONFIGS]"
    (zoo protocols only), composable as "admissible:BUDGET:chaser[:MC]".
 
-   Exit codes: 0 success; 1 a bad policy, delay or --hist-bounds spec, or a
-   chaser policy on a protocol that is not zoo:NAME; 2 usage errors, each
-   one line on stderr: an unknown protocol (top-level or zoo:NAME) or a
-   degenerate campaign size; 124 cmdliner errors. *)
+   Exit codes: 0 success; 1 a bad policy, delay or --hist-bounds spec (a
+   policy naming a pid outside the protocol's n included), or a chaser
+   policy on a protocol that is not zoo:NAME; 2 usage errors, each one line
+   on stderr: an unknown protocol (top-level or zoo:NAME) or a degenerate
+   campaign size (--ones above -n included); 124 cmdliner errors. *)
 
 type policy_kind =
   | Blind of Sched.Spec.t
@@ -47,6 +48,17 @@ let parse_policies specs =
     (fun s -> match parse_policy s with Ok k -> (s, k) | Error e -> die "%s" e)
     specs
 
+(* The parser cannot see [n], so a policy naming a pid the protocol lacks
+   is caught here, per protocol: a bad policy spec, exit 1. *)
+let check_pids ~n policies =
+  List.iter
+    (fun (_, kind) ->
+      match kind with
+      | Blind spec -> (
+          match Sched.Spec.check_pids ~n spec with Ok () -> () | Error e -> die "%s" e)
+      | Chaser _ -> ())
+    policies
+
 (* One arm per (protocol, policy) pair.  [n]/[ones] size the sim-native
    protocols; zoo protocols fix their own [n]. *)
 let arms_for ~pname ~policies ~n ~ones ~delays ~max_steps ~reduction =
@@ -54,7 +66,8 @@ let arms_for ~pname ~policies ~n ~ones ~delays ~max_steps ~reduction =
     { (Sim.Engine.default_cfg ~n ~inputs ~seed) with Sim.Engine.delays; max_steps }
   in
   let sim_arms (module App : Sim.Engine.APP) =
-    let inputs = Workload.Scenario.split n ~ones:(min ones n) in
+    check_pids ~n policies;
+    let inputs = Workload.Scenario.split n ~ones in
     let cfg ~seed = mk_cfg ~n ~inputs ~seed in
     List.map
       (fun (pol_str, kind) ->
@@ -79,7 +92,9 @@ let arms_for ~pname ~policies ~n ~ones ~delays ~max_steps ~reduction =
           let module E = Sim.Engine.Make (M) in
           let module Ch = Sched.Chaser.Make (P) in
           let n = P.n in
-          let inputs = Workload.Scenario.split n ~ones:(min ones n) in
+          if ones > n then usage "ones must be <= n (%d) of %s, got %d" n pname ones;
+          check_pids ~n policies;
+          let inputs = Workload.Scenario.split n ~ones in
           let vinputs = Array.map Flp.Value.of_int inputs in
           let cfg ~seed = mk_cfg ~n ~inputs ~seed in
           List.map

@@ -14,6 +14,12 @@
     A decision is completed by a [Decided] echo (reliable-broadcast style) so
     that slow processes terminate once any process decides.
 
+    A process keeps only the phase messages of its current round and later
+    ones, and drops the rest when it moves to the next round: nothing reads
+    an older round again.  A delivery therefore costs at most one round's
+    messages (plus any early ones from later rounds), not every message the
+    process has ever received.
+
     The [deterministic_coin] variant replaces the coin by
     [(round + pid) land 1]; under an unlucky schedule it livelocks — the
     executable version of why FLP forces randomness to be {e random}. *)

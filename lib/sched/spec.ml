@@ -69,3 +69,18 @@ let rec of_string s =
           | Some _ -> invalid "fairness budget must be at least 1"
           | None -> fail ()))
   | _ -> fail ()
+
+let rec check_pids ~n spec =
+  let bad what p =
+    Error
+      (Printf.sprintf "policy %s: %s %d is out of range for n = %d" (to_string spec) what p n)
+  in
+  let out_of_range p = p < 0 || p >= n in
+  match spec with
+  | Oblivious | Fifo | Lifo | Round_robin_killer -> Ok ()
+  | Starve victim -> if out_of_range victim then bad "victim pid" victim else Ok ()
+  | Partition { block; _ } -> (
+      match List.find_opt out_of_range block with
+      | Some p -> bad "partition pid" p
+      | None -> Ok ())
+  | Admissible { inner; _ } -> check_pids ~n inner

@@ -39,3 +39,11 @@ val of_string : string -> (t, string) result
     ["admissible:BUDGET:SPEC"] (e.g. ["admissible:32:starve:0"]).
     Degenerate values (negative pids, budget < 1, NaN rejoin time) are
     rejected with a descriptive [Error]. *)
+
+val check_pids : n:int -> t -> (unit, string) result
+(** Check that every pid the spec names (a starvation victim, a partition
+    block's members, and those of an admissible wrapper's inner spec) lies
+    in [0 .. n-1] for a run of [n] processes.  The parser cannot: it does
+    not know [n].  A spec naming a pid the run lacks would otherwise run
+    as a different adversary under its own label, e.g. [starve:9] at
+    [n = 3] starves nobody. *)

@@ -130,6 +130,7 @@ let validate ~jobs ~seeds ~n ~ones ~max_steps =
   in
   match List.find_opt (fun (_, v, lo) -> v < lo) checks with
   | Some (field, v, lo) -> Error (Printf.sprintf "%s must be >= %d, got %d" field lo v)
+  | None when ones > n -> Error (Printf.sprintf "ones must be <= n (%d), got %d" n ones)
   | None -> Ok ()
 
 let run ?(jobs = 1) ?(obs = Obs.disabled) ?hist_lo ?hist_hi ?hist_bins ~arms ~seeds

@@ -70,10 +70,10 @@ val sim_arm :
 val validate :
   jobs:int -> seeds:int -> n:int -> ones:int -> max_steps:int -> (unit, string) result
 (** Check a campaign's sizes before anything runs: [jobs], [seeds] (the
-    number of seeds), [n] and [max_steps] must be [>= 1] and [ones] [>= 0].
-    The error names the first bad field, as in ["seeds must be >= 1, got
-    0"].  A degenerate size otherwise either raises deep inside the run or
-    yields a report of [nan] statistics. *)
+    number of seeds), [n] and [max_steps] must be [>= 1] and [ones] in
+    [0 .. n].  The error names the first bad field, as in ["seeds must be
+    >= 1, got 0"].  A degenerate size otherwise either raises deep inside
+    the run or yields a report of [nan] statistics. *)
 
 val run :
   ?jobs:int ->

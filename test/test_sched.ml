@@ -389,6 +389,38 @@ let test_spec_errors () =
       "admissible:8:chaser";
     ]
 
+(* The parser does not know n, so a pid the run lacks parses and only
+   [check_pids] rejects it; admissible wrappers are checked through. *)
+let test_spec_pid_range () =
+  let check ~n s expect_ok =
+    match Sched.Spec.of_string s with
+    | Error e -> Alcotest.fail e
+    | Ok spec ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s at n = %d" s n)
+          expect_ok
+          (Result.is_ok (Sched.Spec.check_pids ~n spec))
+  in
+  List.iter
+    (fun (s, n, ok) -> check ~n s ok)
+    [
+      ("oblivious", 1, true);
+      ("rr-killer", 1, true);
+      ("starve:2", 3, true);
+      ("starve:3", 3, false);
+      ("starve:9", 3, false);
+      ("partition:0+2@1.5", 3, true);
+      ("partition:0+7@1.5", 3, false);
+      ("partition:3@1.5", 3, false);
+      ("admissible:16:starve:0", 5, true);
+      ("admissible:16:starve:5", 5, false);
+      ("admissible:4:admissible:8:partition:1+5@2", 5, false);
+      ("admissible:4:admissible:8:partition:1+4@2", 5, true);
+    ];
+  (* programmatic specs skip the parser's sign check *)
+  Alcotest.(check bool) "negative victim" false
+    (Result.is_ok (Sched.Spec.check_pids ~n:3 (Sched.Spec.Starve (-1))))
+
 (* ------------------------------------------------------------------ *)
 (* Policy zoo sanity: every blind policy yields a safe terminating
    Ben-Or run (policies reorder, they cannot drop or invent events). *)
@@ -776,6 +808,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_spec_roundtrip;
           Alcotest.test_case "errors" `Quick test_spec_errors;
+          Alcotest.test_case "pid range" `Quick test_spec_pid_range;
         ] );
       ( "policies",
         [

@@ -210,8 +210,9 @@ let test_summary_to_json_empty_is_null () =
 
 (* A campaign size out of range is rejected by name before anything runs:
    [jobs = 0] and negative [seeds]/[ones] used to escape as uncaught
-   exceptions, and [n = 0], [seeds = 0] or a negative [max_steps] produced
-   nan-filled or all-[limited] reports. *)
+   exceptions, [n = 0], [seeds = 0] or a negative [max_steps] produced
+   nan-filled or all-[limited] reports, and [ones > n] was clamped to [n]
+   while the report recorded the unclamped value. *)
 let test_campaign_validate () =
   let check ?(jobs = 1) ?(seeds = 10) ?(n = 3) ?(ones = 1) ?(max_steps = 1000) () =
     Workload.Campaign.validate ~jobs ~seeds ~n ~ones ~max_steps
@@ -225,10 +226,12 @@ let test_campaign_validate () =
       ("negative seeds", check ~seeds:(-1) (), "seeds must be >= 1, got -1");
       ("n", check ~n:0 (), "n must be >= 1, got 0");
       ("ones", check ~ones:(-1) (), "ones must be >= 0, got -1");
+      ("ones above n", check ~n:3 ~ones:5 (), "ones must be <= n (3), got 5");
       ("max-steps", check ~max_steps:(-5) (), "max-steps must be >= 1, got -5");
     ];
   Alcotest.(check (result unit string)) "defaults validate" (Ok ()) (check ());
-  Alcotest.(check (result unit string)) "no ones validates" (Ok ()) (check ~ones:0 ())
+  Alcotest.(check (result unit string)) "no ones validates" (Ok ()) (check ~ones:0 ());
+  Alcotest.(check (result unit string)) "all ones validates" (Ok ()) (check ~ones:3 ())
 
 let () =
   Alcotest.run "workload"
