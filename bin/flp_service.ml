@@ -8,7 +8,9 @@
    pool; reports merge deterministically, so the emitted JSON is
    byte-identical at every --jobs (and deliberately does not record the
    jobs count).  Host wall-clock numbers only appear under --wall — keep
-   them out of committed artifacts.
+   them out of committed artifacts.  The report is printed as a table; the
+   JSON is written only to the file named by -o/--out, and a run without
+   -o writes no file.
 
    Exit codes: 0 success; 1 a bad queue, policy, delay, --load or
    --hist-bounds spec (a policy naming a pid outside 0..n-1 included), or
@@ -171,10 +173,13 @@ let run protocols policies queues loads clients batches pipelines n shards delay
         ("cells", Flp_json.List (List.map (fun (c, r) -> cell_json c r) reports));
       ]
   in
-  let oc = open_out out in
-  output_string oc (Flp_json.to_string_pretty json);
-  close_out oc;
-  Format.printf "wrote %s@." out
+  Option.iter
+    (fun out ->
+      let oc = open_out out in
+      output_string oc (Flp_json.to_string_pretty json);
+      close_out oc;
+      Format.printf "wrote %s@." out)
+    out
 
 open Cmdliner
 
@@ -249,8 +254,9 @@ let wall_arg =
                  never commit such artifacts).")
 
 let out_arg =
-  Arg.(value & opt string "BENCH_service.json"
-       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"JSON output path.")
+  Arg.(value & opt (some string) None
+       & info [ "o"; "out" ] ~docv:"FILE"
+           ~doc:"Write the JSON report to $(docv).  Without it no file is written.")
 
 let metrics_arg =
   Arg.(value & opt (some string) None

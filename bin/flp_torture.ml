@@ -1,6 +1,10 @@
 (* flp_torture: torture-campaign runner — a protocol × policy × seed grid
-   under adversarial scheduling, in parallel, emitting survival curves and
-   termination-probability estimates as BENCH_adversary.json.
+   under adversarial scheduling, in parallel, printing survival curves and
+   termination-probability estimates.  The JSON report (schema
+   flp.campaign.v1) is written only to the file named by -o/--out; a run
+   without -o writes no file.  Its "n" is the n the arms ran at: one int
+   when every protocol ran at the same n, else an object from protocol
+   name to n (a zoo:NAME protocol fixes its own n, whatever -n says).
 
    Protocols come in two flavours: native simulator apps ("ben-or",
    "ben-or-det", arbitrary n) and zoo model protocols ("zoo:NAME", n fixed
@@ -59,8 +63,8 @@ let check_pids ~n policies =
       | Chaser _ -> ())
     policies
 
-(* One arm per (protocol, policy) pair.  [n]/[ones] size the sim-native
-   protocols; zoo protocols fix their own [n]. *)
+(* One arm per (protocol, policy) pair, with the n they run at.  [n]/[ones]
+   size the sim-native protocols; zoo protocols fix their own [n]. *)
 let arms_for ~pname ~policies ~n ~ones ~delays ~max_steps ~reduction =
   let mk_cfg ~n ~inputs ~seed =
     { (Sim.Engine.default_cfg ~n ~inputs ~seed) with Sim.Engine.delays; max_steps }
@@ -69,15 +73,16 @@ let arms_for ~pname ~policies ~n ~ones ~delays ~max_steps ~reduction =
     check_pids ~n policies;
     let inputs = Workload.Scenario.split n ~ones in
     let cfg ~seed = mk_cfg ~n ~inputs ~seed in
-    List.map
-      (fun (pol_str, kind) ->
-        match kind with
-        | Blind spec ->
-            Workload.Campaign.sim_arm (module App) ~protocol:pname ~policy:pol_str
-              ~spec ~cfg
-        | Chaser _ ->
-            die "policy %S needs a model protocol; use --protocol zoo:NAME" pol_str)
-      policies
+    ( n,
+      List.map
+        (fun (pol_str, kind) ->
+          match kind with
+          | Blind spec ->
+              Workload.Campaign.sim_arm (module App) ~protocol:pname ~policy:pol_str
+                ~spec ~cfg
+          | Chaser _ ->
+              die "policy %S needs a model protocol; use --protocol zoo:NAME" pol_str)
+        policies )
   in
   match pname with
   | "ben-or" -> sim_arms (module Protocols.Benor.App)
@@ -97,32 +102,33 @@ let arms_for ~pname ~policies ~n ~ones ~delays ~max_steps ~reduction =
           let inputs = Workload.Scenario.split n ~ones in
           let vinputs = Array.map Flp.Value.of_int inputs in
           let cfg ~seed = mk_cfg ~n ~inputs ~seed in
-          List.map
-            (fun (pol_str, kind) ->
-              match kind with
-              | Blind spec ->
-                  Workload.Campaign.sim_arm (module M) ~protocol:pname
-                    ~policy:pol_str ~spec ~cfg
-              | Chaser { max_configs; budget } ->
-                  let cache = Ch.cache () in
-                  {
-                    Workload.Campaign.protocol = pname;
-                    policy = pol_str;
-                    run =
-                      (fun ~seed ->
-                        let c = cfg ~seed in
-                        let policy, _stats =
-                          Ch.policy ~max_configs ~reduction ~cache ~inputs:vinputs ()
-                        in
-                        let policy =
-                          match budget with
-                          | None -> policy
-                          | Some budget -> Sched.Admissible.wrap ~budget policy
-                        in
-                        Workload.Campaign.trial_of_result ~inputs
-                          (E.run ~policy c));
-                  })
-            policies)
+          ( n,
+            List.map
+              (fun (pol_str, kind) ->
+                match kind with
+                | Blind spec ->
+                    Workload.Campaign.sim_arm (module M) ~protocol:pname
+                      ~policy:pol_str ~spec ~cfg
+                | Chaser { max_configs; budget } ->
+                    let cache = Ch.cache () in
+                    {
+                      Workload.Campaign.protocol = pname;
+                      policy = pol_str;
+                      run =
+                        (fun ~seed ->
+                          let c = cfg ~seed in
+                          let policy, _stats =
+                            Ch.policy ~max_configs ~reduction ~cache ~inputs:vinputs ()
+                          in
+                          let policy =
+                            match budget with
+                            | None -> policy
+                            | Some budget -> Sched.Admissible.wrap ~budget policy
+                          in
+                          Workload.Campaign.trial_of_result ~inputs
+                            (E.run ~policy c));
+                    })
+              policies ))
   | other -> usage "unknown protocol %S (ben-or | ben-or-det | zoo:NAME)" other
 
 let parse_hist_bounds s =
@@ -146,10 +152,18 @@ let run protocols policies n ones delay_spec seeds jobs max_steps reduction
   let delays =
     match Sim.Delay.of_string delay_spec with Ok d -> d | Error e -> die "%s" e
   in
-  let arms =
-    List.concat_map
-      (fun pname -> arms_for ~pname ~policies ~n ~ones ~delays ~max_steps ~reduction)
+  let sized =
+    List.map
+      (fun pname -> (pname, arms_for ~pname ~policies ~n ~ones ~delays ~max_steps ~reduction))
       protocols
+  in
+  let arms = List.concat_map (fun (_, (_, arms)) -> arms) sized in
+  (* The n the arms ran at: one int when all protocols agree, else one
+     entry per protocol. *)
+  let n_json =
+    match List.sort_uniq Int.compare (List.map (fun (_, (n, _)) -> n) sized) with
+    | [ n ] -> Flp_json.Int n
+    | _ -> Flp_json.Obj (List.map (fun (pname, (n, _)) -> (pname, Flp_json.Int n)) sized)
   in
   let seeds = List.init seeds (fun i -> i + 1) in
   let hist_lo, hist_hi, hist_bins =
@@ -183,7 +197,7 @@ let run protocols policies n ones delay_spec seeds jobs max_steps reduction
     Workload.Campaign.to_json
       ~meta:
         [
-          ("n", Flp_json.Int n);
+          ("n", n_json);
           ("ones", Flp_json.Int ones);
           ("delays", Flp_json.Str delay_spec);
           ("max_steps", Flp_json.Int max_steps);
@@ -191,10 +205,13 @@ let run protocols policies n ones delay_spec seeds jobs max_steps reduction
         ]
       campaign
   in
-  let oc = open_out out in
-  output_string oc (Flp_json.to_string_pretty json);
-  close_out oc;
-  Format.printf "wrote %s@." out
+  Option.iter
+    (fun out ->
+      let oc = open_out out in
+      output_string oc (Flp_json.to_string_pretty json);
+      close_out oc;
+      Format.printf "wrote %s@." out)
+    out
 
 open Cmdliner
 
@@ -248,8 +265,9 @@ let hist_bounds_arg =
            ~doc:"Decision-latency histogram bounds. Default: 0,20,40.")
 
 let out_arg =
-  Arg.(value & opt string "BENCH_adversary.json"
-       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"JSON output path.")
+  Arg.(value & opt (some string) None
+       & info [ "o"; "out" ] ~docv:"FILE"
+           ~doc:"Write the JSON report to $(docv).  Without it no file is written.")
 
 let metrics_arg =
   Arg.(value & opt (some string) None

@@ -36,7 +36,9 @@ let validate c =
 let run_shard cell ~shard =
   let (module D : Decree.S) = Decree.get cell.protocol in
   let collector = Collector.create ~clients:cell.clients in
-  let now_ref = ref 0.0 in
+  (* The engine's clock as the Mux reads it: a one-cell [float array], so
+     the per-step store is unboxed and pays no write barrier. *)
+  let now_ref = [| 0.0 |] in
   let module M =
     Mux.Make
       (D)
@@ -46,7 +48,7 @@ let run_shard cell ~shard =
         let batch = cell.batch
         let pipeline = cell.pipeline
         let collector = collector
-        let now () = !now_ref
+        let now () = now_ref.(0)
       end)
   in
   let module E = Sim.Engine.Make (M) in
@@ -61,7 +63,7 @@ let run_shard cell ~shard =
     }
   in
   let t0 = Obs.Clock.now () in
-  let result = E.run ~on_step:(fun t -> now_ref := t) cfg in
+  let result = E.run ~on_step:(fun t -> now_ref.(0) <- t) cfg in
   let wall_s = Obs.Clock.now () -. t0 in
   Collector.freeze collector ~result ~wall_s
 

@@ -59,16 +59,19 @@ type result = {
 (** Which data structure serves pending events when no adversarial policy is
     installed.  Both honour the same [(time, seq)] contract — two events at
     the same instant fire in scheduling order — so runs are identical under
-    either; they differ only in cost profile.  {!Queue_heap} is the binary
-    heap ([O(log n)] per operation, insensitive to time distribution);
+    either; they differ only in cost profile.  {!Queue_heap} is the 4-ary
+    {!Heap} ([O(log n)] per operation, insensitive to time distribution),
+    whose pending events the engine keeps as unboxed fields in columns
+    indexed by heap slot, so a send or a pop allocates no event record;
     {!Queue_wheel} is the hierarchical timer wheel ([O(1)] push, pops
-    amortised by bucket).  The service workload keeps about 16,300 events
-    pending on average (peak about 20,600).  A bare pop-then-push costs
-    about 225–275 ns on the heap and 250–300 ns on the wheel at 10,000
-    pending, and 105–150 ns against 85–130 ns at 100 (five traced
-    [flp_bench] runs on a 2-vCPU Linux host).  Ignored when a policy is installed:
-    adversarial policies pick from the {!Scheduler.Table}, not from a
-    time-ordered queue. *)
+    amortised by bucket), holding one boxed event record per pending
+    event.  The service workload keeps about 16,300 events pending on
+    average (peak about 20,600).  A bare pop-then-push of the generic
+    {!Heap.push}/{!Heap.pop} costs about 290–420 ns at 10,000 pending and
+    120–150 ns at 100, against 330–445 and 100–136 ns on the wheel (four
+    traced [flp_bench] runs on a shared 2-vCPU Linux host, E32).  Ignored when
+    a policy is installed: adversarial policies pick from the
+    {!Scheduler.Table}, not from a time-ordered queue. *)
 type queue_kind = Queue_heap | Queue_wheel
 
 type cfg = {

@@ -57,6 +57,9 @@ module R = Sim.Engine.Make (Redecider)
 
 let base n seed = Sim.Engine.default_cfg ~n ~inputs:(Array.make n 0) ~seed
 
+(* A boxed message, for the collection test below. *)
+type msg = { id : int; pad : Bytes.t }
+
 let test_all_deliver () =
   let r = E.run (base 4 1) in
   Alcotest.(check bool) "all decided" true (r.outcome = Sim.Engine.All_decided);
@@ -334,6 +337,84 @@ let test_hooks_fire_on_executed_steps () =
   (* The runs must actually exercise the timer hooks. *)
   Alcotest.(check bool) "some timer steps fired" true (!timer_steps > 0)
 
+(* A delivered message must not outlive its step.  Every message is a
+   fresh boxed record, registered in a weak table by id when it is made:
+   process 0 opens [width] relay chains, and each delivery forwards a new
+   message to the next process until [limit] messages exist, and then the
+   chains drain, so freed queue slots stop being reused.  Every [every]th
+   delivery runs a full major collection first and checks that each
+   message delivered by an earlier step is gone, except message 0:
+   the heap-served path keeps the run's first message as the filler of its
+   message column.  The wheel and the policy table pin no filler, and are
+   held to every message. *)
+let test_delivered_messages_collectable () =
+  let width = 64 and limit = 600 and every = 8 in
+  let check ~label ~filler run =
+    let weak = Weak.create limit in
+    let made = ref 0 and delivered = ref [] and checks = ref 0 and leaked = ref [] in
+    let fresh () =
+      let m = { id = !made; pad = Bytes.make 16 'm' } in
+      Weak.set weak m.id (Some m);
+      incr made;
+      m
+    in
+    let module Relay = struct
+      type state = unit
+      type nonrec msg = msg
+
+      let name = "relay"
+
+      let init ~n:_ ~pid ~input:_ ~rng:_ =
+        if pid = 0 then ((), List.init width (fun _ -> Sim.Engine.Send (1, fresh ()))) else ((), [])
+
+      let on_message ~n ~pid () ~src:_ (m : msg) =
+        if List.length !delivered mod every = 0 then begin
+          Gc.full_major ();
+          incr checks;
+          List.iter
+            (fun id -> if id <> filler && Weak.check weak id then leaked := id :: !leaked)
+            !delivered
+        end;
+        delivered := m.id :: !delivered;
+        if !made < limit then ((), [ Sim.Engine.Send ((pid + 1) mod n, fresh ()) ]) else ((), [])
+
+      let on_timer ~n:_ ~pid:_ () ~tag:_ = ((), [])
+    end in
+    let r = run (module Relay : Sim.Engine.APP with type msg = msg) in
+    Alcotest.(check int) (label ^ ": every message delivered") limit r.Sim.Engine.delivered;
+    Alcotest.(check bool) (label ^ ": collections ran") true (!checks >= limit / every);
+    Alcotest.(check (list int)) (label ^ ": delivered messages collected") [] !leaked
+  in
+  let cfg = { (base 3 5) with max_steps = 10_000 } in
+  let run_with ?policy queue (module A : Sim.Engine.APP with type msg = msg) =
+    let module M = Sim.Engine.Make (A) in
+    M.run ?policy { cfg with queue }
+  in
+  check ~label:"heap" ~filler:0 (run_with Sim.Engine.Queue_heap);
+  check ~label:"wheel" ~filler:(-1) (run_with Sim.Engine.Queue_wheel);
+  check ~label:"table" ~filler:(-1)
+    (run_with
+       ~policy:(Sim.Scheduler.lift (Sched.Policy.oblivious ()))
+       Sim.Engine.Queue_heap)
+
+(* The heap path and the oblivious policy served through the scheduler's
+   pending table are one adversary: equal results for Ben-Or at n = 3 and
+   n = 5 over a range of seeds. *)
+let test_heap_equals_oblivious_table () =
+  let module B = Sim.Engine.Make (Protocols.Benor.App) in
+  List.iter
+    (fun (n, ones) ->
+      for seed = 1 to 15 do
+        let inputs = Array.init n (fun p -> if p < ones then 1 else 0) in
+        let cfg = Sim.Engine.default_cfg ~n ~inputs ~seed in
+        let heap = B.run cfg in
+        let table = B.run ~policy:(Sim.Scheduler.lift (Sched.Policy.oblivious ())) cfg in
+        Alcotest.(check bool)
+          (Printf.sprintf "ben-or n=%d seed %d: heap = oblivious table" n seed)
+          true (same_result heap table)
+      done)
+    [ (3, 1); (5, 2) ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -356,6 +437,10 @@ let () =
             test_corrupt_can_decide_for_process;
           Alcotest.test_case "self sends" `Quick test_self_send;
           Alcotest.test_case "bad destination" `Quick test_bad_destination_recorded;
+          Alcotest.test_case "delivered messages collectable" `Quick
+            test_delivered_messages_collectable;
+          Alcotest.test_case "heap = oblivious table (ben-or)" `Quick
+            test_heap_equals_oblivious_table;
           Alcotest.test_case "hooks fire on executed steps" `Quick
             test_hooks_fire_on_executed_steps;
         ] );

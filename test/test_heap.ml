@@ -295,6 +295,67 @@ let prop_service_scale =
       done;
       !ok && peak >= 20_000 && Sim.Wheel.is_empty w && Key_set.is_empty !reference)
 
+(* The slot core against a model.  The reference maps each live key to
+   its time and the slot its push returned, in the order the heap keeps:
+   [Float.compare] on times (NaN first), then seq.  Times come from seven
+   values, NaN and both infinities among them, so ties and NaN keys are
+   common; the reference keys a time by its rank under [Float.compare]
+   among those values, which orders as the times do.  Takes are 30% of the
+   operations, so runs of 0-700 ops grow the key arrays past 16, 32, 64
+   and 128.  Every take must return the reference minimum's slot after
+   [top_time] named its time; every push must return a slot no live key
+   holds, below the capacity the heap can have grown to (the smallest
+   [16 * 2^j] at or above the peak size). *)
+module Slot_ref = Map.Make (Key)
+
+let slot_times = [| Float.nan; 0.0; 1.5; 1.5; 7.25; Float.infinity; Float.neg_infinity |]
+
+let slot_rank t =
+  Array.fold_left (fun acc u -> if Float.compare u t < 0 then acc + 1 else acc) 0 slot_times
+
+let prop_slot_core_model =
+  QCheck.Test.make ~name:"slot core = sorted (time, seq) reference" ~count:1000
+    QCheck.(list_of_size Gen.(0 -- 700) (int_bound 9))
+    (fun ops ->
+      let h : unit Sim.Heap.t = Sim.Heap.create () in
+      let reference = ref Slot_ref.empty in
+      let seq = ref 0 and peak = ref 0 and ok = ref true in
+      let capacity () =
+        let c = ref 16 in
+        while !c < !peak do
+          c := 2 * !c
+        done;
+        !c
+      in
+      let take () =
+        match Slot_ref.min_binding_opt !reference with
+        | None -> ()
+        | Some (key, (t, slot)) ->
+            if Float.compare (Sim.Heap.top_time h) t <> 0 then ok := false;
+            if Sim.Heap.take_slot h <> slot then ok := false;
+            reference := Slot_ref.remove key !reference
+      in
+      let push time =
+        let slot = Sim.Heap.push_slot h ~time in
+        if Slot_ref.exists (fun _ (_, s) -> s = slot) !reference then ok := false;
+        reference := Slot_ref.add (slot_rank time, !seq) (time, slot) !reference;
+        incr seq;
+        peak := max !peak (Slot_ref.cardinal !reference);
+        if slot < 0 || slot >= capacity () then ok := false
+      in
+      List.iter
+        (fun op ->
+          if op < 3 then take () else push slot_times.(op - 3);
+          if Sim.Heap.size h <> Slot_ref.cardinal !reference then ok := false)
+        ops;
+      while !ok && not (Slot_ref.is_empty !reference) do
+        take ()
+      done;
+      let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      !ok && Sim.Heap.is_empty h
+      && raises (fun () -> Sim.Heap.top_time h)
+      && raises (fun () -> Sim.Heap.take_slot h))
+
 let () =
   Alcotest.run "heap"
     [
@@ -315,5 +376,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_differential;
           QCheck_alcotest.to_alcotest prop_clear_interleaved;
           QCheck_alcotest.to_alcotest prop_service_scale;
+          QCheck_alcotest.to_alcotest prop_slot_core_model;
         ] );
     ]

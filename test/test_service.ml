@@ -124,6 +124,53 @@ let test_heap_wheel_equivalent () =
       ("fast", Service.Gen.Open { rate = 2.0; horizon = 6.0 });
     ]
 
+(* The heap path and the oblivious policy served through the scheduler's
+   pending table are one adversary for the service Mux too: for classic
+   Paxos in a small closed-loop cell, equal engine results and equal
+   shard measurements over several seeds. *)
+let test_heap_equals_oblivious_table () =
+  let (module D : Service.Decree.S) = Service.Decree.get "classic" in
+  let run ~table seed =
+    let collector = Service.Collector.create ~clients:12 in
+    let now = [| 0.0 |] in
+    let module M =
+      Service.Mux.Make
+        (D)
+        (struct
+          let clients = 12
+          let load = Service.Gen.Closed { think = 0.5; ops = 3 }
+          let batch = 1
+          let pipeline = 1024
+          let collector = collector
+          let now () = now.(0)
+        end)
+    in
+    let module E = Sim.Engine.Make (M) in
+    let cfg = Sim.Engine.default_cfg ~n:3 ~inputs:(Array.make 3 0) ~seed in
+    let policy = if table then Some (Sim.Scheduler.lift (Sched.Policy.oblivious ())) else None in
+    let r = E.run ?policy ~on_step:(fun t -> now.(0) <- t) cfg in
+    (r, Service.Collector.freeze collector ~result:r ~wall_s:0.0)
+  in
+  let floats_equal a b = Array.length a = Array.length b && Array.for_all2 Float.equal a b in
+  for seed = 1 to 5 do
+    let (h : Sim.Engine.result), (hs : Service.Collector.shard) = run ~table:false seed in
+    let (t : Sim.Engine.result), (ts : Service.Collector.shard) = run ~table:true seed in
+    let label s = Printf.sprintf "classic seed %d: heap = oblivious table: %s" seed s in
+    Alcotest.(check bool) (label "steps > 0") true (h.steps > 0);
+    Alcotest.(check bool)
+      (label "engine result") true
+      (h.decisions = t.decisions
+      && floats_equal h.decision_times t.decision_times
+      && h.sent = t.sent && h.delivered = t.delivered && h.steps = t.steps
+      && Float.equal h.end_time t.end_time
+      && h.outcome = t.outcome && h.violations = t.violations);
+    Alcotest.(check bool)
+      (label "shard") true
+      (hs.completed = ts.completed && hs.decided = ts.decided && hs.learns = ts.learns
+      && hs.per_client = ts.per_client
+      && floats_equal hs.latencies ts.latencies)
+  done
+
 (* The roadmap pin: a thundering herd of 1024 zero-think clients with an
    open pipeline really does put >= 1000 decrees in flight at once in a
    single engine run. *)
@@ -323,6 +370,8 @@ let () =
           Alcotest.test_case "open loop drains" `Quick test_open_loop_drains;
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
           Alcotest.test_case "heap = wheel reports" `Quick test_heap_wheel_equivalent;
+          Alcotest.test_case "heap = oblivious table (classic)" `Quick
+            test_heap_equals_oblivious_table;
           Alcotest.test_case "1000+ concurrent instances" `Quick
             test_thousand_concurrent_instances;
           Alcotest.test_case "pipeline bounds inflight" `Quick
