@@ -1,7 +1,9 @@
 (* consensus_sim: run any of the library's consensus / commit protocols on
    the asynchronous discrete-event simulator across a batch of seeds, with
    configurable crash schedules and delay distributions, and print the
-   aggregate (termination, blocking, latency, messages). *)
+   aggregate (termination, blocking, latency, messages).
+
+   Exit codes: the table in README.md, "Exit codes". *)
 
 let apps =
   [ "ben-or"; "ben-or-det"; "chandra-toueg"; "2pc"; "3pc"; "dead-start";
@@ -17,32 +19,14 @@ let parse_crash_spec n spec =
         | [ p; t ] -> (
             match (int_of_string_opt p, float_of_string_opt t) with
             | Some p, Some t when p >= 0 && p < n -> crash_times.(p) <- Some t
-            | _ -> failwith ("bad crash spec: " ^ part))
-        | _ -> failwith ("bad crash spec: " ^ part))
+            | _ -> Cli.usage "bad crash spec: %s" part)
+        | _ -> Cli.usage "bad crash spec: %s" part)
       (String.split_on_char ',' spec);
   crash_times
 
-(* A degenerate count is a usage error: one line, exit 2. *)
-let usage fmt =
-  Format.kasprintf (fun m -> Format.eprintf "consensus_sim: %s@." m; exit 2) fmt
-
-let run app n ones crash_spec delay_spec seeds max_steps obs =
-  if n < 1 then usage "n must be >= 1, got %d" n;
-  if ones < 0 || ones > n then usage "ones must be between 0 and n = %d, got %d" n ones;
-  if seeds < 1 then usage "seeds must be >= 1, got %d" seeds;
-  let delays =
-    match Sim.Delay.of_string delay_spec with
-    | Ok d -> d
-    | Error e ->
-        Format.eprintf "%s@." e;
-        exit 1
-  in
-  let crash_times =
-    try parse_crash_spec n crash_spec
-    with Failure e ->
-      Format.eprintf "%s@." e;
-      exit 1
-  in
+let run app n ones crash_spec (delay_spec, delays) seeds max_steps obs =
+  if ones < 0 || ones > n then Cli.usage "ones must be between 0 and n = %d, got %d" n ones;
+  let crash_times = parse_crash_spec n crash_spec in
   let inputs = Workload.Scenario.split n ~ones in
   let cfg ~seed =
     {
@@ -99,9 +83,7 @@ let run app n ones crash_spec delay_spec seeds max_steps obs =
         end) in
         let module E = Workload.Experiment.Async (App) in
         E.run ~obs ~seeds ~cfg ()
-    | other ->
-        Format.eprintf "unknown app %S; choose from: %s@." other (String.concat ", " apps);
-        exit 1
+    | other -> Cli.usage "unknown app %S; choose from: %s" other (String.concat ", " apps)
   in
   Format.printf "== %s: n=%d, inputs=%d ones, delays=%s, crashes=%S, %d seeds ==@." app n
     ones delay_spec crash_spec (List.length seeds);
@@ -116,7 +98,7 @@ open Cmdliner
 let app_arg =
   Arg.(value & opt string "ben-or" & info [ "a"; "app" ] ~docv:"APP" ~doc:"Protocol to run.")
 
-let n_arg = Arg.(value & opt int 5 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+let n_arg = Arg.(value & opt Cli.pos_int 5 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
 let ones_arg =
   Arg.(value & opt int 2 & info [ "ones" ] ~docv:"K" ~doc:"Processes with input 1 (rest 0).")
@@ -124,35 +106,18 @@ let ones_arg =
 let crash_arg =
   Arg.(value & opt string "" & info [ "crash" ] ~docv:"SPEC" ~doc:"Crash schedule, e.g. 0@1.5,2@0.0.")
 
-let delay_arg =
-  Arg.(value & opt string "uniform:0.1,1" & info [ "delays" ] ~docv:"DIST"
-         ~doc:"const:D | uniform:LO,HI | exp:MEAN | pareto:SCALE,SHAPE.")
-
-let seeds_arg = Arg.(value & opt int 50 & info [ "seeds" ] ~docv:"N" ~doc:"Seeded trials.")
+let seeds_arg = Arg.(value & opt Cli.pos_int 50 & info [ "seeds" ] ~docv:"N" ~doc:"Seeded trials.")
 
 let max_steps_arg =
-  Arg.(value & opt int 500_000 & info [ "max-steps" ] ~docv:"N" ~doc:"Event budget per trial.")
-
-let metrics_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Write sim.* metrics as JSON Lines to $(docv).")
-
-let trace_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE" ~doc:"Write a span trace as JSON Lines to $(docv).")
-
-let timings_arg =
-  Arg.(value & flag & info [ "timings" ] ~doc:"Print a wall-time metrics table to stderr at exit.")
+  Arg.(value & opt Cli.pos_int 500_000 & info [ "max-steps" ] ~docv:"N" ~doc:"Event budget per trial.")
 
 let cmd =
-  let main app n ones crash delays seeds max_steps metrics_file trace_file timings =
-    Obs.with_reporting ?metrics_file ?trace_file ~timings (fun obs ->
-        run app n ones crash delays seeds max_steps obs)
+  let main app n ones crash delays seeds max_steps obs =
+    Cli.with_obs obs (run app n ones crash delays seeds max_steps)
   in
   Cmd.v
     (Cmd.info "consensus_sim" ~doc:"Batch-simulate consensus and commit protocols")
-    Term.(const main $ app_arg $ n_arg $ ones_arg $ crash_arg $ delay_arg $ seeds_arg
-          $ max_steps_arg $ metrics_arg $ trace_arg $ timings_arg)
+    Term.(const main $ app_arg $ n_arg $ ones_arg $ crash_arg $ Cli.delays_arg $ seeds_arg
+          $ max_steps_arg $ Cli.obs_flags ~metrics:"sim.* metrics")
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

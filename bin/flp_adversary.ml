@@ -7,10 +7,10 @@
    forever; on any real (finite) protocol it eventually reports the exact
    stage at which the Lemma 3 hypothesis fails.
 
-   Exit codes: 0 the run completed, got stuck or could not start (reported
-   on stdout); 1 [--inputs] of the wrong length, or a state space beyond
-   [--max-configs]; 2 an unknown protocol (one line on stderr); 124
-   cmdliner errors. *)
+   A run that completes, gets stuck or cannot start (the inputs are not
+   bivalent) is reported on stdout; [--inputs] of the wrong length and a
+   state space beyond [--max-configs] are usage errors.  Exit codes: the
+   table in README.md, "Exit codes". *)
 
 let parse_inputs s n =
   if String.length s <> n then None
@@ -22,52 +22,44 @@ let parse_inputs s n =
     with Invalid_argument _ -> None
 
 let run name inputs_str stages max_configs verbose obs =
-  match Flp.Zoo.find name with
-  | None ->
-      Format.eprintf "unknown protocol %S (see flp_check --list)@." name;
-      exit 2
-  | Some protocol ->
-      let module P = (val protocol : Flp.Protocol.S) in
-      let module A = Flp.Analysis.Make (P) in
-      let inputs =
-        match parse_inputs inputs_str P.n with
-        | Some v -> v
-        | None ->
-            Format.eprintf "--inputs must be %d characters of 0/1@." P.n;
-            exit 1
-      in
-      Format.printf "== Theorem 1 adversary on %s, inputs %s, %d stages ==@.@." P.name
-        inputs_str stages;
-      (try
-         let run = A.Adversary.run ~obs ~max_configs ~stages inputs in
-         List.iteri
-           (fun i (s : A.Adversary.stage) ->
-             if verbose then begin
-               Format.printf "stage %2d: p%d must receive %a; schedule:" (i + 1) s.process
-                 A.C.pp_event s.forced_event;
-               List.iter (fun e -> Format.printf " %a" A.C.pp_event e) s.schedule;
-               Format.printf "@."
-             end
-             else
-               Format.printf "stage %2d: head p%d, %d events, still bivalent@." (i + 1)
-                 s.process (List.length s.schedule))
-           run.stages;
-         Format.printf "@.%d stages, %d events total, no process ever decided.@."
-           (List.length run.stages) run.steps;
-         match run.outcome with
-         | A.Adversary.Completed ->
-             Format.printf "All requested stages completed while preserving bivalence.@."
-         | A.Adversary.Stuck { stage; reason } ->
-             Format.printf
-               "Stuck at stage %d: %s@.@.This is where the concrete protocol escapes \
-                Theorem 1's hypothesis — a totally correct protocol would never reach \
-                this point, which is exactly the contradiction in the paper.@."
-               stage reason
-       with
-      | Invalid_argument msg -> Format.printf "cannot start: %s@." msg
-      | A.Valency.Incomplete ->
-          Format.eprintf "state space exceeds --max-configs; raise the budget@.";
-          exit 1)
+  let module P = (val Cli.zoo_protocol name : Flp.Protocol.S) in
+  let module A = Flp.Analysis.Make (P) in
+  let inputs =
+    match parse_inputs inputs_str P.n with
+    | Some v -> v
+    | None -> Cli.usage "--inputs must be %d characters of 0/1, got %S" P.n inputs_str
+  in
+  Format.printf "== Theorem 1 adversary on %s, inputs %s, %d stages ==@.@." P.name
+    inputs_str stages;
+  (try
+     let run = A.Adversary.run ~obs ~max_configs ~stages inputs in
+     List.iteri
+       (fun i (s : A.Adversary.stage) ->
+         if verbose then begin
+           Format.printf "stage %2d: p%d must receive %a; schedule:" (i + 1) s.process
+             A.C.pp_event s.forced_event;
+           List.iter (fun e -> Format.printf " %a" A.C.pp_event e) s.schedule;
+           Format.printf "@."
+         end
+         else
+           Format.printf "stage %2d: head p%d, %d events, still bivalent@." (i + 1)
+             s.process (List.length s.schedule))
+       run.stages;
+     Format.printf "@.%d stages, %d events total, no process ever decided.@."
+       (List.length run.stages) run.steps;
+     match run.outcome with
+     | A.Adversary.Completed ->
+         Format.printf "All requested stages completed while preserving bivalence.@."
+     | A.Adversary.Stuck { stage; reason } ->
+         Format.printf
+           "Stuck at stage %d: %s@.@.This is where the concrete protocol escapes \
+            Theorem 1's hypothesis — a totally correct protocol would never reach \
+            this point, which is exactly the contradiction in the paper.@."
+           stage reason
+   with
+  | Invalid_argument msg -> Format.printf "cannot start: %s@." msg
+  | A.Valency.Incomplete ->
+      Cli.usage "state space exceeds --max-configs %d; raise the budget" max_configs)
 
 open Cmdliner
 
@@ -80,33 +72,18 @@ let inputs_arg =
 let stages_arg = Arg.(value & opt int 30 & info [ "stages" ] ~docv:"N" ~doc:"Stages to attempt.")
 
 let max_configs_arg =
-  Arg.(value & opt int 600_000 & info [ "max-configs" ] ~docv:"N" ~doc:"Exploration budget.")
+  Arg.(value & opt Cli.pos_int 600_000 & info [ "max-configs" ] ~docv:"N" ~doc:"Exploration budget.")
 
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print full stage schedules.")
 
-let metrics_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Write adversary/explorer metrics as JSON Lines to $(docv).")
-
-let trace_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write stage transition events (one JSON object per line) to $(docv).")
-
-let timings_arg =
-  Arg.(value & flag
-       & info [ "timings" ] ~doc:"Print a wall-time metrics table to stderr at exit.")
-
 let cmd =
-  let main name inputs stages max_configs verbose metrics_file trace_file timings =
-    Obs.with_reporting ?metrics_file ?trace_file ~timings (fun obs ->
-        run name inputs stages max_configs verbose obs)
+  let main name inputs stages max_configs verbose obs =
+    Cli.with_obs obs (run name inputs stages max_configs verbose)
   in
   Cmd.v
     (Cmd.info "flp_adversary" ~doc:"Construct the FLP non-deciding run stage by stage")
     Term.(
       const main $ protocol_arg $ inputs_arg $ stages_arg $ max_configs_arg $ verbose_arg
-      $ metrics_arg $ trace_arg $ timings_arg)
+      $ Cli.obs_flags ~metrics:"adversary/explorer metrics")
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

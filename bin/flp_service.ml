@@ -12,23 +12,12 @@
    JSON is written only to the file named by -o/--out, and a run without
    -o writes no file.
 
-   Exit codes: 0 success; 1 a bad queue, policy, delay, --load or
-   --hist-bounds spec (a policy naming a pid outside 0..n-1 included), or
-   zipped flags of mismatched lengths; 2 usage
-   errors, each one line on stderr: an unknown protocol, or a count below 1;
-   124 cmdliner errors. *)
-
-let die fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 1) fmt
-
-(* An unknown protocol or a degenerate cell (a count below 1) is a usage
-   error: one line, exit 2. *)
-let usage fmt =
-  Format.kasprintf (fun m -> Format.eprintf "flp_service: %s@." m; exit 2) fmt
+   Exit codes: the table in README.md, "Exit codes". *)
 
 let parse_queue = function
   | "heap" -> Sim.Engine.Queue_heap
   | "wheel" -> Sim.Engine.Queue_wheel
-  | q -> die "unknown queue %S (heap | wheel)" q
+  | q -> Cli.usage "unknown queue %S (heap | wheel)" q
 
 let queue_str = function
   | Sim.Engine.Queue_heap -> "heap"
@@ -40,47 +29,28 @@ let align ~what ~loads xs =
   | [ x ] -> List.map (fun _ -> x) loads
   | xs when List.length xs = List.length loads -> xs
   | xs ->
-      die "--%s given %d times but --load %d times (give 1, or 1 per load)" what
+      Cli.usage "--%s given %d times but --load %d times (give 1, or 1 per load)" what
         (List.length xs) (List.length loads)
 
-let parse_hist_bounds s =
-  match String.split_on_char ',' s with
-  | [ lo; hi; bins ] -> (
-      match (float_of_string_opt lo, float_of_string_opt hi, int_of_string_opt bins) with
-      | Some lo, Some hi, Some bins when lo < hi && bins > 0 -> (lo, hi, bins)
-      | _ -> die "bad --hist-bounds %S (want LO,HI,BINS with LO < HI, BINS > 0)" s)
-  | _ -> die "bad --hist-bounds %S (want LO,HI,BINS)" s
-
-let run protocols policies queues loads clients batches pipelines n shards delay_spec
-    seed max_steps jobs hist_bounds wall out obs =
+let run protocols policies queues loads clients batches pipelines n shards
+    (delay_spec, delays) seed max_steps jobs (hist_lo, hist_hi, hist_bins) wall out obs =
   let protocols = if protocols = [] then [ "fast"; "classic" ] else protocols in
   List.iter
     (fun p ->
       if Option.is_none (Service.Decree.find p) then
-        usage "unknown protocol %S (fast | classic)" p)
+        Cli.usage "unknown protocol %S (fast | classic)" p)
     protocols;
   let policies = if policies = [] then [ "oblivious" ] else policies in
-  let policies =
-    List.map
-      (fun s -> match Sched.Spec.of_string s with Ok p -> p | Error e -> die "%s" e)
-      policies
-  in
+  let policies = List.map (fun s -> Cli.ok_or_usage (Sched.Spec.of_string s)) policies in
   let queues =
     (match queues with [] -> [ "heap"; "wheel" ] | qs -> qs) |> List.map parse_queue
   in
   let loads = if loads = [] then [ "closed:0.5:4" ] else loads in
-  let loads =
-    List.map
-      (fun s -> match Service.Gen.of_string s with Ok l -> l | Error e -> die "%s" e)
-      loads
-  in
+  let loads = List.map (fun s -> Cli.ok_or_usage (Service.Gen.of_string s)) loads in
   let clients = align ~what:"clients" ~loads (match clients with [] -> [ 48 ] | c -> c) in
   let batches = align ~what:"batch" ~loads (match batches with [] -> [ 1 ] | b -> b) in
   let pipelines =
     align ~what:"pipeline" ~loads (match pipelines with [] -> [ 1024 ] | p -> p)
-  in
-  let delays =
-    match Sim.Delay.of_string delay_spec with Ok d -> d | Error e -> die "%s" e
   in
   let workloads =
     List.map2
@@ -116,18 +86,9 @@ let run protocols policies queues loads clients batches pipelines n shards delay
           policies)
       protocols
   in
-  if jobs < 1 then usage "jobs must be >= 1, got %d" jobs;
-  List.iter
-    (fun cell ->
-      match Service.Runner.validate cell with Ok () -> () | Error e -> usage "%s" e)
-    cells;
+  List.iter (fun cell -> Cli.ok_or_usage (Service.Runner.validate cell)) cells;
   (* after the counts, so that a bad [n] is reported as such *)
-  List.iter
-    (fun p -> match Sched.Spec.check_pids ~n p with Ok () -> () | Error e -> die "%s" e)
-    policies;
-  let hist_lo, hist_hi, hist_bins =
-    match hist_bounds with None -> (0.0, 20.0, 40) | Some s -> parse_hist_bounds s
-  in
+  List.iter (fun p -> Cli.ok_or_usage (Sched.Spec.check_pids ~n p)) policies;
   Format.printf "== service: %d cells x %d shards, jobs=%d, delays=%s ==@."
     (List.length cells) shards jobs delay_spec;
   let reports =
@@ -175,9 +136,7 @@ let run protocols policies queues loads clients batches pipelines n shards delay
   in
   Option.iter
     (fun out ->
-      let oc = open_out out in
-      output_string oc (Flp_json.to_string_pretty json);
-      close_out oc;
+      Cli.write_file out (Flp_json.to_string_pretty json);
       Format.printf "wrote %s@." out)
     out
 
@@ -231,21 +190,14 @@ let shards_arg =
   Arg.(value & opt int 4
        & info [ "shards" ] ~docv:"K" ~doc:"Independent engine universes per cell.")
 
-let delay_arg =
-  Arg.(value & opt string "uniform:0.1,1" & info [ "delays" ] ~docv:"DIST"
-         ~doc:"const:D | uniform:LO,HI | exp:MEAN | pareto:SCALE,SHAPE.")
-
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Base RNG seed.")
 
 let max_steps_arg =
-  Arg.(value & opt int 5_000_000 & info [ "max-steps" ] ~docv:"N" ~doc:"Event budget per shard.")
+  Arg.(value & opt Cli.pos_int 5_000_000
+       & info [ "max-steps" ] ~docv:"N" ~doc:"Event budget per shard.")
 
-let jobs_arg = Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains.")
-
-let hist_bounds_arg =
-  Arg.(value & opt (some string) None
-       & info [ "hist-bounds" ] ~docv:"LO,HI,BINS"
-           ~doc:"Latency histogram bounds. Default: 0,20,40.")
+let jobs_arg =
+  Arg.(value & opt Cli.pos_int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains.")
 
 let wall_arg =
   Arg.(value & flag
@@ -253,36 +205,21 @@ let wall_arg =
            ~doc:"Include host wall-clock seconds in the JSON (machine-dependent; \
                  never commit such artifacts).")
 
-let out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "o"; "out" ] ~docv:"FILE"
-           ~doc:"Write the JSON report to $(docv).  Without it no file is written.")
-
-let metrics_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics" ] ~docv:"FILE" ~doc:"Write service/pool metrics as JSON Lines to $(docv).")
-
-let trace_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE" ~doc:"Write a span trace as JSON Lines to $(docv).")
-
-let timings_arg =
-  Arg.(value & flag & info [ "timings" ] ~doc:"Print a wall-time metrics table to stderr at exit.")
-
 let cmd =
   let main protocols policies queues loads clients batches pipelines n shards delays
-      seed max_steps jobs hist_bounds wall out metrics_file trace_file timings =
-    Obs.with_reporting ?metrics_file ?trace_file ~timings (fun obs ->
-        run protocols policies queues loads clients batches pipelines n shards delays
-          seed max_steps jobs hist_bounds wall out obs)
+      seed max_steps jobs hist_bounds wall out obs =
+    Cli.with_obs obs
+      (run protocols policies queues loads clients batches pipelines n shards delays
+         seed max_steps jobs hist_bounds wall out)
   in
   Cmd.v
     (Cmd.info "flp_service"
        ~doc:"Benchmark consensus as a service: multi-decree workloads over the simulator")
     Term.(
       const main $ protocols_arg $ policies_arg $ queues_arg $ loads_arg
-      $ clients_arg $ batch_arg $ pipeline_arg $ n_arg $ shards_arg $ delay_arg
-      $ seed_arg $ max_steps_arg $ jobs_arg $ hist_bounds_arg $ wall_arg $ out_arg
-      $ metrics_arg $ trace_arg $ timings_arg)
+      $ clients_arg $ batch_arg $ pipeline_arg $ n_arg $ shards_arg $ Cli.delays_arg
+      $ seed_arg $ max_steps_arg $ jobs_arg
+      $ Cli.hist_bounds_arg ~doc:"Latency histogram bounds."
+      $ wall_arg $ Cli.out_arg $ Cli.obs_flags ~metrics:"service/pool metrics")
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

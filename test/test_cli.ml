@@ -1,0 +1,119 @@
+(* bin/: the command-line contract shared by the eight binaries (README.md,
+   "Exit codes").  Each row runs one built executable and pins its exit
+   code: 0 the run completed, 1 the run found what the tool gates on, 2 the
+   input was rejected.  A rejected input must leave exactly one line on
+   stderr, prefixed with the binary's name.  Runs are kept small, and every
+   output path a row names is either unwritable or never reached. *)
+
+type row = { exe : string; args : string list; code : int }
+
+let row exe args code = { exe; args; code }
+
+let unknown_option exe = row exe [ "--bogus" ] 2
+
+let help exe = row exe [ "--help" ] 0
+
+let binaries =
+  [ "flp_check"; "flp_adversary"; "consensus_sim"; "flp_lint"; "flp_torture";
+    "flp_detlint"; "flp_causal"; "flp_service" ]
+
+let rows =
+  [
+    (* a degenerate campaign size *)
+    row "flp_torture" [ "-j"; "0" ] 2;
+    (* out-of-range pids and --ones: a bad policy spec is a rejected input *)
+    row "flp_torture" [ "-s"; "starve:9"; "-n"; "3" ] 2;
+    row "flp_torture" [ "-s"; "admissible:16:partition:0+7@1.5"; "-n"; "3" ] 2;
+    row "flp_torture" [ "--ones"; "5"; "-n"; "3" ] 2;
+    row "flp_torture" [ "-p"; "zoo:and-wait"; "--ones"; "3" ] 2;
+    row "flp_service" [ "--policy"; "partition:0+7@1.5" ] 2;
+    row "flp_causal" [ "-p"; "and-wait"; "-s"; "starve:2" ] 2;
+    (* a budget below 1 *)
+    row "flp_check" [ "-p"; "parity"; "--max-configs"; "0" ] 2;
+    (* a budget that truncates a graph Lemma 3 needs, degenerate counts, and
+       an unknown --protocol on every binary that takes one *)
+    row "flp_check" [ "-p"; "race:3"; "--max-configs"; "100" ] 2;
+    row "consensus_sim" [ "-n"; "0" ] 2;
+    row "consensus_sim" [ "-n"; "1" ] 2;
+    row "consensus_sim" [ "--ones"; "9" ] 2;
+    row "consensus_sim" [ "--seeds"; "0" ] 2;
+    row "flp_causal" [ "--jobs"; "0" ] 2;
+    row "flp_causal" [ "--seeds=-1" ] 2;
+    row "flp_causal" [ "--ones=-1" ] 2;
+    row "flp_check" [ "-p"; "nonsense" ] 2;
+    row "flp_adversary" [ "-p"; "nonsense" ] 2;
+    row "flp_torture" [ "-p"; "nonsense" ] 2;
+    row "flp_torture" [ "-p"; "zoo:nonsense" ] 2;
+    row "flp_causal" [ "-p"; "nonsense" ] 2;
+    row "flp_service" [ "-p"; "nonsense" ] 2;
+    row "flp_lint" [ "-p"; "nonsense" ] 2;
+    (* a degenerate service cell *)
+    row "flp_service" [ "--batch"; "0"; "-o"; "unused.json" ] 2;
+    (* unwritable outputs end in one line, not an uncaught Sys_error *)
+    row "flp_torture" [ "--seeds"; "1"; "-o"; "/nonexistent/x.json" ] 2;
+    row "flp_service" [ "--clients"; "2"; "-o"; "/nonexistent/x.json" ] 2;
+    row "flp_detlint" [ "../lib/json"; "--out"; "/nonexistent/x.json" ] 2;
+    row "flp_causal" [ "-p"; "and-wait"; "--chrome"; "/nonexistent/c.json" ] 2;
+    row "flp_check" [ "-p"; "and-wait"; "--dot"; "/nonexistent/x.dot" ] 2;
+    row "flp_lint" [ "-p"; "and-wait"; "--metrics"; "/nonexistent/m.jsonl" ] 2;
+    (* counts below 1 that sibling binaries already rejected *)
+    row "flp_adversary" [ "--max-configs"; "0" ] 2;
+    row "flp_service" [ "--max-steps"; "0" ] 2;
+    row "consensus_sim" [ "--max-steps"; "0" ] 2;
+    row "flp_causal" [ "--max-steps"; "0" ] 2;
+    (* bad specs and names *)
+    row "flp_adversary" [ "--inputs"; "01" ] 2;
+    row "flp_adversary" [ "-p"; "race:3"; "--max-configs"; "100" ] 2;
+    row "consensus_sim" [ "-a"; "bogus" ] 2;
+    row "consensus_sim" [ "--crash"; "9@1" ] 2;
+    row "consensus_sim" [ "--delays"; "exp:-1" ] 2;
+    row "flp_service" [ "--load"; "bogus" ] 2;
+    row "flp_service" [ "--hist-bounds"; "5,1,10" ] 2;
+    row "flp_service" [ "--load"; "closed:0.5:3"; "--load"; "open:2:8"; "--clients"; "1";
+                        "--clients"; "2"; "--clients"; "3" ] 2;
+    row "flp_torture" [ "-s"; "chaser"; "-p"; "ben-or" ] 2;
+    row "flp_torture" [ "-s"; "exp:bogus" ] 2;
+    row "flp_lint" [ "--rule"; "bogus" ] 2;
+    row "flp_detlint" [ "--rule"; "bogus"; "../lib/json" ] 2;
+    row "flp_detlint" [] 2;
+    (* small runs that complete *)
+    row "flp_check" [ "-p"; "and-wait" ] 0;
+    row "flp_lint" [ "-p"; "and-wait"; "--json" ] 0;
+    row "flp_torture" [ "--seeds"; "1" ] 0;
+    row "flp_causal" [ "-p"; "and-wait"; "--audit-indep" ] 0;
+  ]
+  @ List.map unknown_option binaries
+  @ List.map help binaries
+
+let slurp path = In_channel.with_open_bin path In_channel.input_all
+
+let run { exe; args; code } () =
+  let out = "test_cli.stdout" and err = "test_cli.stderr" in
+  let argv = List.map Filename.quote (Filename.concat "../bin" (exe ^ ".exe") :: args) in
+  (* TERM=dumb keeps --help plain text, with no pager *)
+  let got =
+    Sys.command
+      (Printf.sprintf "TERM=dumb %s > %s 2> %s" (String.concat " " argv) out err)
+  in
+  let stderr = slurp err in
+  Alcotest.(check int) (Printf.sprintf "exit code (stderr: %S)" stderr) code got;
+  if code = 2 then begin
+    Alcotest.(check int) "stderr lines" 1
+      (List.length (String.split_on_char '\n' stderr) - 1);
+    Alcotest.(check bool)
+      (Printf.sprintf "stderr %S starts with %S" stderr (exe ^ ": "))
+      true
+      (String.starts_with ~prefix:(exe ^ ": ") stderr)
+  end
+
+let () =
+  Alcotest.run "cli"
+    [
+      ( "exit codes",
+        List.map
+          (fun r ->
+            Alcotest.test_case
+              (Printf.sprintf "%s %s -> %d" r.exe (String.concat " " r.args) r.code)
+              `Quick (run r))
+          rows );
+    ]
