@@ -18,7 +18,8 @@ let parse_crash_spec n spec =
         match String.split_on_char '@' part with
         | [ p; t ] -> (
             match (int_of_string_opt p, float_of_string_opt t) with
-            | Some p, Some t when p >= 0 && p < n -> crash_times.(p) <- Some t
+            | Some p, Some t when p >= 0 && p < n && Float.is_finite t ->
+                crash_times.(p) <- Some t
             | _ -> Cli.usage "bad crash spec: %s" part)
         | _ -> Cli.usage "bad crash spec: %s" part)
       (String.split_on_char ',' spec);

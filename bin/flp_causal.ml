@@ -58,12 +58,7 @@ let run_cell ~delays ~max_steps ~ones ~cones ~critical ~show_width ~audit_indep 
     result.Sim.Engine.steps result.Sim.Engine.end_time;
   Causal.Report.summary b r;
   if critical then Causal.Report.critical_paths b r;
-  let cone_pids =
-    match cones with
-    | [] -> []
-    | pids -> List.filter (fun p -> p >= 0 && p < P.n) pids
-  in
-  List.iter (fun pid -> Causal.Report.cone b r ~pid) cone_pids;
+  List.iter (fun pid -> Causal.Report.cone b r ~pid) cones;
   if show_width then Causal.Report.width b r;
   let audit =
     if audit_indep then Some (Causal.Report.audit b ~annotated:M.annotated r)
@@ -77,13 +72,19 @@ let run protocols policies seeds ones (_, delays) max_steps jobs cones critical
   let protocols = if protocols = [] then default_protocols else protocols in
   let policies = if policies = [] then [ "fifo" ] else policies in
   let specs = List.map (fun s -> (s, Cli.ok_or_usage (Sched.Spec.of_string s))) policies in
-  (* Resolve each protocol, and check each policy's pids against its n,
-     before fanning out: a worker domain never meets a bad name. *)
+  (* Resolve each protocol, and check each policy's and cone's pids
+     against its n, before fanning out: a worker domain never meets a bad
+     name. *)
   let cells =
     List.concat_map
       (fun proto ->
         let protocol = Cli.zoo_protocol proto in
         let module P = (val protocol : Flp.Protocol.S) in
+        List.iter
+          (fun pid ->
+            if pid < 0 || pid >= P.n then
+              Cli.usage "--cone %d: %s has processes 0..%d" pid proto (P.n - 1))
+          cones;
         List.concat_map
           (fun (policy, spec) ->
             Cli.ok_or_usage (Sched.Spec.check_pids ~n:P.n spec);

@@ -32,6 +32,8 @@ module Or_wait = struct
      hereditary bound); [None] would also be fine, just unreduced. *)
   let may_send = Some (fun ~pid st d -> (not st.sent) && d = 1 - pid)
 
+  let ignores = None
+
   let equal_state = ( = )
 
   let hash_state = Hashtbl.hash

@@ -258,14 +258,27 @@ module Make (P : Protocol.S) = struct
        tried before you, minus anything your own process touches" — distinct
        pids commute by Lemma 1, so those branches stay covered).  [deferred]
        keeps the rest of the enabled events so the cycle proviso can expand
-       them without recomputing the plan. *)
+       them without recomputing the plan; it is empty when no proviso
+       applies (a full plan, or an inert one). *)
     type plan = {
       chosen : (C.event * C.t * C.event list) list;
       deferred : C.event list;  (* live (non-self-loop) \ chosen, canonical order *)
       ample_pruned : int;  (* enabled events outside the ample set *)
       slept : int;  (* ample events delegated by the sleep snapshot *)
-      partial : bool;  (* chosen is a strict subset of the enabled events *)
     }
+
+    (* The first enabled delivery the protocol declares inert
+       ({!Protocol.S.ignores}): it changes no state, sends nothing, and
+       stays a no-op whatever else happens first. *)
+    let first_inert cfg enabled = List.find_opt (C.ignored cfg) enabled
+
+    (* Where the inert chain from [cfg] ends: take the first inert delivery
+       until none is left, as the plans below do.  Every link removes one
+       message and sends none, so the walk ends within the buffer's size. *)
+    let rec chain_end ~filter cfg =
+      match first_inert cfg (List.filter filter (C.events cfg)) with
+      | Some e -> chain_end ~filter (C.apply cfg e)
+      | None -> cfg
 
     let compute_plan ~filter ~reduction cfg (sleep : C.event list) =
       let enabled = List.filter filter (C.events cfg) in
@@ -276,46 +289,90 @@ module Make (P : Protocol.S) = struct
             deferred = [];
             ample_pruned = 0;
             slept = 0;
-            partial = false;
           }
-      | `Sleep ->
-          (* Null steps that change nothing ([s·t = s]) contribute nothing to
-             reachability; dropping them up front keeps the ample seed from
-             being wasted on a quiesced process.  Deliveries always at least
-             shrink the buffer, so only null events need the check. *)
-          let live =
-            List.filter
-              (fun (e : C.event) ->
-                Option.is_some e.msg || not (C.equal (C.apply cfg e) cfg))
-              enabled
-          in
-          let d = I.ample cfg live in
-          let amp = d.I.events in
-          let in_sleep e = List.exists (C.event_equal e) sleep in
-          let chosen_evs = List.filter (fun e -> not (in_sleep e)) amp in
-          let slept = List.length amp - List.length chosen_evs in
-          let chosen =
-            let rec go acc before = function
-              | [] -> List.rev acc
-              | t :: more ->
-                  let z =
-                    List.filter
-                      (fun (s : C.event) -> s.dest <> (t : C.event).dest)
-                      (sleep @ List.rev before)
-                  in
-                  go ((t, C.apply cfg t, z) :: acc) (t :: before) more
-            in
-            go [] [] chosen_evs
-          in
-          let in_chosen e = List.exists (C.event_equal e) chosen_evs in
-          let deferred = List.filter (fun e -> not (in_chosen e)) live in
-          {
-            chosen;
-            deferred;
-            ample_pruned = List.length enabled - List.length amp;
-            slept;
-            partial = deferred <> [];
-          }
+      | `Sleep -> (
+          match first_inert cfg enabled with
+          | Some e ->
+              (* An inert delivery alone is a persistent set: it commutes
+                 with every event, disables none and changes no process
+                 state.  It is never asleep (a sleep set only holds events
+                 chosen at a node without inert deliveries whose receiver's
+                 state has not changed since, and inertness depends on that
+                 state alone), and since it commutes with its own process's
+                 steps too, the whole snapshot carries over.  No proviso
+                 applies: see [expand]. *)
+              {
+                chosen = [ (e, C.apply cfg e, sleep) ];
+                deferred = [];
+                ample_pruned = List.length enabled - 1;
+                slept = 0;
+              }
+          | None ->
+              (* Null steps that change nothing ([s·t = s]) contribute
+                 nothing to reachability; dropping them up front keeps the
+                 ample seed from being wasted on a quiesced process.
+                 Deliveries always at least shrink the buffer, so only null
+                 events need the check. *)
+              let live =
+                List.filter
+                  (fun (e : C.event) ->
+                    Option.is_some e.msg || not (C.equal (C.apply cfg e) cfg))
+                  enabled
+              in
+              let d = I.ample cfg live in
+              let amp = d.I.events in
+              let in_sleep e = List.exists (C.event_equal e) sleep in
+              let chosen_evs = List.filter (fun e -> not (in_sleep e)) amp in
+              let slept = List.length amp - List.length chosen_evs in
+              let chosen =
+                let rec go acc before = function
+                  | [] -> List.rev acc
+                  | t :: more ->
+                      let z =
+                        List.filter
+                          (fun (s : C.event) -> s.dest <> (t : C.event).dest)
+                          (sleep @ List.rev before)
+                      in
+                      go ((t, C.apply cfg t, z) :: acc) (t :: before) more
+                in
+                go [] [] chosen_evs
+              in
+              let in_chosen e = List.exists (C.event_equal e) chosen_evs in
+              let deferred = List.filter (fun e -> not (in_chosen e)) live in
+              let ample_pruned = List.length enabled - List.length amp in
+              { chosen; deferred; ample_pruned; slept })
+
+    (* Whether some chosen successor's inert-chain end was not in the store
+       before the expansion that chose it, which began with [since] ids
+       interned: [-1] is a configuration the BFS has yet to intern, an id
+       from [since] on one the expansion interned.  For a successor without
+       inert deliveries the chain end is the successor itself. *)
+    let advances g ~filter ~since chosen =
+      List.exists
+        (fun (_, cfg', _) ->
+          match C.Packed.pack_ro g.store.pstore (chain_end ~filter cfg') with
+          | None -> true  (* a part no stored configuration has *)
+          | Some key ->
+              g.probes <- g.probes + 1;
+              let id = store_find g.store ~hash:(C.Packed.hash key) key in
+              id < 0 || id >= since)
+        chosen
+
+    (* Delegation to a sibling branch is only valid if every path into [v]
+       promises it: intersect [v]'s stored sleep set with the promise [z]
+       of one edge into it, and if it strictly shrank, re-expand [v] with
+       the smaller set.  An edge an earlier expansion recorded counts too:
+       a node is expanded again because its own sleep set shrank, so the
+       promise along that edge may have. *)
+    let narrow g ~push v cfg' z =
+      if g.reduction = `Sleep then begin
+        let stored = g.sleeps.(v) in
+        let inter = List.filter (fun s -> List.exists (C.event_equal s) z) stored in
+        if List.length inter < List.length stored then begin
+          g.sleeps.(v) <- inter;
+          push { node = v; cfg = cfg'; sleep = inter }
+        end
+      end
 
     (* The sequential, state-mutating half.  Every visited-set-dependent
        decision — duplicate detection, truncation, the cycle proviso, sleep
@@ -323,23 +380,30 @@ module Make (P : Protocol.S) = struct
        keeps the graph bit-identical across jobs levels.
 
        Expansions are cumulative: a [`Sleep] node revisited with a strictly
-       smaller sleep set is requeued and re-expanded, skipping edges already
-       recorded, so its final successor list covers the ample set of its
-       smallest sleep snapshot.  Pruned events produce neither edges nor
+       smaller sleep set is requeued and re-expanded, adding only edges not
+       yet recorded (and narrowing the sleep sets along recorded ones), so
+       its final successor list covers the ample set of its smallest sleep
+       snapshot.  Pruned events produce neither edges nor
        [edges]-counter increments — only applied events count. *)
     (* [tags], when given, are a pooled wave's probe verdicts for
        [plan.chosen] in order, taken before the wave's merge began; without
        them (inline waves, proviso expansions) each successor is classified
        against the live store.  [resolve] re-probes every non-[Dup] tag, so
        both resolve identically. *)
-    let expand g ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u ~cfg plan =
+    let expand g ~filter ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u ~cfg plan =
       let first = Bytes.get g.expanded_flags u = '\000' in
+      let count0 = g.store.count in
       let existing = g.rows.(u) in
-      let have code =
-        let rec go i = i < Array.length existing && (existing.(i) = code || go (i + 2)) in
+      (* The target of the edge an earlier expansion recorded for [code],
+         or [-1]. *)
+      let recorded code =
+        let rec go i =
+          if i >= Array.length existing then -1
+          else if existing.(i) = code then existing.(i + 1)
+          else go (i + 2)
+        in
         go 0
       in
-      let fresh = ref false in
       let added = ref 0 in  (* ints of [g.scratch] in use *)
       let add code v =
         if !added + 2 > Array.length g.scratch then begin
@@ -354,30 +418,19 @@ module Make (P : Protocol.S) = struct
       in
       let do_event tag (e, cfg', z) =
         let code = C.Packed.event_code g.store.pstore e in
-        if not (have code) then begin
+        let v = recorded code in
+        if v >= 0 then narrow g ~push v cfg' z
+        else begin
           match resolve g ~max_configs tag cfg' with
           | `Dup v ->
               add code v;
               on_dup ();
-              if g.reduction = `Sleep then begin
-                (* Delegation to a sibling branch is only valid if every
-                   path into [v] promises it: intersect, and if the promise
-                   strictly shrank, re-expand with the smaller set. *)
-                let stored = g.sleeps.(v) in
-                let inter =
-                  List.filter (fun s -> List.exists (C.event_equal s) z) stored
-                in
-                if List.length inter < List.length stored then begin
-                  g.sleeps.(v) <- inter;
-                  push { node = v; cfg = cfg'; sleep = inter }
-                end
-              end
+              narrow g ~push v cfg' z
           | `Truncated -> on_trunc ()
           | `Fresh v ->
               g.parent.(v) <- u;
               g.parent_code.(v) <- code;
               add code v;
-              fresh := true;
               on_intern ();
               if g.reduction = `Sleep then g.sleeps.(v) <- z;
               push { node = v; cfg = cfg'; sleep = z }
@@ -399,12 +452,19 @@ module Make (P : Protocol.S) = struct
             plan.chosen
       | None ->
           List.iter (fun ((_, cfg', _) as item) -> do_event (classify_counted cfg') item) plan.chosen);
-      if first && plan.partial && plan.chosen <> [] && not !fresh then begin
+      if
+        first && plan.deferred <> [] && plan.chosen <> []
+        && not (advances g ~filter ~since:count0 plan.chosen)
+      then begin
         (* BFS cycle proviso (Bošnački–Holzmann): a partial expansion whose
            successors are all already visited could defer its pruned events
            around a cycle forever (the ignoring problem).  Expand fully; the
            deferred successors are computed here, sequentially — pure,
-           deterministic, and rare. *)
+           deterministic, and rare.  Inert plans carry no deferred events
+           and are exempt: an inert chain is acyclic (each link shrinks the
+           buffer) and confluent, so the proviso is judged one level up, on
+           the chain ends a partial node leads to (τ-confluence
+           prioritisation, Groote–Sellink).  See DESIGN.md. *)
         g.proviso_hits <- g.proviso_hits + 1;
         List.iter
           (fun e ->
@@ -476,7 +536,7 @@ module Make (P : Protocol.S) = struct
             let on_dup () = incr dups in
             let on_trunc () = incr truncated in
             let expand_entry ?tags ent plan =
-              expand g ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags ent.node
+              expand g ~filter ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags ent.node
                 ~cfg:ent.cfg plan
             in
             if jobs > 1 && nb >= seq_threshold then begin

@@ -36,14 +36,20 @@ module Make (P : Protocol.S) : sig
         oracle):
 
         - [`None]: explore every enabled event (the default);
-        - [`Sleep]: three rules together.
+        - [`Sleep]: four rules together.
           {ol
-          {- {b Persistent set.}  At each configuration explore only a
-             persistent set of the enabled events: all enabled events of a
-             process group no outside process can ever send into
-             ([Indep.Make.ample]).  Any execution leaving the set starts
-             with an event independent of it, so by Lemma 1 it can be
-             reordered to start inside the set.}
+          {- {b Inert delivery.}  Where an enabled delivery is declared
+             inert ({!Protocol.S.ignores}), explore it alone: it changes
+             no process state, sends nothing and stays a no-op whatever
+             happens first, so it commutes with every event and disables
+             none, and [{e}] is a persistent set.  The first such delivery
+             in event order is taken.}
+          {- {b Persistent set.}  Elsewhere explore only a persistent set
+             of the enabled events: all enabled events of a process group
+             no outside process can ever send into ([Indep.Make.ample]).
+             Any execution leaving the set starts with an event independent
+             of it, so by Lemma 1 it can be reordered to start inside the
+             set.}
           {- {b Sleep sets.}  Each node carries a sleep set: events whose
              exploration an earlier sibling branch already covers.  The
              [i]-th chosen event hands its successor the parent's sleep set
@@ -54,10 +60,14 @@ module Make (P : Protocol.S) : sig
              intersected with the new one, and the node is re-expanded if
              the set shrank, so a skip is only kept if every path into the
              node promises it.}
-          {- {b Cycle proviso.}  A partial expansion all of whose
-             successors were already visited is expanded fully
-             (Bošnački–Holzmann's BFS proviso), so no event is ignored
-             forever along a cycle.}}
+          {- {b Cycle proviso.}  A partial persistent-set expansion is
+             expanded fully when, for every successor, the end of the
+             inert chain from it (the configuration reached by taking
+             inert deliveries until none is left; the successor itself
+             when it has none) was already visited (Bošnački–Holzmann's
+             BFS proviso, judged on chain ends), so no event is ignored
+             forever along a cycle.  Inert expansions are exempt: each
+             link of a chain shrinks the buffer, so chains never cycle.}}
 
         Decisions are write-once, so "value [v] is decided somewhere" is a
         stable predicate; persistent-set theory then guarantees a reduced
@@ -72,8 +82,8 @@ module Make (P : Protocol.S) : sig
         events that are exact self-loops ([s·e = s] contributes nothing to
         reachability), both from exploration and from ample-seed scoring, so
         a quiesced process never anchors the ample set.  For a protocol
-        without [may_send] annotations every mode degrades soundly to
-        [`None] (modulo the dropped self-loops).
+        with neither a [may_send] nor an [ignores] annotation every mode
+        degrades soundly to [`None] (modulo the dropped self-loops).
 
         Reduction composes with [filter] (the filtered system is itself a
         transition system) and with [max_configs] truncation, and preserves

@@ -45,6 +45,8 @@ module type S = sig
 
   val footprints_annotated : bool
 
+  val ignored : t -> event -> bool
+
   val decisions : t -> Value.t option array
 
   val decision_values : t -> Value.t list
@@ -207,6 +209,11 @@ module Make (P : Protocol.S) : S with type state = P.state and type msg = P.msg 
     | Some f -> f ~pid:src t.states.(src) dst
 
   let footprints_annotated = Option.is_some P.may_send
+
+  let ignored t e =
+    match (P.ignores, e.msg) with
+    | Some f, Some m -> f ~pid:e.dest t.states.(e.dest) m
+    | None, _ | _, None -> false
 
   let decisions t = Array.map P.output t.states
 

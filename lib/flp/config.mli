@@ -88,6 +88,13 @@ module type S = sig
       [false], [may_send_to] is constantly [true] and no independence-based
       reduction is possible. *)
 
+  val ignored : t -> event -> bool
+  (** [ignored c e] evaluates the protocol's {!Protocol.S.ignores}
+      annotation for the delivery [e] on its receiver's current internal
+      state: [true] promises that [e] changes no state and sends nothing,
+      now and after any later step of the receiver.  Always [false] for a
+      null event and for a protocol without the annotation. *)
+
   val decisions : t -> Value.t option array
   (** Output register of each process. *)
 

@@ -83,6 +83,25 @@ module type S = sig
       cross-checks declared annotations against the reachable graph, so a
       lying annotation fails CI instead of corrupting reduced exploration. *)
 
+  val ignores : (pid:int -> state -> msg -> bool) option
+  (** Declarative inertness annotation, consumed by the sleep-set explorer.
+      [ignores ~pid st m = true] promises that process [pid] ignores [m]
+      for good: delivering [m] in [st], {e or in any state reachable from
+      it} (by any sequence of deliveries including null steps), leaves the
+      state [equal_state]-equal and sends nothing.  Two obligations:
+
+      - {b no-op}: whenever [ignores ~pid st m], then [step ~pid st (Some
+        m) = (st', [])] with [equal_state st st'];
+      - {b hereditariness}: [ignores ~pid st m = true] implies [ignores
+        ~pid st' m = true] for every successor state [st'] of [st] — once
+        a message is declared ignored it stays ignored.
+
+      Such a delivery commutes with every other event, disables none and
+      changes no process state, so the explorer takes it alone as a
+      persistent set (see {!Analysis.Make.Explore}).  [None] is the
+      conservative "may read anything" default.  The [Lint] inert-soundness
+      rule checks both obligations on the reachable graph. *)
+
   val equal_state : state -> state -> bool
 
   val hash_state : state -> int

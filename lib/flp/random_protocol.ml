@@ -80,6 +80,9 @@ let generate spec ~seed : Protocol.t =
     (* Random transition tables admit no useful static channel bound. *)
     let may_send = None
 
+    (* Decision states are absorbing: every delivery is a no-op there. *)
+    let ignores = Some (fun ~pid:_ st _ -> st >= 2 * s)
+
     let equal_state = Int.equal
 
     let hash_state = Hashtbl.hash

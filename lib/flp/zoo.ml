@@ -62,6 +62,8 @@ module And_wait = struct
   (* [sent] is monotone (never reset), so this is hereditary. *)
   let may_send = Some (fun ~pid st d -> (not st.sent) && d = 1 - pid)
 
+  let ignores = None
+
   let equal_state a b =
     value_equal a.input b.input && Bool.equal a.sent b.sent && vopt_equal a.peer b.peer
 
@@ -103,6 +105,8 @@ module Leader = struct
 
   (* Only the (immutable) leader sends, once: [sent] is monotone. *)
   let may_send = Some (fun ~pid:_ st d -> st.leader && (not st.sent) && (d = 1 || d = 2))
+
+  let ignores = None
 
   let equal_state a b =
     Bool.equal a.leader b.leader
@@ -168,6 +172,8 @@ module Majority = struct
 
   let vote_hash (p, v) = (2 * p) + value_int v
 
+  let ignores = None
+
   let equal_state a b =
     value_equal a.input b.input
     && Bool.equal a.sent b.sent
@@ -211,6 +217,8 @@ module First_wins = struct
 
   (* [sent] is monotone (never reset), so this is hereditary. *)
   let may_send = Some (fun ~pid st d -> (not st.sent) && d = 1 - pid)
+
+  let ignores = None
 
   let equal_state a b =
     value_equal a.input b.input && Bool.equal a.sent b.sent && vopt_equal a.decided b.decided
@@ -379,6 +387,8 @@ let benor_det ~cap : Protocol.t =
       Some
         (fun ~pid st d -> (match st.phase with Halted -> false | P1 | P2 -> true) && d <> pid)
 
+    let ignores = None
+
     let equal_msg a b = compare_msg a b = 0
 
     let hash_msg (m : msg) =
@@ -417,109 +427,124 @@ let benor_det ~cap : Protocol.t =
    adopt the other's value.  The arrival race is the only nondeterminism, so
    this is the smallest partially correct zoo member with bivalent initial
    configurations. *)
+module Race (X : sig
+  val cap : int
+end) =
+struct
+  let cap = X.cap
+
+  type msg = { src : int; round : int; value : Value.t }
+
+  type state = {
+    x : Value.t;
+    round : int;
+    sent : bool;  (* vote for the current round broadcast *)
+    halted : bool;
+    future : msg list;  (* votes for later rounds, in arrival order *)
+    decided : Value.t option;
+  }
+
+  let name = Printf.sprintf "race:%d" cap
+
+  let n = 3
+
+  let init ~pid:_ ~input =
+    { x = input; round = 1; sent = false; halted = false; future = []; decided = None }
+
+  let broadcast pid msg =
+    List.filter_map (fun d -> if d = pid then None else Some (d, msg)) [ 0; 1; 2 ]
+
+  (* Pair with the first stored vote of the current round, if any, possibly
+     cascading across rounds; drop votes that can never be read again. *)
+  let rec progress pid st sends =
+    if st.halted then ({ st with future = [] }, sends)
+    else if not st.sent then begin
+      let msg = { src = pid; round = st.round; value = st.x } in
+      progress pid { st with sent = true } (sends @ broadcast pid msg)
+    end
+    else begin
+      let current, rest = List.partition (fun (m : msg) -> m.round = st.round) st.future in
+      match current with
+      | [] ->
+          ( { st with future = List.filter (fun (m : msg) -> m.round > st.round) st.future },
+            sends )
+      | first :: _ ->
+          (* Only the first round-r arrival is read; its rival is stale. *)
+          if Value.equal first.value st.x then
+            ( { st with decided = Some st.x; halted = true; sent = true; future = [] },
+              sends )
+          else begin
+            let round' = st.round + 1 in
+            if round' > cap then
+              ({ st with x = first.value; round = round'; halted = true; future = [] }, sends)
+            else
+              progress pid
+                { st with x = first.value; round = round'; sent = false; future = rest }
+                sends
+          end
+    end
+
+  let step ~pid st m =
+    let st =
+      match m with
+      | Some (msg : msg) when (not st.halted) && msg.round >= st.round ->
+          { st with future = st.future @ [ msg ] }
+      | Some _ | None -> st
+    in
+    progress pid st []
+
+  let output st = st.decided
+
+  (* [halted] is monotone, so "still running" is hereditary; a running
+     process broadcasts its vote to both peers each round. *)
+  let may_send = Some (fun ~pid st d -> (not st.halted) && d <> pid)
+
+  (* Once a process has broadcast its vote, [progress] has run to its
+     fixpoint: a halted process drops every arrival, and a running one
+     drops a vote from a closed round.  [halted] and [round] only grow, so
+     both stay true, and every step leaves [sent] set. *)
+  let ignores = Some (fun ~pid:_ st (m : msg) -> st.sent && (st.halted || m.round < st.round))
+
+  (* Field by field in declaration order, as [Stdlib.compare] orders the
+     record. *)
+  let compare_msg (a : msg) (b : msg) =
+    match Int.compare a.src b.src with
+    | 0 -> ( match Int.compare a.round b.round with 0 -> value_compare a.value b.value | c -> c)
+    | c -> c
+
+  let equal_msg (a : msg) (b : msg) =
+    Int.equal a.src b.src && Int.equal a.round b.round && value_equal a.value b.value
+
+  let hash_msg (m : msg) = mix (mix m.src m.round) (value_int m.value)
+
+  let equal_state a b =
+    value_equal a.x b.x
+    && Int.equal a.round b.round
+    && Bool.equal a.sent b.sent
+    && Bool.equal a.halted b.halted
+    && list_equal equal_msg a.future b.future
+    && vopt_equal a.decided b.decided
+
+  let hash_state st =
+    let h = mix (mix (value_int st.x) st.round) (Bool.to_int st.sent) in
+    let h = mix (mix h (Bool.to_int st.halted)) (list_hash hash_msg 0 st.future) in
+    mix h (vopt_hash st.decided)
+
+  let pp_state ppf st =
+    Format.fprintf ppf "{x=%a r=%d%s%s dec=%a}" Value.pp st.x st.round
+      (if st.sent then "" else " unsent")
+      (if st.halted then " halt" else "")
+      pp_vopt st.decided
+
+  let pp_msg ppf (m : msg) =
+    Format.fprintf ppf "vote:%d:r%d:%a" m.src m.round Value.pp m.value
+end
+
 let race ~cap : Protocol.t =
   if cap < 1 then invalid_arg "Zoo.race: cap must be >= 1";
-  (module struct
-    type msg = { src : int; round : int; value : Value.t }
-
-    type state = {
-      x : Value.t;
-      round : int;
-      sent : bool;  (* vote for the current round broadcast *)
-      halted : bool;
-      future : msg list;  (* votes for later rounds, in arrival order *)
-      decided : Value.t option;
-    }
-
-    let name = Printf.sprintf "race:%d" cap
-
-    let n = 3
-
-    let init ~pid:_ ~input =
-      { x = input; round = 1; sent = false; halted = false; future = []; decided = None }
-
-    let broadcast pid msg =
-      List.filter_map (fun d -> if d = pid then None else Some (d, msg)) [ 0; 1; 2 ]
-
-    (* Pair with the first stored vote of the current round, if any, possibly
-       cascading across rounds; drop votes that can never be read again. *)
-    let rec progress pid st sends =
-      if st.halted then ({ st with future = [] }, sends)
-      else if not st.sent then begin
-        let msg = { src = pid; round = st.round; value = st.x } in
-        progress pid { st with sent = true } (sends @ broadcast pid msg)
-      end
-      else begin
-        let current, rest = List.partition (fun (m : msg) -> m.round = st.round) st.future in
-        match current with
-        | [] ->
-            ( { st with future = List.filter (fun (m : msg) -> m.round > st.round) st.future },
-              sends )
-        | first :: _ ->
-            (* Only the first round-r arrival is read; its rival is stale. *)
-            if Value.equal first.value st.x then
-              ( { st with decided = Some st.x; halted = true; sent = true; future = [] },
-                sends )
-            else begin
-              let round' = st.round + 1 in
-              if round' > cap then
-                ({ st with x = first.value; round = round'; halted = true; future = [] }, sends)
-              else
-                progress pid
-                  { st with x = first.value; round = round'; sent = false; future = rest }
-                  sends
-            end
-      end
-
-    let step ~pid st m =
-      let st =
-        match m with
-        | Some (msg : msg) when (not st.halted) && msg.round >= st.round ->
-            { st with future = st.future @ [ msg ] }
-        | Some _ | None -> st
-      in
-      progress pid st []
-
-    let output st = st.decided
-
-    (* [halted] is monotone, so "still running" is hereditary; a running
-       process broadcasts its vote to both peers each round. *)
-    let may_send = Some (fun ~pid st d -> (not st.halted) && d <> pid)
-
-    (* Field by field in declaration order, as [Stdlib.compare] orders the
-       record. *)
-    let compare_msg (a : msg) (b : msg) =
-      match Int.compare a.src b.src with
-      | 0 -> ( match Int.compare a.round b.round with 0 -> value_compare a.value b.value | c -> c)
-      | c -> c
-
-    let equal_msg (a : msg) (b : msg) =
-      Int.equal a.src b.src && Int.equal a.round b.round && value_equal a.value b.value
-
-    let hash_msg (m : msg) = mix (mix m.src m.round) (value_int m.value)
-
-    let equal_state a b =
-      value_equal a.x b.x
-      && Int.equal a.round b.round
-      && Bool.equal a.sent b.sent
-      && Bool.equal a.halted b.halted
-      && list_equal equal_msg a.future b.future
-      && vopt_equal a.decided b.decided
-
-    let hash_state st =
-      let h = mix (mix (value_int st.x) st.round) (Bool.to_int st.sent) in
-      let h = mix (mix h (Bool.to_int st.halted)) (list_hash hash_msg 0 st.future) in
-      mix h (vopt_hash st.decided)
-
-    let pp_state ppf st =
-      Format.fprintf ppf "{x=%a r=%d%s%s dec=%a}" Value.pp st.x st.round
-        (if st.sent then "" else " unsent")
-        (if st.halted then " halt" else "")
-        pp_vopt st.decided
-
-    let pp_msg ppf (m : msg) =
-      Format.fprintf ppf "vote:%d:r%d:%a" m.src m.round Value.pp m.value
-  end)
+  (module Race (struct
+    let cap = cap
+  end))
 
 (* A relay chain with local chatter: p0 hands its input to p1, p1 forwards it
    to p2, and every process additionally ticks a bounded local counter on each
@@ -564,6 +589,8 @@ let pipeline ~ticks : Protocol.t =
       Some
         (fun ~pid st d ->
           (not st.sent) && ((pid = 0 && d = 1) || (pid = 1 && d = 2)))
+
+    let ignores = None
 
     let equal_state a b =
       value_equal a.x b.x
@@ -634,6 +661,8 @@ module Parity = struct
      the gate (p1) and vice versa, forever. *)
   let may_send =
     Some (fun ~pid:_ st d -> match st with Pumper _ -> d = 1 | Gate _ -> d = 0)
+
+  let ignores = None
 
   let equal_state a b =
     match (a, b) with

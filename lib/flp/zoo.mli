@@ -46,6 +46,26 @@ val race : cap:int -> Protocol.t
     protocol is partially correct.  This is the zoo's main target for the
     Lemma 3 checker and the Theorem 1 adversary. *)
 
+(** The {!race} protocol as a functor, with its state and message types
+    in the open: for fixtures that alter one of its annotations.  [cap]
+    must be at least 1, as {!race} checks. *)
+module Race (_ : sig
+  val cap : int
+end) : sig
+  type msg = { src : int; round : int; value : Value.t }
+
+  type state = {
+    x : Value.t;
+    round : int;
+    sent : bool;  (** vote for the current round broadcast *)
+    halted : bool;
+    future : msg list;  (** votes for later rounds, in arrival order *)
+    decided : Value.t option;
+  }
+
+  include Protocol.S with type state := state and type msg := msg
+end
+
 val pipeline : ticks:int -> Protocol.t
 (** A relay chain with local chatter (n = 3): p0 hands its input to p1 (and
     decides it), p1 forwards it to p2, each hop deciding the relayed value,

@@ -5,6 +5,7 @@ type id =
   | Buffer_conservation
   | Commutativity
   | Footprint_soundness
+  | Inert_soundness
 
 type t = {
   id : id;
@@ -104,6 +105,23 @@ let footprint_soundness =
        skipped: the conservative default is vacuously sound.";
   }
 
+let inert_soundness =
+  {
+    id = Inert_soundness;
+    name = "inert-soundness";
+    severity = Severity.Error;
+    synopsis = "declared ignores annotations name only deliveries that stay no-ops";
+    doc =
+      "For protocols that declare an ignores annotation: wherever it holds for a \
+       pending delivery of a reachable configuration, the step must leave the \
+       receiver's state equal_state-equal and send nothing; and it must stay true \
+       across every observed step of the receiver that leaves the message pending \
+       (hereditariness).  The sleep-set explorer takes such a delivery alone as a \
+       persistent set and never interleaves it, so a lying annotation silently \
+       drops branches of every reduced analysis.  Protocols without the \
+       annotation are skipped: the conservative default is vacuously sound.";
+  }
+
 let all =
   [
     determinism;
@@ -112,6 +130,7 @@ let all =
     buffer_conservation;
     commutativity;
     footprint_soundness;
+    inert_soundness;
   ]
 
 let find name = List.find_opt (fun r -> r.name = name) all

@@ -41,6 +41,14 @@ type id =
           ({!Flp.Analysis.Make.Explore} with [~reduction]) prunes on these
           footprints, so this rule is the certificate that makes partial-order
           reduction trustworthy.  Vacuous for unannotated protocols. *)
+  | Inert_soundness
+      (** The declared {!Flp.Protocol.S.ignores} annotation must name only
+          deliveries that are no-ops for good: wherever it holds for a
+          pending [(p, m)], stepping [p] on [m] returns an
+          [equal_state]-equal state and sends nothing, and it stays true
+          across every observed step of [p] that leaves [(p, m)] pending.
+          The reduced explorer takes such a delivery alone as a persistent
+          set.  Vacuous for unannotated protocols. *)
 
 type t = {
   id : id;

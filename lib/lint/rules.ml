@@ -451,6 +451,70 @@ module Make (P : Protocol.S) = struct
             ("independent_pairs", Json.Int !pairs);
           ] )
 
+  (* -- inert soundness (ignores certification) ---------------------------- *)
+
+  let inert_soundness opts w rule =
+    let add, close = sink opts rule in
+    match P.ignores with
+    | None -> (close (), [ ("annotated", Json.Bool false) ])
+    | Some f ->
+        (* A raising annotation is itself a finding; treat it as "not
+           inert" afterwards, the conservative answer. *)
+        let raised = ref false in
+        let holds ~pid st m =
+          try f ~pid st m
+          with exn ->
+            if not !raised then begin
+              raised := true;
+              add (Printf.sprintf "ignores raised %s" (Printexc.to_string exn))
+            end;
+            false
+        in
+        let inert = ref 0 in
+        iter_transitions w (fun cfg (e : C.event) ->
+            let st = (C.states cfg).(e.dest) in
+            match P.step ~pid:e.dest st e.msg with
+            | exception _ -> () (* the determinism rule reports raising steps *)
+            | st', sends ->
+                (* 1. No-op: a delivery declared inert changes nothing. *)
+                (match e.msg with
+                | Some m when holds ~pid:e.dest st m ->
+                    incr inert;
+                    if sends <> [] then
+                      add ~witness:(transition_witness cfg e)
+                        (Printf.sprintf
+                           "p%d sent %d message(s) on a delivery its ignores annotation \
+                            declares inert"
+                           e.dest (List.length sends))
+                    else if not (try P.equal_state st st' with _ -> false) then
+                      add ~witness:(transition_witness cfg e)
+                        (Printf.sprintf
+                           "p%d changed state on a delivery its ignores annotation \
+                            declares inert"
+                           e.dest)
+                | Some _ | None -> ());
+                (* 2. Hereditariness: every other message still pending for
+                   the receiver after this step keeps its verdict. *)
+                List.iter
+                  (fun (d, m, count) ->
+                    let consumed =
+                      count = 1
+                      && match e.msg with Some m' -> P.compare_msg m m' = 0 | None -> false
+                    in
+                    if d = e.dest && (not consumed) && holds ~pid:d st m
+                       && not (holds ~pid:d st' m)
+                    then
+                      add
+                        ~witness:
+                          (Printf.sprintf "pending message %s\n%s" (show P.pp_msg m)
+                             (transition_witness cfg e))
+                        (Printf.sprintf
+                           "ignores of p%d flipped true -> false across a step while the \
+                            message stayed pending; ignores must be hereditary"
+                           d))
+                  (try C.pending cfg with _ -> []));
+        (close (), [ ("annotated", Json.Bool true); ("inert_deliveries", Json.Int !inert) ])
+
   let check opts w (rule : Rule.t) =
     match rule.Rule.id with
     | Rule.Determinism -> (determinism opts w rule, [])
@@ -459,4 +523,5 @@ module Make (P : Protocol.S) = struct
     | Rule.Buffer_conservation -> (buffer_conservation opts w rule, [])
     | Rule.Commutativity -> commutativity opts w rule
     | Rule.Footprint_soundness -> footprint_soundness opts w rule
+    | Rule.Inert_soundness -> inert_soundness opts w rule
 end

@@ -84,6 +84,14 @@ let rows =
   ]
   @ List.map unknown_option binaries
   @ List.map help binaries
+  (* The suite numbers its rows, so newer rows go last and the older
+     numbers stay put. *)
+  @ [
+      (* non-finite crash times, and cone pids outside the protocol *)
+      row "consensus_sim" [ "--crash"; "0@nan"; "--seeds"; "5" ] 2;
+      row "consensus_sim" [ "--crash"; "0@inf" ] 2;
+      row "flp_causal" [ "-p"; "and-wait"; "--cone"; "99" ] 2;
+    ]
 
 let slurp path = In_channel.with_open_bin path In_channel.input_all
 

@@ -108,6 +108,8 @@ module Flipper = struct
 
   let may_send = None
 
+  let ignores = None
+
   let equal_state = Int.equal
 
   let hash_state = Hashtbl.hash

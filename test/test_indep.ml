@@ -164,6 +164,112 @@ let test_pipeline_reduction_ratio () =
   Alcotest.(check bool) "pruning counted" true (A.Explore.pruned_count red > 0);
   Alcotest.(check int) "full graph never prunes" 0 (A.Explore.pruned_count full)
 
+(* race:3, the reduced explorer's benchmark protocol.  Every running
+   process may send to every other, so persistent sets alone barely bite
+   (30,039 of 31,457 configurations); what cuts it is the [ignores]
+   annotation: a vote from a closed round, or anything sent to a halted
+   process, is taken alone and never interleaved. *)
+let race3 () =
+  match Zoo.find "race:3" with Some p -> p | None -> Alcotest.fail "no race:3"
+
+let test_race3_inert_reduction () =
+  let (module P : Protocol.S) = race3 () in
+  let module A = Analysis.Make (P) in
+  let dec g =
+    decided ~size:A.Explore.size ~config:A.Explore.config ~values:A.C.decision_values g
+  in
+  List.iter
+    (fun inputs ->
+      let label =
+        "race:3 " ^ String.concat "" (Array.to_list (Array.map Value.to_string inputs))
+      in
+      let root = A.C.initial inputs in
+      let full = A.Explore.explore ~max_configs:budget root in
+      let red = A.Explore.explore ~reduction:`Sleep ~max_configs:budget root in
+      Alcotest.(check bool) (label ^ ": complete") true (A.Explore.complete red);
+      Alcotest.(check bool)
+        (label ^ ": root valence preserved") true
+        (A.Valency.equal_valence
+           (A.Valency.classify full).(A.Explore.root full)
+           (A.Valency.classify red).(A.Explore.root red));
+      Alcotest.(check bool) (label ^ ": decided-value union preserved") true (dec red = dec full);
+      (* the benchmark's root: inputs alternate from p0 = 0 *)
+      if Array.for_all2 Value.equal inputs (Array.init P.n (fun i -> Value.of_int (i land 1)))
+      then begin
+        Alcotest.(check int) (label ^ ": full graph") 31_457 (A.Explore.size full);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: at most 6,000 configurations (%d)" label (A.Explore.size red))
+          true
+          (A.Explore.size red <= 6_000)
+      end)
+    (A.Lemma.all_inputs ())
+
+(* Random tables declare their absorbing decision states inert: every
+   delivery there is a no-op.  Reduction must keep each table's root
+   valence and decided-value union, and must bite on some. *)
+let test_random_protocols_equivalence () =
+  let reduced = ref 0 in
+  List.iter
+    (fun (spec : Random_protocol.spec) ->
+      for seed = 1 to 40 do
+        let (module P : Protocol.S) = Random_protocol.generate spec ~seed in
+        let module A = Analysis.Make (P) in
+        let dec g =
+          decided ~size:A.Explore.size ~config:A.Explore.config ~values:A.C.decision_values g
+        in
+        List.iter
+          (fun inputs ->
+            let root = A.C.initial inputs in
+            let full = A.Explore.explore ~max_configs:20_000 root in
+            if A.Explore.complete full then begin
+              let label = Printf.sprintf "random n=%d seed %d" spec.n seed in
+              let red = A.Explore.explore ~reduction:`Sleep ~max_configs:20_000 root in
+              Alcotest.(check bool)
+                (label ^ ": root valence preserved") true
+                (A.Valency.equal_valence
+                   (A.Valency.classify full).(A.Explore.root full)
+                   (A.Valency.classify red).(A.Explore.root red));
+              Alcotest.(check bool)
+                (label ^ ": decided-value union preserved") true (dec red = dec full);
+              if A.Explore.size red < A.Explore.size full then incr reduced
+            end)
+          (A.Lemma.all_inputs ())
+      done)
+    [
+      Random_protocol.default_spec;
+      { Random_protocol.default_spec with n = 3; states = 2; decide_bias = 3 };
+    ];
+  Alcotest.(check bool) "reduction bites on some table" true (!reduced > 0)
+
+(* The lying annotation of [Lying_race] (current-round votes called inert)
+   must not pass unnoticed: either the reduced explorer, trusting it, gets a
+   root valence wrong, or the inert-soundness lint rule fires.  On race:2
+   the roots stay right (the explorer still applies each chosen delivery
+   exactly, and a mixed root stays bivalent along the first-vote branch it
+   keeps), so it is the lint rule that catches this lie. *)
+let test_lying_inert_detected () =
+  let module A = Analysis.Make (Lying_race) in
+  let disagree =
+    List.filter
+      (fun inputs ->
+        let root = A.C.initial inputs in
+        let full = A.Explore.explore ~max_configs:budget root in
+        let red = A.Explore.explore ~reduction:`Sleep ~max_configs:budget root in
+        not
+          (A.Valency.equal_valence
+             (A.Valency.classify full).(A.Explore.root full)
+             (A.Valency.classify red).(A.Explore.root red)))
+      (A.Lemma.all_inputs ())
+  in
+  let report = Lint.Runner.lint (module Lying_race : Protocol.S) in
+  let linted =
+    List.exists
+      (fun (f : Lint.Report.finding) -> f.Lint.Report.rule = "inert-soundness")
+      (Lint.Report.errors report)
+  in
+  Alcotest.(check bool) "a root valence differs, or inert-soundness fires" true
+    (disagree <> [] || linted)
+
 (* ------------------------------------------------------------------ *)
 (* Composition: truncation, filters, jobs                              *)
 (* ------------------------------------------------------------------ *)
@@ -248,7 +354,7 @@ let test_reduced_jobs_deterministic () =
               (List.length s1 = List.length s4 && List.for_all2 edge_equal s1 s4)
           done)
         [ `Sleep ])
-    [ "pipeline:3"; "race:2" ]
+    [ "pipeline:3"; "race:2"; "race:3" ]
 
 (* ------------------------------------------------------------------ *)
 (* Unannotated protocols degrade soundly                               *)
@@ -275,6 +381,8 @@ module Unannotated = struct
   let output st = if st.got || st.pinged then Some st.x else None
 
   let may_send = None
+
+  let ignores = None
 
   let equal_state = ( = )
 
@@ -330,6 +438,12 @@ let () =
             test_zoo_equivalence;
           Alcotest.test_case "pipeline cuts the state space 2x+" `Quick
             test_pipeline_reduction_ratio;
+          Alcotest.test_case "race:3 inert deliveries cut it 5x+" `Quick
+            test_race3_inert_reduction;
+          Alcotest.test_case "random tables keep valence and decided sets" `Quick
+            test_random_protocols_equivalence;
+          Alcotest.test_case "lying inert annotation detected" `Quick
+            test_lying_inert_detected;
         ] );
       ( "composition",
         [

@@ -25,6 +25,8 @@ module Output_mutator = struct
 
   let may_send = None
 
+  let ignores = None
+
   let equal_state = ( = )
 
   let hash_state = Hashtbl.hash
@@ -59,6 +61,8 @@ module Hash_incoherent = struct
 
   let may_send = None
 
+  let ignores = None
+
   let equal_state a b = Value.equal a.x b.x
 
   let hash_state = Hashtbl.hash
@@ -91,6 +95,8 @@ module Wild_sender = struct
   let output _ = None
 
   let may_send = None
+
+  let ignores = None
 
   let equal_state = ( = )
 
@@ -128,6 +134,8 @@ module Flaky = struct
 
   let may_send = None
 
+  let ignores = None
+
   let equal_state = ( = )
 
   let hash_state = Hashtbl.hash
@@ -164,6 +172,8 @@ module Narrow_footprint = struct
 
   let may_send = Some (fun ~pid:_ _ _ -> false)
 
+  let ignores = None
+
   let equal_state = ( = )
 
   let hash_state = Hashtbl.hash
@@ -196,6 +206,46 @@ module Flipping_footprint = struct
   let output _ = None
 
   let may_send = Some (fun ~pid:_ st _ -> st >= 1)
+
+  let ignores = None
+
+  let equal_state = Int.equal
+
+  let hash_state = Hashtbl.hash
+
+  let pp_state = Format.pp_print_int
+
+  let compare_msg () () = 0
+
+  let hash_msg = Hashtbl.hash
+
+  let pp_msg ppf () = Format.pp_print_string ppf "()"
+end
+
+(* Inertness violation (non-hereditary): every delivery is a true no-op,
+   but the annotation only calls it inert before the receiver's first null
+   step — the explorer relies on an inert delivery staying inert. *)
+module Flipping_inert = struct
+  type state = int  (* steps taken, capped *)
+
+  type msg = unit
+
+  let name = "broken:flipping-inert"
+
+  let n = 2
+
+  let init ~pid:_ ~input:_ = 0
+
+  let step ~pid st m =
+    match m with
+    | Some () -> (st, [])
+    | None -> if pid = 0 && st = 0 then (1, [ (1, ()) ]) else (min 2 (st + 1), [])
+
+  let output _ = None
+
+  let may_send = None
+
+  let ignores = Some (fun ~pid:_ st () -> st = 0)
 
   let equal_state = Int.equal
 
@@ -280,8 +330,17 @@ let test_flipping_footprint_flagged () =
   Alcotest.(check (list string)) "only footprint-soundness fires" [ "footprint-soundness" ]
     (error_rules report)
 
+(* [Lying_race] calls current-round votes inert, but delivering one makes
+   the receiver decide or adopt: both obligations of [ignores] break. *)
+let test_lying_inert_flagged () =
+  let report = lint (module Lying_race : Protocol.S) in
+  Alcotest.(check (list string)) "only inert-soundness fires" [ "inert-soundness" ]
+    (error_rules report);
+  Alcotest.(check bool) "sound race annotation is clean" true
+    (Lint.Report.error_count (lint (Zoo.race ~cap:2)) = 0)
+
 let test_rule_catalogue () =
-  Alcotest.(check int) "six rules" 6 (List.length Lint.Rule.all);
+  Alcotest.(check int) "seven rules" 7 (List.length Lint.Rule.all);
   Alcotest.(check bool) "find write-once" true (Lint.Rule.find "write-once" <> None);
   Alcotest.(check bool) "find unknown" true (Lint.Rule.find "nope" = None);
   List.iter
@@ -294,6 +353,15 @@ let contains ~sub s =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
+
+let test_flipping_inert_flagged () =
+  let report = lint (module Flipping_inert : Protocol.S) in
+  Alcotest.(check (list string)) "only inert-soundness fires" [ "inert-soundness" ]
+    (error_rules report);
+  Alcotest.(check bool) "names hereditariness" true
+    (List.for_all
+       (fun (f : Lint.Report.finding) -> contains ~sub:"hereditary" f.Lint.Report.message)
+       (Lint.Report.errors report))
 
 let test_json_escaping () =
   Alcotest.(check string) "escapes quotes and newlines" {|"a\"b\nc\\d"|}
@@ -323,6 +391,11 @@ let test_json_stats () =
     (contains ~sub:{|"commutativity":{"trials":60,"holds":60|} json);
   Alcotest.(check bool) "footprint annotated" true
     (contains ~sub:{|"footprint-soundness":{"annotated":true|} json);
+  Alcotest.(check bool) "inertness unannotated" true
+    (contains ~sub:{|"inert-soundness":{"annotated":false}|} json);
+  let race = Lint.Json.to_string (Lint.Report.to_json (lint (Zoo.race ~cap:2))) in
+  Alcotest.(check bool) "race's inert deliveries counted" true
+    (contains ~sub:{|"inert-soundness":{"annotated":true,"inert_deliveries":|} race);
   let unannotated = lint (module Flaky : Protocol.S) in
   let ujson = Lint.Json.to_string (Lint.Report.to_json unannotated) in
   Alcotest.(check bool) "unannotated marked" true
@@ -360,6 +433,9 @@ let () =
           Alcotest.test_case "flaky step flagged" `Quick test_flaky_flagged;
           Alcotest.test_case "narrow footprint flagged" `Quick test_narrow_footprint_flagged;
           Alcotest.test_case "flipping footprint flagged" `Quick test_flipping_footprint_flagged;
+          Alcotest.test_case "lying inert annotation flagged" `Quick test_lying_inert_flagged;
+          Alcotest.test_case "flipping inert annotation flagged" `Quick
+            test_flipping_inert_flagged;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "rule catalogue" `Quick test_rule_catalogue;
           Alcotest.test_case "json escaping" `Quick test_json_escaping;
