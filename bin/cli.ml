@@ -33,6 +33,35 @@ let write_file path contents =
   try Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents)
   with Sys_error reason -> cannot_write path reason
 
+(* Rejects, before any work, an output path that cannot be opened for
+   writing.  An existing file is opened without truncation and left as it
+   was; a missing one is created and removed again. *)
+let check_writable path =
+  let probe flags =
+    try close_out (open_out_gen flags 0o644 path)
+    with Sys_error reason -> cannot_write path reason
+  in
+  if Sys.file_exists path then probe [ Open_wronly ]
+  else begin
+    probe [ Open_wronly; Open_creat; Open_excl ];
+    try Sys.remove path with Sys_error _ -> ()
+  end
+
+(* The exit-code table, as every binary's --help lists it. *)
+let exits =
+  [
+    Cmd.Exit.info 0 ~doc:"when the run completed.";
+    Cmd.Exit.info 1
+      ~doc:"when the run found what the tool gates on (error findings, an \
+            independence soundness violation).";
+    Cmd.Exit.info 2
+      ~doc:"when the input was rejected; one line on standard error says why.";
+    Cmd.Exit.info Cmd.Exit.internal_error
+      ~doc:"on an internal error (a bug): an exception escaped the run.";
+  ]
+
+let info name ~doc = Cmd.info name ~doc ~exits
+
 (* Cmdliner prints a parse error as the error, a usage synopsis and a
    pointer to --help; keep the first line only. *)
 let first_line s = match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s

@@ -117,7 +117,7 @@ let cmd =
     Cli.with_obs obs (run app n ones crash delays seeds max_steps)
   in
   Cmd.v
-    (Cmd.info "consensus_sim" ~doc:"Batch-simulate consensus and commit protocols")
+    (Cli.info "consensus_sim" ~doc:"Batch-simulate consensus and commit protocols")
     Term.(const main $ app_arg $ n_arg $ ones_arg $ crash_arg $ Cli.delays_arg $ seeds_arg
           $ max_steps_arg $ Cli.obs_flags ~metrics:"sim.* metrics")
 

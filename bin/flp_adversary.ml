@@ -81,7 +81,7 @@ let cmd =
     Cli.with_obs obs (run name inputs stages max_configs verbose)
   in
   Cmd.v
-    (Cmd.info "flp_adversary" ~doc:"Construct the FLP non-deciding run stage by stage")
+    (Cli.info "flp_adversary" ~doc:"Construct the FLP non-deciding run stage by stage")
     Term.(
       const main $ protocol_arg $ inputs_arg $ stages_arg $ max_configs_arg $ verbose_arg
       $ Cli.obs_flags ~metrics:"adversary/explorer metrics")

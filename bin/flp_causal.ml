@@ -183,6 +183,7 @@ let chrome_arg =
 let cmd =
   let main protocols policies seeds ones delays max_steps jobs cones critical width
       audit chrome obs =
+    Option.iter Cli.check_writable chrome;
     (* The audit fails after [with_obs] returns, so the metrics file and the
        timing table are written first. *)
     let violations =
@@ -194,7 +195,7 @@ let cmd =
       Cli.fail "%d independence soundness violation(s)" violations
   in
   Cmd.v
-    (Cmd.info "flp_causal"
+    (Cli.info "flp_causal"
        ~doc:"Causal provenance analysis: critical paths, decision cones, and \
              independence audits over recorded runs")
     Term.(

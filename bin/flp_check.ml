@@ -170,10 +170,13 @@ let dot_arg =
 let cmd =
   let run list name max_configs trials jobs por dot_file obs =
     if list then Cli.list_protocols ()
-    else Cli.with_obs obs (run_checks name max_configs trials jobs por dot_file)
+    else begin
+      Option.iter Cli.check_writable dot_file;
+      Cli.with_obs obs (run_checks name max_configs trials jobs por dot_file)
+    end
   in
   Cmd.v
-    (Cmd.info "flp_check" ~doc:"Exhaustively check the FLP lemmas on a finite protocol")
+    (Cli.info "flp_check" ~doc:"Exhaustively check the FLP lemmas on a finite protocol")
     Term.(
       const run $ list_arg $ protocol_arg $ max_configs_arg $ trials_arg $ jobs_arg
       $ por_arg $ dot_arg $ Cli.obs_flags ~metrics:"explorer/pool metrics")

@@ -39,6 +39,7 @@ let run list_rules_flag roots rules jobs json out obs_flags typed cmt_dir =
         ~all:Detlint.Rule.all rules
     in
     let cmt_dir = if typed then Some cmt_dir else None in
+    Option.iter Cli.check_writable out;
     let report =
       Cli.with_obs obs_flags (fun obs ->
           let report =
@@ -97,7 +98,7 @@ let cmt_dir_arg =
 
 let cmd =
   Cmd.v
-    (Cmd.info "flp_detlint"
+    (Cli.info "flp_detlint"
        ~doc:"Audit the repository's OCaml sources for determinism and data-race hazards")
     Term.(
       const run $ list_rules_arg $ roots_arg $ rules_arg $ jobs_arg $ json_arg $ out_arg

@@ -100,7 +100,7 @@ let list_rules_arg =
 
 let cmd =
   Cmd.v
-    (Cmd.info "flp_lint" ~doc:"Audit protocols against the FLP \xc2\xa72 model axioms")
+    (Cli.info "flp_lint" ~doc:"Audit protocols against the FLP \xc2\xa72 model axioms")
     Term.(
       const run $ list_arg $ list_rules_arg $ protocols_arg $ rules_arg $ max_configs_arg
       $ seed_arg $ trials_arg $ jobs_arg $ json_arg

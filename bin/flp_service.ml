@@ -208,12 +208,13 @@ let wall_arg =
 let cmd =
   let main protocols policies queues loads clients batches pipelines n shards delays
       seed max_steps jobs hist_bounds wall out obs =
+    Option.iter Cli.check_writable out;
     Cli.with_obs obs
       (run protocols policies queues loads clients batches pipelines n shards delays
          seed max_steps jobs hist_bounds wall out)
   in
   Cmd.v
-    (Cmd.info "flp_service"
+    (Cli.info "flp_service"
        ~doc:"Benchmark consensus as a service: multi-decree workloads over the simulator")
     Term.(
       const main $ protocols_arg $ policies_arg $ queues_arg $ loads_arg

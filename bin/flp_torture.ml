@@ -221,11 +221,12 @@ let por_arg =
 
 let cmd =
   let main protocols policies n ones delays seeds jobs max_steps por hist_bounds out obs =
+    Option.iter Cli.check_writable out;
     Cli.with_obs obs
       (run protocols policies n ones delays seeds jobs max_steps por hist_bounds out)
   in
   Cmd.v
-    (Cmd.info "flp_torture"
+    (Cli.info "flp_torture"
        ~doc:"Torture consensus protocols under adversarial schedulers")
     Term.(
       const main $ protocols_arg $ policies_arg $ n_arg $ ones_arg $ Cli.delays_arg

@@ -32,10 +32,10 @@ module Make (P : Protocol.S) = struct
     (* The store keys on {!C.Packed} byte strings with precomputed FNV
        hashes.  A wave that uses the pool is strictly phased:
 
-       - {b probe} (parallel): workers pack each successor read-only and
-         probe the table — no domain writes the store while any domain
-         reads it, so no locks are needed and no probe order can leak into
-         the result;
+       - {b probe} (parallel): workers decode each entry's configuration
+         from the arena, pack each successor read-only and probe the
+         table — no domain writes the store while any domain reads it, so
+         no locks are needed and no probe order can leak into the result;
        - {b merge} (sequential, frontier order): fresh configurations are
          assigned ids, packed (interning any new parts), and inserted.
 
@@ -45,18 +45,23 @@ module Make (P : Protocol.S) = struct
        order — bit-identical at every [jobs] value.
 
        Layout: the keys sit back to back in one byte arena; the table is
-       linear probing over a power-of-two array of ids, with each slot's
-       hash beside it in a parallel array, so a probe compares ints first,
-       then arena bytes, and allocates nothing.  Ids come from insertion
-       order, never from slot positions, so the layout cannot reach the
-       graph. *)
+       linear probing over a power-of-two array of ints, each slot holding
+       the key's 32-bit hash above its 30-bit id, so a probe compares ints
+       first, then arena bytes, and allocates nothing.  Ids come from
+       insertion order, never from slot positions, so the layout cannot
+       reach the graph. *)
+
+    (* Node ids fit in [id_bits] bits, so an intern slot, an edge and a
+       parent witness each pack an id and one more field into one int. *)
+    let id_bits = 30
+
+    let id_mask = (1 lsl id_bits) - 1
 
     type store = {
       pstore : C.Packed.store;
       mutable arena : Bytes.t;  (* every key, in id order *)
       mutable offs : int array;  (* key [id] is arena[offs.(id), offs.(id + 1)) *)
-      mutable slots : int array;  (* an id per slot, [-1] when empty; load <= 1/2 *)
-      mutable slot_hash : int array;  (* the hash of the key in the same slot *)
+      mutable slots : int array;  (* [hash lsl id_bits lor id], [-1] when empty; load <= 1/2 *)
       mutable count : int;
     }
 
@@ -66,7 +71,6 @@ module Make (P : Protocol.S) = struct
         arena = Bytes.create 1024;
         offs = Array.make 65 0;
         slots = Array.make 64 (-1);
-        slot_hash = Array.make 64 0;
         count = 0;
       }
 
@@ -80,38 +84,32 @@ module Make (P : Protocol.S) = struct
       let rec go i = i = len || (Bytes.get st.arena (off + i) = key.[i] && go (i + 1)) in
       go 0
 
-    (* The id stored under [key], or [-1].  Read-only. *)
+    (* The id stored under [key], or [-1].  Read-only.  [hash] is a
+       {!C.Packed.hash}, which fits in 32 bits. *)
     let store_find st ~hash key =
       let mask = Array.length st.slots - 1 in
       let rec go i =
-        let id = st.slots.(i) in
-        if id < 0 || (st.slot_hash.(i) = hash && key_equal st id key) then id
+        let s = st.slots.(i) in
+        if s < 0 then -1
+        else if s lsr id_bits = hash && key_equal st (s land id_mask) key then s land id_mask
         else go ((i + 1) land mask)
       in
       go (hash land mask)
 
-    let place slots slot_hash ~hash id =
+    let place slots slot =
       let mask = Array.length slots - 1 in
-      let rec go i =
-        if slots.(i) < 0 then begin
-          slots.(i) <- id;
-          slot_hash.(i) <- hash
-        end
-        else go ((i + 1) land mask)
-      in
-      go (hash land mask)
+      let rec go i = if slots.(i) < 0 then slots.(i) <- slot else go ((i + 1) land mask) in
+      go ((slot lsr id_bits) land mask)
 
     (* Merge phase only: never called while workers probe. *)
     let store_add st ~hash key =
       let id = st.count in
+      if id > id_mask then invalid_arg "Explore: more than 2^30 configurations";
       let cap = Array.length st.slots in
       if 2 * (id + 1) > cap then begin
-        let slots = Array.make (2 * cap) (-1) and slot_hash = Array.make (2 * cap) 0 in
-        Array.iteri
-          (fun i v -> if v >= 0 then place slots slot_hash ~hash:st.slot_hash.(i) v)
-          st.slots;
-        st.slots <- slots;
-        st.slot_hash <- slot_hash
+        let slots = Array.make (2 * cap) (-1) in
+        Array.iter (fun s -> if s >= 0 then place slots s) st.slots;
+        st.slots <- slots
       end;
       let off = st.offs.(id) and len = String.length key in
       let size = Bytes.length st.arena in
@@ -124,7 +122,7 @@ module Make (P : Protocol.S) = struct
         st.offs <- na
       end;
       st.offs.(id + 1) <- off + len;
-      place st.slots st.slot_hash ~hash id;
+      place st.slots ((hash lsl id_bits) lor id);
       st.count <- id + 1;
       id
 
@@ -146,25 +144,104 @@ module Make (P : Protocol.S) = struct
       done;
       !best
 
-    (* Edges are stored as [(event code, target)] int pairs, one row per
-       node, in edge order; an event code is {!C.Packed.event_code} over
-       the store's own part dictionary. *)
+    (* An edge is one int, [code lsl id_bits lor target], where [code] is
+       {!C.Packed.event_code} over the store's own part dictionary; a
+       parent witness is the edge from the parent, with the parent as its
+       target.  A node's edges are one contiguous row, in edge order,
+       inside one chunk of a chunk list.  Its address is one int,
+       [(chunk lsl pos_bits lor pos) lsl len_bits lor len], [0] for a node
+       without edges.  Chunks start at [first_chunk] ints and double up to
+       [chunk_cap], so a small graph stays small and a large one never
+       copies its edges to grow. *)
+    let edge code target =
+      if code lsr 32 <> 0 then invalid_arg "Explore: event code out of range";
+      (code lsl id_bits) lor target
+
+    let len_bits = 20
+
+    let pos_bits = 22
+
+    let first_chunk = 256
+
+    let chunk_cap = 1 lsl 16
+
+    let row_len a = a land ((1 lsl len_bits) - 1)
+
+    let row_pos a = (a lsr len_bits) land ((1 lsl pos_bits) - 1)
+
+    let row_chunk a = a lsr (len_bits + pos_bits)
+
     type graph = {
       store : store;
-      mutable rows : int array array;  (* id -> code, target, code, target, ... *)
-      mutable parent : int array;  (* id -> BFS parent; the root has -1 *)
-      mutable parent_code : int array;  (* id -> code of the edge from its parent *)
+      mutable rows : int array;  (* id -> row address *)
+      mutable chunks : int array array;  (* [0, nchunks) in use *)
+      mutable nchunks : int;
+      mutable fill : int;  (* ints used in the last chunk *)
+      mutable parent : int array;  (* id -> parent witness; the root has -1 *)
+      mutable masks : Bytes.t;  (* id -> {!C.decision_mask} of its configuration *)
       mutable expanded_flags : Bytes.t;
       mutable complete_flag : bool;
       mutable edges : int;
       reduction : reduction;
       mutable sleeps : C.event list array;  (* stored sleep set per node; [`Sleep] only *)
-      mutable scratch : int array;  (* one expansion's new pairs, merge phase only *)
+      mutable scratch : int array;  (* one expansion's new edges, merge phase only *)
       mutable pruned : int;  (* enabled events never explored (persistence) *)
       mutable sleep_hits : int;  (* enabled events delegated to a sibling branch *)
       mutable proviso_hits : int;  (* cycle-proviso full expansions *)
       mutable probes : int;  (* intern-table probes, probe + merge phases *)
     }
+
+    (* The address of room for a row of [len > 0] ints at the end of the
+       last chunk, or of a fresh chunk when it does not fit. *)
+    let alloc_row g len =
+      if len lsr len_bits <> 0 then invalid_arg "Explore: a node with 2^20 or more edges";
+      let last = g.nchunks - 1 in
+      if last < 0 || g.fill + len > Array.length g.chunks.(last) then begin
+        if g.nchunks lsr (62 - len_bits - pos_bits) <> 0 then
+          invalid_arg "Explore: edge storage exhausted";
+        let size =
+          if last < 0 then first_chunk else min chunk_cap (2 * Array.length g.chunks.(last))
+        in
+        if g.nchunks = Array.length g.chunks then begin
+          let na = Array.make (max 8 (2 * g.nchunks)) [||] in
+          Array.blit g.chunks 0 na 0 g.nchunks;
+          g.chunks <- na
+        end;
+        g.chunks.(g.nchunks) <- Array.make (max len size) 0;
+        g.nchunks <- g.nchunks + 1;
+        g.fill <- 0
+      end;
+      let pos = g.fill in
+      g.fill <- pos + len;
+      ((((g.nchunks - 1) lsl pos_bits) lor pos) lsl len_bits) lor len
+
+    (* [f code target] on each of [id]'s edges, in edge order. *)
+    let iter_row g id f =
+      let a = g.rows.(id) in
+      let len = row_len a in
+      if len > 0 then begin
+        let ch = g.chunks.(row_chunk a) and pos = row_pos a in
+        for i = pos to pos + len - 1 do
+          let e = ch.(i) in
+          f (e lsr id_bits) (e land id_mask)
+        done
+      end
+
+    (* The target of [id]'s edge with event code [code], or [-1]. *)
+    let edge_target g id code =
+      let a = g.rows.(id) in
+      let len = row_len a in
+      if len = 0 then -1
+      else begin
+        let ch = g.chunks.(row_chunk a) and pos = row_pos a in
+        let rec go i =
+          if i >= pos + len then -1
+          else
+            let e = ch.(i) in
+            if e lsr id_bits = code then e land id_mask else go (i + 1)
+        in
+        go pos
+      end
 
     let ensure_capacity g needed =
       let cap = Array.length g.parent in
@@ -176,21 +253,27 @@ module Make (P : Protocol.S) = struct
           Array.blit a 0 na 0 count;
           na
         in
-        g.rows <- grow_arr g.rows [||];
+        let grow_bytes b =
+          let nb = Bytes.make ncap '\000' in
+          Bytes.blit b 0 nb 0 count;
+          nb
+        in
+        g.rows <- grow_arr g.rows 0;
         g.parent <- grow_arr g.parent (-1);
-        g.parent_code <- grow_arr g.parent_code 0;
         if g.reduction = `Sleep then g.sleeps <- grow_arr g.sleeps [];
-        let nb = Bytes.make ncap '\000' in
-        Bytes.blit g.expanded_flags 0 nb 0 count;
-        g.expanded_flags <- nb
+        g.masks <- grow_bytes g.masks;
+        g.expanded_flags <- grow_bytes g.expanded_flags
       end
 
     let make_graph ~reduction =
       {
         store = store_create ();
         rows = [||];
+        chunks = [||];
+        nchunks = 0;
+        fill = 0;
         parent = [||];
-        parent_code = [||];
+        masks = Bytes.empty;
         expanded_flags = Bytes.empty;
         complete_flag = true;
         edges = 0;
@@ -203,10 +286,48 @@ module Make (P : Protocol.S) = struct
         probes = 0;
       }
 
-    (* A work item: a node, its configuration (so the hot path never
-       unpacks), and the sleep snapshot it was enqueued with.  With [`None]
-       the snapshot is always empty. *)
-    type entry = { node : int; cfg : C.t; sleep : C.event list }
+    (* Interns [key], the packed form of [cfg], as the next id. *)
+    let intern g ~hash key cfg =
+      ensure_capacity g (g.store.count + 1);
+      let id = store_add g.store ~hash key in
+      Bytes.set g.masks id (Char.chr (C.decision_mask cfg));
+      id
+
+    (* The configuration of node [id], decoded from the arena; unchecked.
+       Read-only, so pooled workers call it while the store is frozen. *)
+    let node_config g id =
+      let st = g.store in
+      let off = st.offs.(id) in
+      C.Packed.unpack st.pstore (Bytes.sub_string st.arena off (st.offs.(id + 1) - off))
+
+    (* One BFS wave: node ids, and under [`Sleep] the sleep snapshot each
+       was enqueued with (a node narrowed twice in one wave sits in the
+       next one twice, with both snapshots).  A wave holds no
+       configuration: each is decoded from the arena when its node is
+       expanded.  With [`None] [snaps] stays empty. *)
+    type wave = { mutable ids : int array; mutable snaps : C.event list array; mutable len : int }
+
+    let wave_create ~sleepy =
+      { ids = Array.make 16 0; snaps = (if sleepy then Array.make 16 [] else [||]); len = 0 }
+
+    let wave_push w id snap =
+      let sleepy = Array.length w.snaps > 0 in
+      if w.len = Array.length w.ids then begin
+        let grow a fill =
+          let na = Array.make (2 * w.len) fill in
+          Array.blit a 0 na 0 w.len;
+          na
+        in
+        w.ids <- grow w.ids 0;
+        if sleepy then w.snaps <- grow w.snaps []
+      end;
+      w.ids.(w.len) <- id;
+      if sleepy then w.snaps.(w.len) <- snap;
+      w.len <- w.len + 1
+
+    let wave_clear w =
+      if Array.length w.snaps > 0 then Array.fill w.snaps 0 w.len [];
+      w.len <- 0
 
     (* What the read-only probe learned about one successor.  [Dup] is
        final (the store only grows).  [New_key] carries the packed key and
@@ -237,10 +358,7 @@ module Make (P : Protocol.S) = struct
           g.complete_flag <- false;
           `Truncated
         end
-        else begin
-          ensure_capacity g (g.store.count + 1);
-          `Fresh (store_add g.store ~hash key)
-        end
+        else `Fresh (intern g ~hash key cfg')
       in
       match tag with
       | Dup id -> `Dup id
@@ -364,13 +482,13 @@ module Make (P : Protocol.S) = struct
        the smaller set.  An edge an earlier expansion recorded counts too:
        a node is expanded again because its own sleep set shrank, so the
        promise along that edge may have. *)
-    let narrow g ~push v cfg' z =
+    let narrow g ~push v z =
       if g.reduction = `Sleep then begin
         let stored = g.sleeps.(v) in
         let inter = List.filter (fun s -> List.exists (C.event_equal s) z) stored in
         if List.length inter < List.length stored then begin
           g.sleeps.(v) <- inter;
-          push { node = v; cfg = cfg'; sleep = inter }
+          push v inter
         end
       end
 
@@ -383,57 +501,48 @@ module Make (P : Protocol.S) = struct
        smaller sleep set is requeued and re-expanded, adding only edges not
        yet recorded (and narrowing the sleep sets along recorded ones), so
        its final successor list covers the ample set of its smallest sleep
-       snapshot.  Pruned events produce neither edges nor
+       snapshot; its row then moves to the end of the edge storage, old
+       edges first.  Pruned events produce neither edges nor
        [edges]-counter increments — only applied events count. *)
     (* [tags], when given, are a pooled wave's probe verdicts for
        [plan.chosen] in order, taken before the wave's merge began; without
        them (inline waves, proviso expansions) each successor is classified
        against the live store.  [resolve] re-probes every non-[Dup] tag, so
        both resolve identically. *)
-    let expand g ~filter ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u ~cfg plan =
+    let expand g ~filter ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u plan =
       let first = Bytes.get g.expanded_flags u = '\000' in
       let count0 = g.store.count in
-      let existing = g.rows.(u) in
-      (* The target of the edge an earlier expansion recorded for [code],
-         or [-1]. *)
-      let recorded code =
-        let rec go i =
-          if i >= Array.length existing then -1
-          else if existing.(i) = code then existing.(i + 1)
-          else go (i + 2)
-        in
-        go 0
-      in
       let added = ref 0 in  (* ints of [g.scratch] in use *)
       let add code v =
-        if !added + 2 > Array.length g.scratch then begin
-          let na = Array.make (2 * Array.length g.scratch) 0 in
+        let e = edge code v in
+        if !added = Array.length g.scratch then begin
+          let na = Array.make (2 * !added) 0 in
           Array.blit g.scratch 0 na 0 !added;
           g.scratch <- na
         end;
-        g.scratch.(!added) <- code;
-        g.scratch.(!added + 1) <- v;
-        added := !added + 2;
+        g.scratch.(!added) <- e;
+        incr added;
         g.edges <- g.edges + 1
       in
+      (* [u]'s row stays as an earlier expansion left it until the end, so
+         [edge_target] reads only edges recorded before this one. *)
       let do_event tag (e, cfg', z) =
         let code = C.Packed.event_code g.store.pstore e in
-        let v = recorded code in
-        if v >= 0 then narrow g ~push v cfg' z
+        let v = edge_target g u code in
+        if v >= 0 then narrow g ~push v z
         else begin
           match resolve g ~max_configs tag cfg' with
           | `Dup v ->
               add code v;
               on_dup ();
-              narrow g ~push v cfg' z
+              narrow g ~push v z
           | `Truncated -> on_trunc ()
           | `Fresh v ->
-              g.parent.(v) <- u;
-              g.parent_code.(v) <- code;
+              g.parent.(v) <- edge code u;
               add code v;
               on_intern ();
               if g.reduction = `Sleep then g.sleeps.(v) <- z;
-              push { node = v; cfg = cfg'; sleep = z }
+              push v z
         end
       in
       let classify_counted cfg' =
@@ -466,6 +575,7 @@ module Make (P : Protocol.S) = struct
            the chain ends a partial node leads to (τ-confluence
            prioritisation, Groote–Sellink).  See DESIGN.md. *)
         g.proviso_hits <- g.proviso_hits + 1;
+        let cfg = node_config g u in
         List.iter
           (fun e ->
             let cfg' = C.apply cfg e in
@@ -477,31 +587,33 @@ module Make (P : Protocol.S) = struct
         g.sleep_hits <- g.sleep_hits + plan.slept
       end;
       if !added > 0 then begin
-        let k = Array.length existing in
-        let row = Array.make (k + !added) 0 in
-        Array.blit existing 0 row 0 k;
-        Array.blit g.scratch 0 row k !added;
-        g.rows.(u) <- row
+        let old = g.rows.(u) in
+        let k = row_len old in
+        let a = alloc_row g (k + !added) in
+        let dst = g.chunks.(row_chunk a) and pos = row_pos a in
+        if k > 0 then Array.blit g.chunks.(row_chunk old) (row_pos old) dst pos k;
+        Array.blit g.scratch 0 dst (pos + k) !added;
+        g.rows.(u) <- a
       end;
       Bytes.set g.expanded_flags u '\001'
 
     (* BFS one wave at a time.  A wave of at least [seq_threshold] entries
-       at [jobs > 1] runs its probe phase — plan computation ([C.events] +
-       [C.apply] + ample selection) plus read-only successor classification
-       — on a domain pool, then merges the (plan, tags) pairs sequentially,
-       in frontier order, through {!expand}.  Every other wave expands its
-       entries inline, one after the other, classifying against the live
-       store: a FIFO BFS taken one wave at a time.  Children and sleep
-       requeues go behind every entry of the current wave either way, so
-       the interleaving of [store_add] calls — and with it every graph ID,
-       the successor-row order, the parent witnesses, and the truncation
-       point at [max_configs] — is the same on both kinds of wave.
+       at [jobs > 1] runs its probe phase — decoding each entry's
+       configuration, plan computation ([C.events] + [C.apply] + ample
+       selection) plus read-only successor classification — on a domain
+       pool, then merges the (plan, tags) pairs sequentially, in frontier
+       order, through {!expand}.  Every other wave expands its entries
+       inline, one after the other, classifying against the live store: a
+       FIFO BFS taken one wave at a time.  Children and sleep requeues go
+       behind every entry of the current wave either way, so the
+       interleaving of [store_add] calls — and with it every graph ID, the
+       successor-row order, the parent witnesses, and the truncation point
+       at [max_configs] — is the same on both kinds of wave.
 
        The pool is created lazily, on the first wave big enough to use it,
        so explorations that never cross the threshold (tiny zoo graphs,
        [parity], every [jobs:1] run) spawn no domains at all. *)
-    let explore_waves ?pool_metrics ?wave_hook ~filter ~jobs ~seq_threshold ~max_configs g
-        root_cfg =
+    let explore_waves ?pool_metrics ?wave_hook ~filter ~jobs ~seq_threshold ~max_configs g =
       let pool = ref None in
       let get_pool () =
         match !pool with
@@ -511,49 +623,51 @@ module Make (P : Protocol.S) = struct
             pool := Some p;
             p
       in
-      let plan_of ent = compute_plan ~filter ~reduction:g.reduction ent.cfg ent.sleep in
+      let sleepy = g.reduction = `Sleep in
+      let plan_of w i =
+        compute_plan ~filter ~reduction:g.reduction (node_config g w.ids.(i))
+          (if sleepy then w.snaps.(i) else [])
+      in
       (* Probe phase: pure per entry, store read-only. *)
-      let task ent =
-        let plan = plan_of ent in
+      let task w i =
+        let plan = plan_of w i in
         (plan, Array.of_list (List.map (fun (_, cfg', _) -> classify_succ g cfg') plan.chosen))
       in
       Fun.protect
         ~finally:(fun () ->
           match !pool with Some p -> Parallel.Pool.shutdown p | None -> ())
         (fun () ->
-          let frontier = ref (Queue.create ()) in
-          Queue.push { node = 0; cfg = root_cfg; sleep = [] } !frontier;
+          (* Two waves, swapped after each: the one expanded, and the next. *)
+          let frontier = ref (wave_create ~sleepy) and spare = ref (wave_create ~sleepy) in
+          wave_push !frontier 0 [];
           let wave = ref 0 in
-          while not (Queue.is_empty !frontier) do
+          while (!frontier).len > 0 do
             let w0 = if Option.is_none wave_hook then 0.0 else Obs.Clock.now () in
-            let nb = Queue.length !frontier in
-            let next = Queue.create () in
+            let w = !frontier and next = !spare in
+            let nb = w.len in
             let interned = ref 0 in
             let dups = ref 0 in
             let truncated = ref 0 in
-            let push e = Queue.push e next in
+            let push v z = wave_push next v z in
             let on_intern () = incr interned in
             let on_dup () = incr dups in
             let on_trunc () = incr truncated in
-            let expand_entry ?tags ent plan =
-              expand g ~filter ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags ent.node
-                ~cfg:ent.cfg plan
+            let expand_entry ?tags u plan =
+              expand g ~filter ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u plan
             in
             if jobs > 1 && nb >= seq_threshold then begin
-              let batch = Array.of_seq (Queue.to_seq !frontier) in
               let plans =
                 Parallel.Pool.map
                   ~chunk:(max 1 (1 + ((nb - 1) / (jobs * 8))))
-                  (get_pool ()) task batch
+                  (get_pool ()) (task w) (Array.init nb Fun.id)
               in
               (* Merge phase: sequential, frontier order; the only writer. *)
-              Array.iteri
-                (fun i ent ->
-                  let plan, tags = plans.(i) in
-                  expand_entry ~tags ent plan)
-                batch
+              Array.iteri (fun i (plan, tags) -> expand_entry ~tags w.ids.(i) plan) plans
             end
-            else Queue.iter (fun ent -> expand_entry ent (plan_of ent)) !frontier;
+            else
+              for i = 0 to nb - 1 do
+                expand_entry w.ids.(i) (plan_of w i)
+              done;
             (match wave_hook with
             | None -> ()
             | Some hook ->
@@ -561,8 +675,25 @@ module Make (P : Protocol.S) = struct
                   ~dups:!dups ~truncated:!truncated
                   ~seconds:(Obs.Clock.elapsed w0));
             incr wave;
-            frontier := next
+            wave_clear w;
+            frontier := next;
+            spare := w
           done)
+
+    (* Words held by the graph's own backing arrays and byte strings,
+       headers included, from their lengths: the key arena and offsets,
+       the intern slots, the per-node rows, parents, masks, flags and
+       sleep slots, the edge chunks and the scratch row.  The part
+       dictionaries and the sleep-set lists are not counted. *)
+    let graph_words g =
+      let arr a = 1 + Array.length a and bytes b = 2 + (Bytes.length b / 8) in
+      let st = g.store in
+      let chunks = ref (arr g.chunks) in
+      for i = 0 to g.nchunks - 1 do
+        chunks := !chunks + arr g.chunks.(i)
+      done;
+      bytes st.arena + arr st.offs + arr st.slots + arr g.rows + arr g.parent + bytes g.masks
+      + bytes g.expanded_flags + arr g.sleeps + arr g.scratch + !chunks
 
     let explore ?(filter = fun _ -> true) ?(jobs = 1) ?(obs = Obs.disabled)
         ?(reduction = `None) ?(seq_threshold = 128) ~max_configs root_cfg =
@@ -572,8 +703,7 @@ module Make (P : Protocol.S) = struct
         invalid_arg "Explore.explore: seq_threshold must be >= 0";
       let g = make_graph ~reduction in
       let root_key = C.Packed.pack g.store.pstore root_cfg in
-      ensure_capacity g 1;
-      let root_id = store_add g.store ~hash:(C.Packed.hash root_key) root_key in
+      let root_id = intern g ~hash:(C.Packed.hash root_key) root_key root_cfg in
       assert (root_id = 0);
       let m = obs.Obs.metrics in
       let trace = obs.Obs.trace in
@@ -620,8 +750,7 @@ module Make (P : Protocol.S) = struct
             ("reduction", Flp_json.Str (reduction_name reduction));
           ]
         (fun () ->
-          explore_waves ?pool_metrics ?wave_hook ~filter ~jobs ~seq_threshold ~max_configs g
-            root_cfg);
+          explore_waves ?pool_metrics ?wave_hook ~filter ~jobs ~seq_threshold ~max_configs g);
       if Obs.enabled obs then begin
         let dur = Obs.Clock.elapsed t0 in
         Obs.Metrics.add_seconds (Obs.Metrics.timer m "explore.time") dur;
@@ -636,6 +765,7 @@ module Make (P : Protocol.S) = struct
           (Obs.Metrics.gauge m "explore.store.capacity")
           (Array.length g.store.slots);
         Obs.Metrics.gauge_set (Obs.Metrics.gauge m "explore.packed.bytes") (store_bytes g.store);
+        Obs.Metrics.gauge_set (Obs.Metrics.gauge m "explore.graph_words") (graph_words g);
         Obs.Metrics.gauge_set
           (Obs.Metrics.gauge m "explore.packed.dict_states")
           (C.Packed.state_count g.store.pstore);
@@ -668,9 +798,7 @@ module Make (P : Protocol.S) = struct
 
     let config g id =
       check_id "config" g id;
-      let st = g.store in
-      let off = st.offs.(id) in
-      C.Packed.unpack st.pstore (Bytes.sub_string st.arena off (st.offs.(id + 1) - off))
+      node_config g id
 
     let id_of g cfg =
       match C.Packed.pack_ro g.store.pstore cfg with
@@ -687,14 +815,24 @@ module Make (P : Protocol.S) = struct
 
     let event_code g e = C.Packed.event_code g.store.pstore e
 
-    (* The node's raw [(event code, target)] pairs, for the analyses below;
-       unchecked, like the arrays they index. *)
-    let row g id = g.rows.(id)
+    let decision_mask g id =
+      check_id "decision_mask" g id;
+      Char.code (Bytes.get g.masks id)
+
+    (* Every node's decision mask, as a fresh byte string of length [size]. *)
+    let decision_masks g = Bytes.sub g.masks 0 g.store.count
 
     let succ g id =
       check_id "succ" g id;
-      let row = g.rows.(id) in
-      List.init (Array.length row / 2) (fun i -> (event_of_code g row.(2 * i), row.((2 * i) + 1)))
+      let acc = ref [] in
+      iter_row g id (fun code v -> acc := (event_of_code g code, v) :: !acc);
+      List.rev !acc
+
+    (* [id]'s edge targets, in edge order; unchecked. *)
+    let targets g id =
+      let acc = ref [] in
+      iter_row g id (fun _ v -> acc := v :: !acc);
+      List.rev !acc
 
     (* Reverse edges in CSR form: the sources of [v]'s in-edges are
        [preds.(off.(v)) .. preds.(off.(v + 1) - 1)], one per edge, in
@@ -703,23 +841,16 @@ module Make (P : Protocol.S) = struct
       let n = size g in
       let off = Array.make (n + 1) 0 in
       for u = 0 to n - 1 do
-        let row = g.rows.(u) in
-        for i = 0 to (Array.length row / 2) - 1 do
-          let v = row.((2 * i) + 1) in
-          off.(v) <- off.(v) + 1
-        done
+        iter_row g u (fun _ v -> off.(v) <- off.(v) + 1)
       done;
       for v = 1 to n do
         off.(v) <- off.(v) + off.(v - 1)
       done;
       let preds = Array.make off.(n) 0 in
       for u = 0 to n - 1 do
-        let row = g.rows.(u) in
-        for i = 0 to (Array.length row / 2) - 1 do
-          let v = row.((2 * i) + 1) in
-          off.(v) <- off.(v) - 1;
-          preds.(off.(v)) <- u
-        done
+        iter_row g u (fun _ v ->
+            off.(v) <- off.(v) - 1;
+            preds.(off.(v)) <- u)
       done;
       (off, preds)
 
@@ -741,7 +872,7 @@ module Make (P : Protocol.S) = struct
       check_id "path_to" g id;
       let rec go acc id =
         let p = g.parent.(id) in
-        if p < 0 then acc else go (event_of_code g g.parent_code.(id) :: acc) p
+        if p < 0 then acc else go (event_of_code g (p lsr id_bits) :: acc) (p land id_mask)
       in
       go [] id
   end
@@ -762,40 +893,35 @@ module Make (P : Protocol.S) = struct
 
     exception Incomplete
 
-    let mask_of_values vs =
-      List.fold_left
-        (fun acc v -> acc lor (match v with Value.Zero -> 1 | Value.One -> 2))
-        0 vs
-
+    (* Reachable decision values propagate backwards from the masks set
+       at intern time: no configuration is decoded. *)
     let classify g =
       if not (Explore.complete g) then raise Incomplete;
       let n = Explore.size g in
-      let masks =
-        Array.init n (fun u -> mask_of_values (C.decision_values (Explore.config g u)))
-      in
+      let masks = Explore.decision_masks g in
+      let mask u = Char.code (Bytes.get masks u) in
       let off, preds = Explore.predecessors g in
       let queue = Queue.create () in
       for u = 0 to n - 1 do
-        if masks.(u) <> 0 then Queue.push u queue
+        if mask u <> 0 then Queue.push u queue
       done;
       while not (Queue.is_empty queue) do
         let v = Queue.pop queue in
         for k = off.(v) to off.(v + 1) - 1 do
           let u = preds.(k) in
-          let nm = masks.(u) lor masks.(v) in
-          if nm <> masks.(u) then begin
-            masks.(u) <- nm;
+          let nm = mask u lor mask v in
+          if nm <> mask u then begin
+            Bytes.set masks u (Char.chr nm);
             Queue.push u queue
           end
         done
       done;
-      Array.map
-        (function
+      Array.init n (fun u ->
+          match mask u with
           | 0 -> Undecided_forever
           | 1 -> Univalent Value.Zero
           | 2 -> Univalent Value.One
           | _ -> Bivalent)
-        masks
 
     let of_initial ?(jobs = 1) ?(obs = Obs.disabled) ?(reduction = `None) ~max_configs
         inputs =
@@ -807,7 +933,6 @@ module Make (P : Protocol.S) = struct
     let buf = Buffer.create 4096 in
     Buffer.add_string buf "digraph flp {\n  rankdir=TB;\n  node [fontsize=9];\n";
     for id = 0 to Explore.size g - 1 do
-      let cfg = Explore.config g id in
       let fill =
         match valences with
         | None -> "white"
@@ -818,7 +943,7 @@ module Make (P : Protocol.S) = struct
             | Valency.Bivalent -> "orange"
             | Valency.Undecided_forever -> "lightgrey")
       in
-      let shape = if C.decision_values cfg <> [] then "doubleoctagon" else "ellipse" in
+      let shape = if Explore.decision_mask g id <> 0 then "doubleoctagon" else "ellipse" in
       Buffer.add_string buf
         (Printf.sprintf "  c%d [label=\"%d\", style=filled, fillcolor=%s, shape=%s];\n" id
            id fill shape)
@@ -944,21 +1069,8 @@ module Make (P : Protocol.S) = struct
       counterexamples : (int * C.event) list;
     }
 
-    (* The target of [v]'s edge with event code [code], or [-1]. *)
-    let e_successor g v code =
-      let row = Explore.row g v in
-      let rec go i =
-        if i >= Array.length row then -1 else if row.(i) = code then row.(i + 1) else go (i + 2)
-      in
-      go 0
-
     (* [f c t] for each of [v]'s edges whose event code [c] is not [code]. *)
-    let iter_avoiding g v code f =
-      let row = Explore.row g v in
-      for i = 0 to (Array.length row / 2) - 1 do
-        let c = row.(2 * i) in
-        if c <> code then f c row.((2 * i) + 1)
-      done
+    let iter_avoiding g v code f = Explore.iter_row g v (fun c t -> if c <> code then f c t)
 
     (* Does D = e(reachable-from-[start]-without-[e]) contain a bivalent
        configuration, for the event [e] with code [code]?  BFS with early
@@ -971,7 +1083,7 @@ module Make (P : Protocol.S) = struct
       let found = ref false in
       while (not !found) && not (Queue.is_empty queue) do
         let v = Queue.pop queue in
-        let t = e_successor g v code in
+        let t = Explore.edge_target g v code in
         if t >= 0 && Valency.equal_valence valences.(t) Valency.Bivalent then found := true
         else
           iter_avoiding g v code (fun _ t ->
@@ -1056,7 +1168,7 @@ module Make (P : Protocol.S) = struct
       let case2 = ref 0 in
       let uniform = ref 0 in
       let e_valence v code =
-        let t = e_successor g v code in
+        let t = Explore.edge_target g v code in
         if t < 0 then None else Some valences.(t)
       in
       (try
@@ -1128,23 +1240,23 @@ module Make (P : Protocol.S) = struct
     let check_partial_correctness ?(jobs = 1) ?(obs = Obs.disabled) ?(reduction = `None)
         ~max_configs () =
       let conflict = ref None in
-      let values = ref [] in
+      let seen = ref 0 in  (* decision mask of every configuration, or-ed *)
       let exhaustive = ref true in
       List.iter
         (fun inputs ->
           let g = Explore.explore ~jobs ~obs ~reduction ~max_configs (C.initial inputs) in
           if not (Explore.complete g) then exhaustive := false;
           for id = 0 to Explore.size g - 1 do
-            let dv = C.decision_values (Explore.config g id) in
-            values := dv @ !values;
-            if List.length dv > 1 && !conflict = None then
-              conflict := Some (inputs, Explore.path_to g id)
+            let m = Explore.decision_mask g id in
+            seen := !seen lor m;
+            if m = 3 && !conflict = None then conflict := Some (inputs, Explore.path_to g id)
           done)
         (all_inputs ());
       {
         no_conflicting_decisions = !conflict = None;
         conflict_witness = !conflict;
-        reachable_decision_values = List.sort_uniq Value.compare !values;
+        reachable_decision_values =
+          List.filter (fun v -> !seen land (1 lsl Value.to_int v) <> 0) Value.all;
         exhaustive = !exhaustive;
       }
 
@@ -1160,7 +1272,7 @@ module Make (P : Protocol.S) = struct
       let can_decide = Array.make n false in
       let queue = Queue.create () in
       for u = 0 to n - 1 do
-        if C.decision_values (Explore.config g u) <> [] then begin
+        if Explore.decision_mask g u <> 0 then begin
           can_decide.(u) <- true;
           Queue.push u queue
         end
@@ -1200,10 +1312,7 @@ module Make (P : Protocol.S) = struct
       let stack = ref [] in
       let counter = ref 0 in
       let components = ref [] in
-      let succs v =
-        let row = Explore.row g v in
-        List.filter keep (List.init (Array.length row / 2) (fun i -> row.((2 * i) + 1)))
-      in
+      let succs v = List.filter keep (Explore.targets g v) in
       let visit root =
         let frames = ref [ (root, ref (succs root)) ] in
         index.(root) <- !counter;
@@ -1262,11 +1371,8 @@ module Make (P : Protocol.S) = struct
       in
       let g = Explore.explore ~filter ~jobs ~obs ~max_configs (C.initial inputs) in
       let n = Explore.size g in
-      let undecided =
-        Array.init n (fun id -> C.decision_values (Explore.config g id) = [])
-      in
       (* Only fully expanded nodes are sound cycle members. *)
-      let keep id = undecided.(id) && Explore.expanded g id in
+      let keep id = Explore.decision_mask g id = 0 && Explore.expanded g id in
       let live pid = match faulty with Some p -> pid <> p | None -> true in
       let comps = sccs_of_subgraph g keep in
       let in_comp = Array.make n false in
@@ -1385,7 +1491,7 @@ module Make (P : Protocol.S) = struct
       let target = ref None in
       while !target = None && not (Queue.is_empty queue) do
         let v = Queue.pop queue in
-        let t = Lemma.e_successor g v code in
+        let t = Explore.edge_target g v code in
         if t >= 0 && Valency.equal_valence valences.(t) Valency.Bivalent then target := Some v
         else
           Lemma.iter_avoiding g v code (fun c t ->

@@ -108,15 +108,21 @@ module Make (P : Protocol.S) : sig
 
         Visited configurations are stored {e packed} ({!Config.S.Packed}):
         the keys sit back to back in one byte arena, and one open-addressing
-        intern table (linear probing over a power-of-two array of ids, each
-        slot's FNV hash beside it, load at most 1/2) maps a key to its id.
-        Each node's edges are one unboxed row of [(event code, target)]
-        integer pairs ({!Config.S.Packed.event_code}), and its BFS parent is
-        an id plus an event code, so the stored graph holds no boxed event,
-        list or tuple.  The BFS runs one wave (frontier) at a time, and
-        every write to the store — part interning, ID assignment,
-        insertion — happens in frontier order; ids never depend on the
-        table's slot layout.
+        intern table (linear probing over a power-of-two array of ints, each
+        slot the key's 32-bit FNV hash above its 30-bit id, load at most
+        1/2) maps a key to its id.  An edge is one int, its event code
+        ({!Config.S.Packed.event_code}) above its target's id; a node's
+        edges are one contiguous row in chunked flat storage, addressed by
+        one int per node, and its BFS parent is one such int too.  Each
+        node also keeps its configuration's {!Config.S.decision_mask}, set
+        when it is interned.  The frontier holds node ids (plus sleep
+        snapshots under [`Sleep]), never configurations: a node's
+        configuration is decoded from the arena when it is expanded.  So
+        the stored graph holds no boxed event, list or tuple, and node ids
+        are limited to [2^30] ([Invalid_argument] past that).  The BFS runs
+        one wave (frontier) at a time, and every write to the store — part
+        interning, ID assignment, insertion — happens in frontier order;
+        ids never depend on the table's slot layout.
 
         [jobs] (default [1]) sets the number of worker domains used to
         expand a wave.  A wave of at least [seq_threshold] (default [128])
@@ -146,9 +152,13 @@ module Make (P : Protocol.S) : sig
         most consecutive occupied slots, wrapping, so no lookup, hit or
         miss, reads more than that many slots plus one empty slot), the
         [explore.store.capacity] gauge (the table's slot count), both
-        computed once after the run, and the packed-codec gauges
+        computed once after the run, the packed-codec gauges
         [explore.packed.bytes] / [explore.packed.dict_states] /
-        [explore.packed.dict_msgs].  Under a reduction mode it additionally
+        [explore.packed.dict_msgs], and [explore.graph_words]: the words
+        held by the graph's own arrays (key arena and offsets, intern
+        slots, per-node rows, parents, masks and flags, edge chunks),
+        headers included, counted from their lengths, so the figure is the
+        same on every run.  Under a reduction mode it additionally
         records [explore.por.pruned] (enabled events never applied),
         [explore.por.sleep_hits] (events delegated via sleep sets) and
         [explore.por.proviso] (cycle-proviso full expansions).  [obs] never
@@ -174,6 +184,18 @@ module Make (P : Protocol.S) : sig
         to the event that was applied, but not physically shared with it or
         with the events of another call.  Raises [Invalid_argument] unless
         [0 <= id < size g]. *)
+
+    val decision_mask : graph -> int -> int
+    (** The node's {!Config.S.decision_mask}, recorded when it was interned:
+        bit [0] when some process has decided 0, bit [1] when some process
+        has decided 1.  Raises [Invalid_argument] unless
+        [0 <= id < size g]. *)
+
+    val predecessors : graph -> int array * int array
+    (** Every edge reversed, in compressed rows: [(off, preds)] where the
+        sources of node [v]'s in-edges are [preds.(off.(v))] to
+        [preds.(off.(v + 1) - 1)], one per edge, in descending source
+        order.  [off] has [size g + 1] entries. *)
 
     val expanded : graph -> int -> bool
     (** Whether the node's successors were computed.  Raises

@@ -51,6 +51,8 @@ module type S = sig
 
   val decision_values : t -> Value.t list
 
+  val decision_mask : t -> int
+
   val equal : t -> t -> bool
 
   val hash : t -> int
@@ -224,6 +226,14 @@ module Make (P : Protocol.S) : S with type state = P.state and type msg = P.msg 
       |> List.sort_uniq Value.compare
     in
     vs
+
+  let decision_mask t =
+    Array.fold_left
+      (fun acc st ->
+        match P.output st with
+        | None -> acc
+        | Some v -> acc lor (1 lsl Value.to_int v))
+      0 t.states
 
   let equal t1 t2 =
     MB.equal t1.buffer t2.buffer
@@ -407,17 +417,15 @@ module Make (P : Protocol.S) : S with type state = P.state and type msg = P.msg 
         v
       in
       let states = Array.init P.n (fun _ -> s.states.(next ())) in
-      let entries = next () in
-      let buffer = ref MB.empty in
-      for _ = 1 to entries do
-        let dest = next () in
-        let m = s.msgs.(next ()) in
-        let mult = next () in
-        for _ = 1 to mult do
-          buffer := MB.send !buffer ~dest m
-        done
-      done;
-      { states; buffer = !buffer }
+      let rec entries k =
+        if k = 0 then []
+        else
+          let dest = next () in
+          let m = s.msgs.(next ()) in
+          let mult = next () in
+          (dest, m, mult) :: entries (k - 1)
+      in
+      { states; buffer = MB.of_list (entries (next ())) }
 
     (* Event codes: [dest] for a null step, [n * (1 + msg id) + dest] for a
        delivery, with the message's id from the same part dictionary the

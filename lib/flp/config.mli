@@ -102,6 +102,10 @@ module type S = sig
   (** Distinct decided values; the configuration "has decision value v" for
       each member. *)
 
+  val decision_mask : t -> int
+  (** {!decision_values} as a bit set, without a list: bit [0] when some
+      process decided 0, bit [1] when some process decided 1. *)
+
   val equal : t -> t -> bool
 
   val hash : t -> int
@@ -160,7 +164,8 @@ module type S = sig
         contains a state or message the store has never seen. *)
 
     val unpack : store -> string -> t
-    (** Exact inverse of {!pack} for keys produced by this store. *)
+    (** Exact inverse of {!pack} for keys produced by this store.  The
+        buffer is built in one pass from the key's canonical listing. *)
 
     val hash : string -> int
     (** FNV-1a over the packed bytes, one loop over the string —

@@ -84,6 +84,18 @@ module Make (M : MSG) = struct
         end
       end
 
+  let of_list = function
+    | [] -> empty
+    | (dest, msg, count) :: _ as l ->
+        let t = Array.make (List.length l) { dest; msg; count } in
+        List.iteri
+          (fun i (dest, msg, count) ->
+            if count < 1 || (i > 0 && compare_key dest msg t.(i - 1) <= 0) then
+              invalid_arg "Msg_buffer.of_list: not a canonical listing";
+            t.(i) <- { dest; msg; count })
+          l;
+        t
+
   let iter f t =
     for i = 0 to Array.length t - 1 do
       let e = t.(i) in

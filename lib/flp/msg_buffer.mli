@@ -63,6 +63,12 @@ module Make (M : MSG) : sig
   val to_list : t -> (int * M.t * int) list
   (** Canonical [(dest, msg, multiplicity)] listing. *)
 
+  val of_list : (int * M.t * int) list -> t
+  (** The buffer with the given canonical listing, built in one pass: the
+      inverse of {!to_list}.  Raises [Invalid_argument] unless the pairs
+      are strictly increasing by [(dest, msg)] and every multiplicity is at
+      least 1. *)
+
   val iter : (int -> M.t -> int -> unit) -> t -> unit
   (** [iter f t] calls [f dest msg multiplicity] on every entry, in
       canonical order, without building a list. *)

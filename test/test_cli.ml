@@ -5,9 +5,12 @@
    stderr, prefixed with the binary's name.  Runs are kept small, and every
    output path a row names is either unwritable or never reached. *)
 
-type row = { exe : string; args : string list; code : int }
+type row = { exe : string; args : string list; code : int; quiet : bool }
 
-let row exe args code = { exe; args; code }
+let row exe args code = { exe; args; code; quiet = false }
+
+(* A rejection that must come before the run: nothing on stdout. *)
+let early exe args = { exe; args; code = 2; quiet = true }
 
 let unknown_option exe = row exe [ "--bogus" ] 2
 
@@ -49,12 +52,13 @@ let rows =
     row "flp_lint" [ "-p"; "nonsense" ] 2;
     (* a degenerate service cell *)
     row "flp_service" [ "--batch"; "0"; "-o"; "unused.json" ] 2;
-    (* unwritable outputs end in one line, not an uncaught Sys_error *)
-    row "flp_torture" [ "--seeds"; "1"; "-o"; "/nonexistent/x.json" ] 2;
-    row "flp_service" [ "--clients"; "2"; "-o"; "/nonexistent/x.json" ] 2;
-    row "flp_detlint" [ "../lib/json"; "--out"; "/nonexistent/x.json" ] 2;
-    row "flp_causal" [ "-p"; "and-wait"; "--chrome"; "/nonexistent/c.json" ] 2;
-    row "flp_check" [ "-p"; "and-wait"; "--dot"; "/nonexistent/x.dot" ] 2;
+    (* unwritable outputs end in one line, not an uncaught Sys_error, and
+       are rejected before the run starts *)
+    early "flp_torture" [ "--seeds"; "1"; "-o"; "/nonexistent/x.json" ];
+    early "flp_service" [ "--clients"; "2"; "-o"; "/nonexistent/x.json" ];
+    early "flp_detlint" [ "../lib/json"; "--out"; "/nonexistent/x.json" ];
+    early "flp_causal" [ "-p"; "and-wait"; "--chrome"; "/nonexistent/c.json" ];
+    early "flp_check" [ "-p"; "and-wait"; "--dot"; "/nonexistent/x.dot" ];
     row "flp_lint" [ "-p"; "and-wait"; "--metrics"; "/nonexistent/m.jsonl" ] 2;
     (* counts below 1 that sibling binaries already rejected *)
     row "flp_adversary" [ "--max-configs"; "0" ] 2;
@@ -91,20 +95,25 @@ let rows =
       row "consensus_sim" [ "--crash"; "0@nan"; "--seeds"; "5" ] 2;
       row "consensus_sim" [ "--crash"; "0@inf" ] 2;
       row "flp_causal" [ "-p"; "and-wait"; "--cone"; "99" ] 2;
+      (* a directory is no output file *)
+      early "flp_torture" [ "--seeds"; "1"; "-o"; "." ];
     ]
 
 let slurp path = In_channel.with_open_bin path In_channel.input_all
 
-let run { exe; args; code } () =
-  let out = "test_cli.stdout" and err = "test_cli.stderr" in
+let out = "test_cli.stdout" and err = "test_cli.stderr"
+
+(* Runs a binary with stdout and stderr captured; returns its exit code. *)
+let exec exe args =
   let argv = List.map Filename.quote (Filename.concat "../bin" (exe ^ ".exe") :: args) in
   (* TERM=dumb keeps --help plain text, with no pager *)
-  let got =
-    Sys.command
-      (Printf.sprintf "TERM=dumb %s > %s 2> %s" (String.concat " " argv) out err)
-  in
+  Sys.command (Printf.sprintf "TERM=dumb %s > %s 2> %s" (String.concat " " argv) out err)
+
+let run { exe; args; code; quiet } () =
+  let got = exec exe args in
   let stderr = slurp err in
   Alcotest.(check int) (Printf.sprintf "exit code (stderr: %S)" stderr) code got;
+  if quiet then Alcotest.(check string) "nothing on stdout" "" (slurp out);
   if code = 2 then begin
     Alcotest.(check int) "stderr lines" 1
       (List.length (String.split_on_char '\n' stderr) - 1);
@@ -113,6 +122,43 @@ let run { exe; args; code } () =
       true
       (String.starts_with ~prefix:(exe ^ ": ") stderr)
   end
+
+(* The exit codes a binary's --help=plain lists under EXIT STATUS. *)
+let help_exits exe =
+  Alcotest.(check int) "--help=plain exits 0" 0 (exec exe [ "--help=plain" ]);
+  let lines = String.split_on_char '\n' (slurp out) in
+  let rec section = function
+    | [] -> []
+    | "EXIT STATUS" :: rest -> rest
+    | _ :: rest -> section rest
+  in
+  let rec codes acc = function
+    | [] -> List.rev acc
+    | l :: _ when l <> "" && l.[0] <> ' ' -> List.rev acc  (* the next section *)
+    | l :: rest -> (
+        match String.split_on_char ' ' (String.trim l) with
+        | c :: _ when c <> "" && String.for_all (fun ch -> ch >= '0' && ch <= '9') c ->
+            codes (int_of_string c :: acc) rest
+        | _ -> codes acc rest)
+  in
+  codes [] (section lines)
+
+let test_help_lists_the_table exe () =
+  Alcotest.(check (list int)) (exe ^ " --help exit codes") [ 0; 1; 2; 125 ] (help_exits exe)
+
+(* The up-front check on an output path neither truncates an existing
+   file nor leaves a file behind: here the path is writable and the input
+   is rejected afterwards. *)
+let test_writable_check_leaves_files () =
+  let keep = "test_cli.keep" and fresh = "test_cli.fresh" in
+  Out_channel.with_open_text keep (fun oc -> output_string oc "keep\n");
+  if Sys.file_exists fresh then Sys.remove fresh;
+  let rejected path = exec "flp_torture" [ "-n"; "3"; "--ones"; "5"; "-o"; path ] in
+  Alcotest.(check int) "existing file: rejected input" 2 (rejected keep);
+  Alcotest.(check string) "existing file untouched" "keep\n" (slurp keep);
+  Alcotest.(check int) "missing file: rejected input" 2 (rejected fresh);
+  Alcotest.(check bool) "missing file not created" false (Sys.file_exists fresh);
+  Sys.remove keep
 
 let () =
   Alcotest.run "cli"
@@ -124,4 +170,11 @@ let () =
               (Printf.sprintf "%s %s -> %d" r.exe (String.concat " " r.args) r.code)
               `Quick (run r))
           rows );
+      ( "help",
+        List.map
+          (fun exe -> Alcotest.test_case exe `Quick (test_help_lists_the_table exe))
+          binaries );
+      ( "outputs",
+        [ Alcotest.test_case "checked without a trace" `Quick test_writable_check_leaves_files ]
+      );
     ]

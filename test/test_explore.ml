@@ -233,6 +233,103 @@ let test_edge_codes_round_trip () =
         (List.exists (fun (e : Zoo.entry) -> e.name = name) checked))
     [ "race:2"; "benor-det:1" ]
 
+(* The lean graph's invariants, under both reductions, inline (jobs 1)
+   and pooled (jobs 4, every wave on the pool): the graph is the same at
+   both jobs values; [predecessors] is [succ] reversed; each node's
+   decision mask, recorded when it was interned, is its configuration's
+   [decision_values]; and every parent path replays to its node. *)
+let lean_graph_holds ~budget label protocol =
+  let module P = (val protocol : Protocol.S) in
+  let module A = Analysis.Make (P) in
+  let root = A.C.initial (Array.init P.n (fun i -> Value.of_int (i land 1))) in
+  List.for_all
+    (fun (mode, reduction) ->
+      let label = Printf.sprintf "%s %s" label mode in
+      let explore jobs = A.Explore.explore ~jobs ~seq_threshold:0 ~reduction ~max_configs:budget root in
+      let g = explore 1 in
+      A.Explore.complete g
+      &&
+      let g4 = explore 4 in
+      let n = A.Explore.size g in
+      if A.Explore.size g4 <> n || A.Explore.edge_count g4 <> A.Explore.edge_count g then
+        Alcotest.failf "%s: jobs 4 explores %d configs / %d edges, jobs 1 %d / %d" label
+          (A.Explore.size g4) (A.Explore.edge_count g4) n (A.Explore.edge_count g);
+      let same_events l1 l2 =
+        List.length l1 = List.length l2 && List.for_all2 A.C.event_equal l1 l2
+      in
+      let off, preds = A.Explore.predecessors g in
+      let into = Array.make n [] in
+      for u = n - 1 downto 0 do
+        List.iter (fun (_, v) -> into.(v) <- u :: into.(v)) (A.Explore.succ g u)
+      done;
+      for u = 0 to n - 1 do
+        let c = A.Explore.config g u in
+        let succ = A.Explore.succ g u and succ4 = A.Explore.succ g4 u in
+        if
+          not
+            (A.C.equal c (A.Explore.config g4 u)
+            && List.map snd succ = List.map snd succ4
+            && same_events (List.map fst succ) (List.map fst succ4)
+            && same_events (A.Explore.path_to g u) (A.Explore.path_to g4 u)
+            && A.Explore.expanded g u = A.Explore.expanded g4 u)
+        then Alcotest.failf "%s: node %d differs between jobs 1 and 4" label u;
+        let sources = List.init (off.(u + 1) - off.(u)) (fun k -> preds.(off.(u) + k)) in
+        if sources <> List.rev into.(u) then
+          Alcotest.failf "%s: predecessors of %d are not its in-edges" label u;
+        let mask =
+          List.fold_left (fun m v -> m lor (1 lsl Value.to_int v)) 0 (A.C.decision_values c)
+        in
+        if A.Explore.decision_mask g u <> mask || A.Explore.decision_mask g4 u <> mask then
+          Alcotest.failf "%s: decision mask of %d is %d, its configuration's %d" label u
+            (A.Explore.decision_mask g u) mask;
+        if not (A.C.equal (A.C.apply_schedule root (A.Explore.path_to g u)) c) then
+          Alcotest.failf "%s: path to %d does not replay" label u
+      done;
+      true)
+    [ ("none", `None); ("sleep", `Sleep) ]
+
+let test_lean_graph () =
+  let checked =
+    List.filter
+      (fun (e : Zoo.entry) -> lean_graph_holds ~budget:40_000 e.name e.protocol)
+      Zoo.all
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " checked")
+        true
+        (List.exists (fun (e : Zoo.entry) -> e.name = name) checked))
+    [ "race:2"; "benor-det:1" ];
+  for seed = 1 to 5 do
+    let label = Printf.sprintf "fuzz seed %d" seed in
+    let protocol = Random_protocol.generate Random_protocol.default_spec ~seed in
+    Alcotest.(check bool) (label ^ " checked") true
+      (lean_graph_holds ~budget:40_000 label protocol)
+  done
+
+(* A memory pin: [explore.graph_words] counts the graph's own arrays from
+   their lengths, so it is the same on every run.  pipeline:40 held 20.41
+   words per configuration when each edge was two ints in a boxed row per
+   node, each intern slot two ints and each parent two ints. *)
+let test_graph_words_pin () =
+  let module P = (val Zoo.pipeline ~ticks:40 : Protocol.S) in
+  let module A = Analysis.Make (P) in
+  let words () =
+    let metrics = Obs.Metrics.create () in
+    let root = A.C.initial (Array.init P.n (fun i -> Value.of_int (i land 1))) in
+    let g = A.Explore.explore ~obs:(Obs.create ~metrics ()) ~max_configs:1_000_000 root in
+    ( A.Explore.size g,
+      Obs.Metrics.gauge_value (Obs.Metrics.gauge metrics "explore.graph_words") )
+  in
+  let size, w = words () in
+  Alcotest.(check int) "pipeline:40 configs" 198_521 size;
+  Alcotest.(check int) "the same on a second run" w (snd (words ()));
+  let per_config = float_of_int w /. float_of_int size in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per configuration < 20.41" per_config)
+    true (per_config < 20.41)
+
 (* The intern table's health: no probe may walk a long run of occupied
    slots.  At load <= 1/2 with a well-spread hash the longest run grows
    like log(capacity). *)
@@ -381,6 +478,8 @@ let () =
           Alcotest.test_case "matches a reference BFS" `Slow test_matches_reference_bfs;
           Alcotest.test_case "edge codes round-trip" `Slow test_edge_codes_round_trip;
           Alcotest.test_case "probe runs stay short" `Quick test_probe_runs_stay_short;
+          Alcotest.test_case "lean graph invariants" `Slow test_lean_graph;
+          Alcotest.test_case "graph words pinned" `Quick test_graph_words_pin;
         ] );
       ( "valency",
         [

@@ -106,6 +106,27 @@ let prop_persistence =
       | [] -> ());
       MB.to_list b = snapshot)
 
+(* [of_list] rebuilds a buffer from its canonical listing (the packed
+   codec's decoder builds every buffer this way) and rejects any listing
+   that is not canonical. *)
+let prop_of_list_inverts_to_list =
+  QCheck.Test.make ~name:"of_list inverts to_list" ~count:300 arbitrary_ops (fun ops ->
+      let b = List.fold_left (fun b (d, m) -> MB.send b ~dest:d m) MB.empty ops in
+      let l = MB.to_list b in
+      let b' = MB.of_list l in
+      MB.equal b b' && MB.compare b b' = 0 && MB.to_list b' = l)
+
+let test_of_list_rejects () =
+  let rejects label l =
+    Alcotest.check_raises label
+      (Invalid_argument "Msg_buffer.of_list: not a canonical listing")
+      (fun () -> ignore (MB.of_list l))
+  in
+  rejects "out of order" [ (1, "a", 1); (0, "a", 1) ];
+  rejects "same pair twice" [ (0, "a", 1); (0, "a", 2) ];
+  rejects "zero multiplicity" [ (0, "a", 0) ];
+  Alcotest.(check bool) "empty" true (MB.is_empty (MB.of_list []))
+
 (* A model test against a reference kept here: the [Map]-backed multiset
    the array buffer replaced, with its order (destination, then message),
    its [equal], its [compare] and its hash formula.  Random send/receive
@@ -222,5 +243,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_send_receive_roundtrip;
           QCheck_alcotest.to_alcotest prop_persistence;
           QCheck_alcotest.to_alcotest prop_model;
+          QCheck_alcotest.to_alcotest prop_of_list_inverts_to_list;
+          Alcotest.test_case "of_list rejects non-canonical listings" `Quick
+            test_of_list_rejects;
         ] );
     ]
