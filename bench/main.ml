@@ -59,7 +59,7 @@ let e2 () =
           | Some A.Valency.Bivalent -> incr biv
           | Some A.Valency.Undecided_forever -> incr nodec
           | None -> incr ovf)
-        (A.Lemma.check_lemma2 ~max_configs:500_000 ());
+        (A.Lemma.check_lemma2 (A.graphs ~max_configs:500_000 ()));
       Format.printf "%-14s %8d %8d %8d %8d %10d@." e.name !zero !one !biv !nodec !ovf)
     Flp.Zoo.all;
   Format.printf
@@ -84,7 +84,8 @@ let e3 () =
           let inputs =
             Array.init P.n (fun i -> if i = P.n - 1 then Flp.Value.One else Flp.Value.Zero)
           in
-          let s = A.Lemma.check_lemma3 ~max_pairs:4000 ~max_configs inputs in
+          let g = A.Explore.explore ~max_configs (A.C.initial inputs) in
+          let s = A.Lemma.check_lemma3 ~max_pairs:4000 g in
           Format.printf "%-12s %10d %10d %10d %7.1f%%@." name s.bivalent_configs
             s.pairs_checked s.pairs_holding
             (100.0 *. float_of_int s.pairs_holding /. float_of_int (max 1 s.pairs_checked)))
@@ -100,8 +101,9 @@ let e3 () =
   let module P = (val Flp.Zoo.race ~cap:2 : Flp.Protocol.S) in
   let module A = Flp.Analysis.Make (P) in
   let c =
-    A.Lemma.lemma3_case_analysis ~max_configs:100_000
-      [| Flp.Value.Zero; Flp.Value.Zero; Flp.Value.One |]
+    A.Lemma.lemma3_case_analysis
+      (A.Explore.explore ~max_configs:100_000
+         (A.C.initial [| Flp.Value.Zero; Flp.Value.Zero; Flp.Value.One |]))
   in
   Format.printf "%-12s %10d %10d %8d %8d %10d@." "race:2" c.failing_pairs
     c.with_neighbor_witness c.case1 c.case2 c.uniform_d;
@@ -122,7 +124,7 @@ let e4 () =
       let module A = Flp.Analysis.Make (P) in
       let inputs = [| Flp.Value.Zero; Flp.Value.Zero; Flp.Value.One |] in
       let g = A.Explore.explore ~max_configs:700_000 (A.C.initial inputs) in
-      let run = A.Adversary.run ~max_configs:700_000 ~stages:100 inputs in
+      let run = Result.get_ok (A.Adversary.run ~stages:100 g) in
       let outcome =
         match run.outcome with
         | A.Adversary.Completed -> "completed"
@@ -520,7 +522,10 @@ let e14 () =
   Format.printf "%-22s %11s %12s %12s@." "scheduler" "decides%" "steps mean" "steps p95";
   summarize "uniform random" (List.map random_walk (seeds 300));
   summarize "fair queue (FIFO)" [ fifo_walk () ];
-  let adv = A.Adversary.run ~max_configs:600_000 ~stages:100 inputs in
+  let adv =
+    Result.get_ok
+      (A.Adversary.run ~stages:100 (A.Explore.explore ~max_configs:600_000 (A.C.initial inputs)))
+  in
   Format.printf "%-22s %10.0f%% %12s %12s  (%d bivalent stages, then the cap forces it)@."
     "bivalence adversary" 0.0 "-" "-" (List.length adv.stages);
   Format.printf
@@ -550,9 +555,7 @@ let e14 () =
               0 v
           in
           let cycle =
-            match
-              B.Lemma.find_fair_nondeciding_cycle ~max_configs:500_000 ~faulty:None inputs
-            with
+            match B.Lemma.find_fair_nondeciding_cycle ~faulty:None g with
             | `Fair_cycle s -> Printf.sprintf "after %d events" (List.length s)
             | `No_fair_cycle -> "none"
           in
@@ -876,7 +879,9 @@ let micro () =
         (Staged.stage (fun () -> ignore (A.Valency.classify g)));
       Test.make ~name:"E4:adversary-race2"
         (Staged.stage (fun () ->
-             ignore (A.Adversary.run ~max_configs:100_000 ~stages:10 inputs)));
+             ignore
+               (A.Adversary.run ~stages:10
+                  (A.Explore.explore ~max_configs:100_000 (A.C.initial inputs)))));
       Test.make ~name:"E5:dead-start-n9"
         (Staged.stage (fun () ->
              ignore

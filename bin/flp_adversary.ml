@@ -31,35 +31,36 @@ let run name inputs_str stages max_configs verbose obs =
   in
   Format.printf "== Theorem 1 adversary on %s, inputs %s, %d stages ==@.@." P.name
     inputs_str stages;
-  (try
-     let run = A.Adversary.run ~obs ~max_configs ~stages inputs in
-     List.iteri
-       (fun i (s : A.Adversary.stage) ->
-         if verbose then begin
-           Format.printf "stage %2d: p%d must receive %a; schedule:" (i + 1) s.process
-             A.C.pp_event s.forced_event;
-           List.iter (fun e -> Format.printf " %a" A.C.pp_event e) s.schedule;
-           Format.printf "@."
-         end
-         else
-           Format.printf "stage %2d: head p%d, %d events, still bivalent@." (i + 1)
-             s.process (List.length s.schedule))
-       run.stages;
-     Format.printf "@.%d stages, %d events total, no process ever decided.@."
-       (List.length run.stages) run.steps;
-     match run.outcome with
-     | A.Adversary.Completed ->
-         Format.printf "All requested stages completed while preserving bivalence.@."
-     | A.Adversary.Stuck { stage; reason } ->
-         Format.printf
-           "Stuck at stage %d: %s@.@.This is where the concrete protocol escapes \
-            Theorem 1's hypothesis — a totally correct protocol would never reach \
-            this point, which is exactly the contradiction in the paper.@."
-           stage reason
-   with
-  | Invalid_argument msg -> Format.printf "cannot start: %s@." msg
-  | A.Valency.Incomplete ->
-      Cli.usage "state space exceeds --max-configs %d; raise the budget" max_configs)
+  let g = A.Explore.explore ~obs ~max_configs (A.C.initial inputs) in
+  if not (A.Explore.complete g) then
+    Cli.usage "state space exceeds --max-configs %d; raise the budget" max_configs;
+  match A.Adversary.run ~obs ~stages g with
+  | Error `Not_bivalent ->
+      Format.printf "cannot start: Adversary.run: initial configuration is not bivalent@."
+  | Ok run -> (
+      List.iteri
+        (fun i (s : A.Adversary.stage) ->
+          if verbose then begin
+            Format.printf "stage %2d: p%d must receive %a; schedule:" (i + 1) s.process
+              A.C.pp_event s.forced_event;
+            List.iter (fun e -> Format.printf " %a" A.C.pp_event e) s.schedule;
+            Format.printf "@."
+          end
+          else
+            Format.printf "stage %2d: head p%d, %d events, still bivalent@." (i + 1)
+              s.process (List.length s.schedule))
+        run.stages;
+      Format.printf "@.%d stages, %d events total, no process ever decided.@."
+        (List.length run.stages) run.steps;
+      match run.outcome with
+      | A.Adversary.Completed ->
+          Format.printf "All requested stages completed while preserving bivalence.@."
+      | A.Adversary.Stuck { stage; reason } ->
+          Format.printf
+            "Stuck at stage %d: %s@.@.This is where the concrete protocol escapes \
+             Theorem 1's hypothesis — a totally correct protocol would never reach \
+             this point, which is exactly the contradiction in the paper.@."
+            stage reason)
 
 open Cmdliner
 

@@ -26,10 +26,17 @@ let run_checks name max_configs trials jobs reduction dot_file obs =
   let mixed =
     Array.init P.n (fun i -> if i = P.n - 1 then Flp.Value.One else Flp.Value.Zero)
   in
+  (* Each graph is explored once, on first use: [full] unreduced for the
+     mixed-input checks, Lemma 3 and the trichotomy, [reduced] for the
+     root-based checks, which are sound under reduction. *)
+  let full = A.graphs ~jobs ~obs ~max_configs () in
+  let reduced =
+    match reduction with `None -> full | `Sleep -> A.graphs ~jobs ~obs ~reduction ~max_configs ()
+  in
   (* optional GraphViz export of the mixed-input configuration graph *)
   (match dot_file with
   | Some path ->
-      let g = A.Explore.explore ~jobs ~obs ~max_configs (A.C.initial mixed) in
+      let g = full mixed in
       let valences =
         if A.Explore.complete g then Some (A.Valency.classify g) else None
       in
@@ -48,18 +55,14 @@ let run_checks name max_configs trials jobs reduction dot_file obs =
       match cls.valence with
       | Some v -> Format.printf "  inputs %a: %a@." pp_inputs cls.inputs A.Valency.pp_valence v
       | None -> Format.printf "  inputs %a: state space overflow@." pp_inputs cls.inputs)
-    (A.Lemma.check_lemma2 ~jobs ~obs ~reduction ~max_configs ());
+    (A.Lemma.check_lemma2 reduced);
   (* Reduced-vs-full comparison on the mixed-input graph.  Only the
-     root-based checkers run reduced; Lemma 3 and the trichotomy below
-     quantify over interior structure and always explore unreduced. *)
+     root-based checkers read reduced graphs; Lemma 3 and the trichotomy
+     below quantify over interior structure and read [full] ones. *)
   (match reduction with
   | `None -> ()
   | `Sleep ->
-      let full = A.Explore.explore ~jobs ~obs ~max_configs (A.C.initial mixed) in
-      let g =
-        A.Explore.explore ~jobs ~obs ~reduction ~max_configs
-          (A.C.initial mixed)
-      in
+      let full = full mixed and g = reduced mixed in
       Format.printf "@.Partial-order reduction (inputs %a, mode %a):@." pp_inputs
         mixed pp_reduction reduction;
       Format.printf "  configurations:  %d full -> %d reduced (%.2fx)@."
@@ -78,19 +81,18 @@ let run_checks name max_configs trials jobs reduction dot_file obs =
           (if A.Valency.equal_valence vf vr then "agree"
            else "DISAGREE (this would be a bug!)")
       end);
-  (* Lemma 3 and the trichotomy classify complete graphs only: a budget
-     that truncates one is a usage error, like --max-configs 0. *)
-  let budget_exceeded () =
+  (* Lemma 3 on the mixed-input run, when it is bivalent.  Lemma 3 and the
+     trichotomy classify complete graphs only: a budget that truncates one
+     is a usage error, like --max-configs 0. *)
+  let g = full mixed in
+  if not (A.Explore.complete g) then
     Cli.usage
       "--max-configs %d truncates a graph that Lemma 3 and the trichotomy need in \
        full; raise the budget"
-      max_configs
-  in
-  (* Lemma 3 on the mixed-input run, when it is bivalent *)
-  (match A.Valency.of_initial ~jobs ~obs ~max_configs mixed with
-  | exception A.Valency.Incomplete -> budget_exceeded ()
+      max_configs;
+  (match (A.Valency.classify g).(A.Explore.root g) with
   | A.Valency.Bivalent ->
-      let s = A.Lemma.check_lemma3 ~jobs ~obs ~max_configs mixed in
+      let s = A.Lemma.check_lemma3 g in
       Format.printf
         "@.Lemma 3 from inputs %a: %d bivalent configurations, %d/%d (config, event) \
          pairs keep a bivalent successor set D@."
@@ -101,10 +103,7 @@ let run_checks name max_configs trials jobs reduction dot_file obs =
            protocol stops being totally correct)@."
   | _ -> Format.printf "@.Lemma 3 skipped: inputs %a are not bivalent@." pp_inputs mixed);
   (* trichotomy *)
-  let v =
-    try A.Lemma.classify ~jobs ~obs ~max_configs ()
-    with A.Valency.Incomplete -> budget_exceeded ()
-  in
+  let v = A.Lemma.classify full in
   Format.printf "@.Impossibility trichotomy:@.";
   Format.printf "  partially correct:          %b@." v.partially_correct;
   (match v.correctness_detail.conflict_witness with

@@ -17,6 +17,8 @@ let inputs = [| Value.Zero; Value.Zero; Value.One |]
 let max_configs = 600_000
 
 let () =
+  (* one graph per (inputs, crashed process), explored on first use *)
+  let graph_of = A.graphs ~max_configs () in
   Format.printf "=== The FLP impossibility proof, step by executable step ===@.@.";
   Format.printf "Protocol: %s — three processes race round-tagged votes;@." Race.name;
   Format.printf "whichever rival vote lands first is adopted, a matching pair decides.@.@.";
@@ -39,14 +41,14 @@ let () =
       match cls.valence with
       | Some v -> Format.printf "  inputs %s: %a@." s A.Valency.pp_valence v
       | None -> Format.printf "  inputs %s: (overflow)@." s)
-    (A.Lemma.check_lemma2 ~max_configs ());
+    (A.Lemma.check_lemma2 graph_of);
   Format.printf
     "Every mixed-input configuration is bivalent: the decision is not determined by the \
      inputs, only by the message race — the adversary's foothold.@.@.";
 
   (* ------------------------------------------------------------------ *)
   Format.printf "--- Lemma 3 (Figs. 2-3): bivalence survives any forced event ---@.";
-  let s = A.Lemma.check_lemma3 ~max_pairs:2_000 ~max_configs inputs in
+  let s = A.Lemma.check_lemma3 ~max_pairs:2_000 (graph_of inputs) in
   Format.printf
     "For %d (bivalent configuration, applicable event) pairs, delaying the event inside \
      its own reachable set D preserves bivalence in %d of them (%.1f%%).@."
@@ -58,7 +60,11 @@ let () =
 
   (* ------------------------------------------------------------------ *)
   Format.printf "--- Theorem 1: the adversary never lets anyone decide ---@.";
-  let run = A.Adversary.run ~max_configs ~stages:50 inputs in
+  let run =
+    match A.Adversary.run ~stages:50 (graph_of inputs) with
+    | Ok run -> run
+    | Error `Not_bivalent -> failwith "inputs 001 are bivalent for race"
+  in
   List.iteri
     (fun i (st : A.Adversary.stage) ->
       Format.printf "  stage %2d: p%d receives %a after %d preliminary events — bivalent@."

@@ -61,14 +61,16 @@ let () =
   let valences = A.Valency.classify g in
   Format.printf "2. The initial configuration is %a — the decision (OR = 1) is already \
                  determined.@."
-    A.Valency.pp_valence valences.(0);
-  (* 3. Partial correctness. *)
-  let c = A.Lemma.check_partial_correctness ~max_configs:10_000 () in
+    A.Valency.pp_valence valences.(A.Explore.root g);
+  (* 3. Partial correctness, over the graph of every input vector.  [graphs]
+     explores each (inputs, crashed process) pair once, on first use. *)
+  let graph_of = A.graphs ~max_configs:10_000 () in
+  let c = A.Lemma.check_partial_correctness graph_of in
   Format.printf "3. Partially correct: no conflicting decisions = %b, reachable decisions = %s.@."
     c.no_conflicting_decisions
     (String.concat "," (List.map Value.to_string c.reachable_decision_values));
   (* 4. And here is the impossibility: kill one process. *)
-  (match A.Lemma.find_blocking_run ~max_configs:10_000 ~faulty:1 inputs with
+  (match A.Lemma.find_blocking_run (graph_of ~faulty:1 inputs) with
   | `Blocking_witness schedule ->
       Format.printf
         "4. With p1 dead, after %d events p0 is stuck forever: an admissible run that \

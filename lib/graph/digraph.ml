@@ -97,66 +97,65 @@ let initial_clique ~closure =
   in
   List.filter member (List.init t.n (fun i -> i))
 
-(* Iterative Tarjan SCC.  The explicit stack holds (node, next-successor
-   cursor) frames so large graphs cannot overflow the OCaml stack. *)
-let sccs t =
-  let index = Array.make t.n (-1) in
-  let lowlink = Array.make t.n 0 in
-  let on_stack = Array.make t.n false in
+(* Iterative Tarjan SCC.  The explicit stack holds (node, unvisited
+   successors) frames so large graphs cannot overflow the OCaml stack. *)
+let tarjan ~n ~iter_succ ~keep =
+  let index = Array.make n (-1) in
+  let lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
   let stack = ref [] in
   let counter = ref 0 in
   let components = ref [] in
-  let succs_arr = Array.init t.n (fun i -> Array.of_list (succs t i)) in
-  let visit root =
-    let frames = ref [ (root, ref 0) ] in
-    index.(root) <- !counter;
-    lowlink.(root) <- !counter;
+  let enter v frames =
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
     incr counter;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    let succs = ref [] in
+    iter_succ v (fun w -> if keep w then succs := w :: !succs);
+    (v, ref (List.rev !succs)) :: frames
+  in
+  let visit root =
+    let frames = ref (enter root []) in
     while !frames <> [] do
       match !frames with
       | [] -> ()
-      | (v, cursor) :: rest ->
-          if !cursor < Array.length succs_arr.(v) then begin
-            let w = succs_arr.(v).(!cursor) in
-            incr cursor;
-            if index.(w) = -1 then begin
-              index.(w) <- !counter;
-              lowlink.(w) <- !counter;
-              incr counter;
-              stack := w :: !stack;
-              on_stack.(w) <- true;
-              frames := (w, ref 0) :: !frames
-            end
-            else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
-          end
-          else begin
-            frames := rest;
-            (match rest with
-            | (parent, _) :: _ -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-            | [] -> ());
-            if lowlink.(v) = index.(v) then begin
-              let comp = ref [] in
-              let break = ref false in
-              while not !break do
-                match !stack with
-                | [] -> break := true
-                | w :: tl ->
-                    stack := tl;
-                    on_stack.(w) <- false;
-                    comp := w :: !comp;
-                    if w = v then break := true
-              done;
-              components := List.sort Int.compare !comp :: !components
-            end
-          end
+      | (v, cursor) :: rest -> (
+          match !cursor with
+          | w :: more ->
+              cursor := more;
+              if index.(w) = -1 then frames := enter w !frames
+              else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
+          | [] ->
+              frames := rest;
+              (match rest with
+              | (parent, _) :: _ -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
+              | [] -> ());
+              if lowlink.(v) = index.(v) then begin
+                let comp = ref [] in
+                let break = ref false in
+                while not !break do
+                  match !stack with
+                  | [] -> break := true
+                  | w :: tl ->
+                      stack := tl;
+                      on_stack.(w) <- false;
+                      comp := w :: !comp;
+                      if w = v then break := true
+                done;
+                components := !comp :: !components
+              end)
     done
   in
-  for v = 0 to t.n - 1 do
-    if index.(v) = -1 then visit v
+  for v = 0 to n - 1 do
+    if keep v && index.(v) = -1 then visit v
   done;
   List.rev !components
+
+let sccs t =
+  tarjan ~n:t.n ~iter_succ:(fun i f -> List.iter f (succs t i)) ~keep:(fun _ -> true)
+  |> List.map (List.sort Int.compare)
 
 let source_sccs t =
   let comps = sccs t in

@@ -52,6 +52,15 @@ val initial_clique : closure:t -> int list
     paper's criterion: [k] belongs iff [k] is an ancestor of every ancestor
     of [k].  Meaningful when [closure] is a transitive closure. *)
 
+val tarjan :
+  n:int -> iter_succ:(int -> (int -> unit) -> unit) -> keep:(int -> bool) -> int list list
+(** Strongly connected components of the subgraph of nodes [0 .. n-1]
+    satisfying [keep], with the edges [iter_succ v] reports between such
+    nodes (Tarjan, iterative).  Components come in the order they
+    complete, which is reverse topological order of the condensation;
+    each lists its root first, then the rest in the order they were
+    pushed. *)
+
 val sccs : t -> int list list
 (** Strongly connected components (Tarjan, iterative), each sorted,
     in reverse topological order of the condensation. *)

@@ -160,6 +160,45 @@ let test_writable_check_leaves_files () =
   Alcotest.(check bool) "missing file not created" false (Sys.file_exists fresh);
   Sys.remove keep
 
+(* The integer after [key] in the first line of [text] holding [needle]. *)
+let int_after text ~needle key =
+  let find sub s from =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length s then raise Not_found
+      else if String.sub s i n = sub then i + n
+      else go (i + 1)
+    in
+    go from
+  in
+  let line =
+    List.find
+      (fun l -> Option.is_some (try Some (find needle l 0) with Not_found -> None))
+      (String.split_on_char '\n' text)
+  in
+  let start = find key line 0 in
+  let stop = ref start in
+  while !stop < String.length line && line.[!stop] >= '0' && line.[!stop] <= '9' do
+    incr stop
+  done;
+  int_of_string (String.sub line start (!stop - start))
+
+(* flp_check explores each graph it needs once: race:2 needs its 8 input
+   vectors plus 5 crash graphs, and under --por sleep 8 reduced ones too. *)
+let test_exploration_count (por, calls, configs) () =
+  let metrics = "test_cli.metrics" in
+  Alcotest.(check int) "exit code" 0
+    (exec "flp_check" [ "-p"; "race:2"; "--por"; por; "--metrics"; metrics ]);
+  let text = slurp metrics in
+  Sys.remove metrics;
+  Alcotest.(check int) "explore.time calls" calls
+    (int_after text ~needle:{|"metric":"explore.time"|} {|"calls":|});
+  Option.iter
+    (fun configs ->
+      Alcotest.(check int) "explore.configs" configs
+        (int_after text ~needle:{|"metric":"explore.configs"|} {|"value":|}))
+    configs
+
 let () =
   Alcotest.run "cli"
     [
@@ -177,4 +216,10 @@ let () =
       ( "outputs",
         [ Alcotest.test_case "checked without a trace" `Quick test_writable_check_leaves_files ]
       );
+      ( "explores",
+        List.map
+          (fun ((por, _, _) as pin) ->
+            Alcotest.test_case ("flp_check race:2 --por " ^ por) `Quick
+              (test_exploration_count pin))
+          [ ("none", 13, Some 12_770); ("sleep", 21, None) ] );
     ]

@@ -308,6 +308,42 @@ let test_lean_graph () =
       (lean_graph_holds ~budget:40_000 label protocol)
   done
 
+(* The view's edge accessors agree on every node: [iter_succ] yields
+   [succ] through [event_code], and [edge_target] finds each edge by its
+   code and answers [-1] for every other code the graph uses. *)
+let view_agrees label protocol =
+  let module P = (val protocol : Protocol.S) in
+  let module A = Analysis.Make (P) in
+  let root = A.C.initial (Array.init P.n (fun i -> Value.of_int (i land 1))) in
+  List.iter
+    (fun reduction ->
+      let g = A.Explore.explore ~reduction ~max_configs:100_000 root in
+      let n = A.Explore.size g in
+      let rows =
+        Array.init n (fun v ->
+            let row = ref [] in
+            A.Explore.iter_succ g v (fun code t -> row := (code, t) :: !row);
+            List.rev !row)
+      in
+      let codes = List.sort_uniq Int.compare (List.concat_map (List.map fst) (Array.to_list rows)) in
+      for v = 0 to n - 1 do
+        let expected = List.map (fun (e, t) -> (A.Explore.event_code g e, t)) (A.Explore.succ g v) in
+        if rows.(v) <> expected then Alcotest.failf "%s: iter_succ of %d is not succ" label v;
+        List.iter
+          (fun code ->
+            let want = Option.value (List.assoc_opt code rows.(v)) ~default:(-1) in
+            let got = A.Explore.edge_target g v code in
+            if got <> want then
+              Alcotest.failf "%s: edge_target %d code %d is %d, not %d" label v code got want)
+          codes
+      done;
+      Alcotest.(check bool) (label ^ " has edges") true (codes <> []))
+    [ `None; `Sleep ]
+
+let test_view_agrees () =
+  view_agrees "race:2" (Zoo.race ~cap:2);
+  view_agrees "pipeline:3" (Zoo.pipeline ~ticks:3)
+
 (* A memory pin: [explore.graph_words] counts the graph's own arrays from
    their lengths, so it is the same on every run.  pipeline:40 held 20.41
    words per configuration when each edge was two ints in a boxed row per
@@ -361,7 +397,8 @@ let test_valency_and_wait () =
   List.iter
     (fun (i0, i1, expect) ->
       let inputs = [| Value.of_int i0; Value.of_int i1 |] in
-      let v = A.Valency.of_initial ~max_configs:10_000 inputs in
+      let g = A.Explore.explore ~max_configs:10_000 (A.C.initial inputs) in
+      let v = (A.Valency.classify g).(A.Explore.root g) in
       Alcotest.(check bool)
         (Printf.sprintf "(%d,%d)" i0 i1)
         true
@@ -369,14 +406,16 @@ let test_valency_and_wait () =
     [ (0, 0, 0); (0, 1, 0); (1, 0, 0); (1, 1, 1) ]
 
 let test_valency_race_bivalent () =
-  let v = AR.Valency.of_initial ~max_configs:100_000 v001 in
+  let g = AR.Explore.explore ~max_configs:100_000 (AR.C.initial v001) in
+  let v = (AR.Valency.classify g).(AR.Explore.root g) in
   Alcotest.(check bool) "mixed inputs bivalent" true
     (AR.Valency.equal_valence v AR.Valency.Bivalent)
 
 let test_valency_race_unanimous () =
-  let v =
-    AR.Valency.of_initial ~max_configs:100_000 [| Value.One; Value.One; Value.One |]
+  let g =
+    AR.Explore.explore ~max_configs:100_000 (AR.C.initial [| Value.One; Value.One; Value.One |])
   in
+  let v = (AR.Valency.classify g).(AR.Explore.root g) in
   Alcotest.(check bool) "unanimous 1 is 1-valent" true
     (AR.Valency.equal_valence v (AR.Valency.Univalent Value.One))
 
@@ -480,6 +519,7 @@ let () =
           Alcotest.test_case "probe runs stay short" `Quick test_probe_runs_stay_short;
           Alcotest.test_case "lean graph invariants" `Slow test_lean_graph;
           Alcotest.test_case "graph words pinned" `Quick test_graph_words_pin;
+          Alcotest.test_case "view edge accessors agree" `Quick test_view_agrees;
         ] );
       ( "valency",
         [

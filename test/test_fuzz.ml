@@ -24,7 +24,8 @@ let classify_random spec seed =
   let protocol = Random_protocol.generate spec ~seed in
   let module P = (val protocol : Protocol.S) in
   let module A = Analysis.Make (P) in
-  match A.Lemma.check_partial_correctness ~max_configs:budget () with
+  let graph_of = A.graphs ~max_configs:budget () in
+  match A.Lemma.check_partial_correctness graph_of with
   | exception A.Valency.Incomplete -> None
   | detail ->
       if not detail.exhaustive then None
@@ -44,7 +45,7 @@ let classify_random spec seed =
                    (fun inputs ->
                      (* blocking with some faulty process *)
                      for faulty = 0 to P.n - 1 do
-                       match A.Lemma.find_blocking_run ~max_configs:budget ~faulty inputs with
+                       match A.Lemma.find_blocking_run (graph_of ~faulty inputs) with
                        | `Blocking_witness _ ->
                            found := true;
                            raise Exit
@@ -54,8 +55,7 @@ let classify_random spec seed =
                      List.iter
                        (fun faulty ->
                          match
-                           A.Lemma.find_fair_nondeciding_cycle ~max_configs:budget ~faulty
-                             inputs
+                           A.Lemma.find_fair_nondeciding_cycle ~faulty (graph_of ?faulty inputs)
                          with
                          | `Fair_cycle _ ->
                              found := true;

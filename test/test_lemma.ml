@@ -41,9 +41,9 @@ let test_lemma1_all_zoo () =
     Zoo.all
 
 let test_lemma2_race () =
-  let classes = AR.Lemma.check_lemma2 ~max_configs:200_000 () in
+  let classes = AR.Lemma.check_lemma2 (AR.graphs ~max_configs:200_000 ()) in
   Alcotest.(check int) "8 initial configurations" 8 (List.length classes);
-  let bivalent = AR.Lemma.bivalent_initials ~max_configs:200_000 () in
+  let bivalent = AR.Lemma.bivalent_initials classes in
   (* exactly the six mixed-input vectors are bivalent *)
   Alcotest.(check int) "six bivalent" 6 (List.length bivalent);
   List.iter
@@ -55,10 +55,11 @@ let test_lemma2_race () =
 
 let test_lemma2_and_wait_none () =
   Alcotest.(check int) "no bivalent initials" 0
-    (List.length (AA.Lemma.bivalent_initials ~max_configs:10_000 ()))
+    (List.length
+       (AA.Lemma.bivalent_initials (AA.Lemma.check_lemma2 (AA.graphs ~max_configs:10_000 ()))))
 
 let test_lemma3_race () =
-  let s = AR.Lemma.check_lemma3 ~max_configs:200_000 v001 in
+  let s = AR.Lemma.check_lemma3 (AR.graphs ~max_configs:200_000 () v001) in
   Alcotest.(check bool) "bivalent configs exist" true (s.bivalent_configs > 0);
   Alcotest.(check bool) "pairs checked" true (s.pairs_checked > 0);
   (* the lemma holds for a solid majority of pairs; failures concentrate at
@@ -70,17 +71,17 @@ let test_lemma3_race () =
     (s.pairs_holding < s.pairs_checked)
 
 let test_lemma3_max_pairs () =
-  let s = AR.Lemma.check_lemma3 ~max_pairs:10 ~max_configs:200_000 v001 in
+  let s = AR.Lemma.check_lemma3 ~max_pairs:10 (AR.graphs ~max_configs:200_000 () v001) in
   Alcotest.(check int) "bounded" 10 s.pairs_checked
 
 let test_partial_correctness_race () =
-  let c = AR.Lemma.check_partial_correctness ~max_configs:200_000 () in
+  let c = AR.Lemma.check_partial_correctness (AR.graphs ~max_configs:200_000 ()) in
   Alcotest.(check bool) "no conflicts" true c.no_conflicting_decisions;
   Alcotest.(check bool) "exhaustive" true c.exhaustive;
   Alcotest.(check int) "both values reachable" 2 (List.length c.reachable_decision_values)
 
 let test_partial_correctness_first_wins_violated () =
-  let c = AF.Lemma.check_partial_correctness ~max_configs:10_000 () in
+  let c = AF.Lemma.check_partial_correctness (AF.graphs ~max_configs:10_000 ()) in
   Alcotest.(check bool) "conflict found" false c.no_conflicting_decisions;
   match c.conflict_witness with
   | None -> Alcotest.fail "expected a witness schedule"
@@ -91,7 +92,9 @@ let test_partial_correctness_first_wins_violated () =
         (List.length (AF.C.decision_values final))
 
 let test_blocking_and_wait () =
-  match AA.Lemma.find_blocking_run ~max_configs:10_000 ~faulty:1 [| Value.One; Value.One |] with
+  match
+    AA.Lemma.find_blocking_run (AA.graphs ~max_configs:10_000 () ~faulty:1 [| Value.One; Value.One |])
+  with
   | `Blocking_witness schedule ->
       (* after the witness, p0 alone can never decide *)
       let c = AA.C.apply_schedule (AA.C.initial [| Value.One; Value.One |]) schedule in
@@ -100,19 +103,20 @@ let test_blocking_and_wait () =
   | `Decision_always_reachable -> Alcotest.fail "and-wait must block when the peer is dead"
 
 let test_blocking_leader_only_when_leader_dies () =
-  (match AL.Lemma.find_blocking_run ~max_configs:10_000 ~faulty:0
-           [| Value.One; Value.Zero; Value.Zero |] with
+  let graph_of = AL.graphs ~max_configs:10_000 () in
+  (match AL.Lemma.find_blocking_run (graph_of ~faulty:0 [| Value.One; Value.Zero; Value.Zero |]) with
   | `Blocking_witness _ -> ()
   | `Decision_always_reachable -> Alcotest.fail "leader death must block");
-  match AL.Lemma.find_blocking_run ~max_configs:10_000 ~faulty:2
-          [| Value.One; Value.Zero; Value.Zero |] with
+  match AL.Lemma.find_blocking_run (graph_of ~faulty:2 [| Value.One; Value.Zero; Value.Zero |]) with
   | `Blocking_witness _ -> Alcotest.fail "follower death must not block the leader protocol"
   | `Decision_always_reachable -> ()
 
 let test_adjacent_opposite_pairs_and_wait () =
   (* and-wait decides AND of the inputs: 11 is 1-valent, its two neighbors
      are 0-valent — exactly the chain pivots of Lemma 2's proof *)
-  let pairs = AA.Lemma.adjacent_opposite_pairs ~max_configs:10_000 () in
+  let pairs =
+    AA.Lemma.adjacent_opposite_pairs (AA.Lemma.check_lemma2 (AA.graphs ~max_configs:10_000 ()))
+  in
   Alcotest.(check int) "two pivots around 11" 2 (List.length pairs);
   List.iter
     (fun (a, b, pid) ->
@@ -125,10 +129,11 @@ let test_adjacent_opposite_pairs_and_wait () =
 let test_adjacent_pairs_none_for_race () =
   (* race's univalent initials are 000 and 111, which are not adjacent *)
   Alcotest.(check int) "no univalent adjacency" 0
-    (List.length (AR.Lemma.adjacent_opposite_pairs ~max_configs:200_000 ()))
+    (List.length
+       (AR.Lemma.adjacent_opposite_pairs (AR.Lemma.check_lemma2 (AR.graphs ~max_configs:200_000 ()))))
 
 let test_lemma3_case_analysis_race () =
-  let c = AR.Lemma.lemma3_case_analysis ~max_configs:200_000 v001 in
+  let c = AR.Lemma.lemma3_case_analysis (AR.graphs ~max_configs:200_000 () v001) in
   Alcotest.(check bool) "failures exist at the horizon" true (c.failing_pairs > 0);
   (* most failing pairs exhibit the proof's pivot-neighbor structure; the
      remainder are truncation artifacts whose D mixes univalent and
@@ -148,7 +153,7 @@ let test_classify_matches_zoo_expectations () =
     (fun (e : Zoo.entry) ->
       let module P = (val e.protocol : Protocol.S) in
       let module A = Analysis.Make (P) in
-      let v = A.Lemma.classify ~max_configs:500_000 () in
+      let v = A.Lemma.classify (A.graphs ~max_configs:500_000 ()) in
       Alcotest.(check bool) (e.name ^ " partially correct") e.expected.partially_correct
         v.partially_correct;
       Alcotest.(check bool)
@@ -167,7 +172,7 @@ let test_impossibility_trichotomy () =
     (fun (e : Zoo.entry) ->
       let module P = (val e.protocol : Protocol.S) in
       let module A = Analysis.Make (P) in
-      let v = A.Lemma.classify ~max_configs:500_000 () in
+      let v = A.Lemma.classify (A.graphs ~max_configs:500_000 ()) in
       Alcotest.(check bool)
         (e.name ^ " escapes Theorem 1 somehow")
         true
@@ -183,7 +188,10 @@ let test_zero_fault_fair_cycles () =
         Array.init P.n (fun i -> if i = P.n - 1 then Value.One else Value.Zero)
       in
       let found =
-        match A.Lemma.find_fair_nondeciding_cycle ~max_configs:500_000 ~faulty:None inputs with
+        match
+          A.Lemma.find_fair_nondeciding_cycle ~faulty:None
+            (A.Explore.explore ~max_configs:500_000 (A.C.initial inputs))
+        with
         | `Fair_cycle _ -> true
         | `No_fair_cycle -> false
       in
@@ -211,7 +219,7 @@ let test_parity_pure_adversary_mode () =
       Alcotest.(check bool) "no dead ends" true
         (AP.Valency.equal_valence valence (AP.Valency.Univalent Value.One)))
     v;
-  match AP.Lemma.find_fair_nondeciding_cycle ~max_configs:100_000 ~faulty:None inputs with
+  match AP.Lemma.find_fair_nondeciding_cycle ~faulty:None g with
   | `Fair_cycle schedule ->
       (* the witness schedule must replay to an undecided configuration *)
       let c = AP.C.apply_schedule (AP.C.initial inputs) schedule in
