@@ -98,7 +98,7 @@ module type S = sig
 
       Such a delivery commutes with every other event, disables none and
       changes no process state, so the explorer takes it alone as a
-      persistent set (see {!Analysis.Make.Explore}).  [None] is the
+      persistent set (see {!Explore.Make}).  [None] is the
       conservative "may read anything" default.  The [Lint] inert-soundness
       rule checks both obligations on the reachable graph. *)
 

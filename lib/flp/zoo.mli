@@ -74,7 +74,7 @@ val pipeline : ticks:int -> Protocol.t
     pays for all [(ticks + 1)³]-ish interleavings of independent steps while
     the communication topology is a strict chain (0 → 1 → 2, never
     backwards).  This is the partial-order-reduction showcase: the
-    {!Analysis.Make.Explore} persistent-set modes serialise the chain and
+    {!Explore.Make} persistent-set modes serialise the chain and
     explore close to a single line through the counter product.  Partially
     correct, univalent initials (p0's input decides everything), blocks when
     p0 dies.  The zoo entry uses [ticks = 3]. *)

@@ -38,7 +38,7 @@ type id =
           footprint on the pre-step state, [false] entries are hereditary
           along observed transitions, and statically-independent enabled
           pairs commute dynamically.  The reduced explorer
-          ({!Flp.Analysis.Make.Explore} with [~reduction]) prunes on these
+          ({!Flp.Explore.Make} with [~reduction]) prunes on these
           footprints, so this rule is the certificate that makes partial-order
           reduction trustworthy.  Vacuous for unannotated protocols. *)
   | Inert_soundness
