@@ -36,30 +36,40 @@ module Make (P : Protocol.S) = struct
 
     exception Incomplete
 
-    (* Reachable decision values propagate backwards from the masks set
-       at intern time: no configuration is decoded. *)
-    let classify g =
-      if not (Explore.complete g) then raise Incomplete;
+    (* A closure byte's bit for "reaches a node whose successors were cut" *)
+    let unexplored = 4
+
+    (* One SCC pass over the forward rows: components complete sinks
+       first, so when one does, every node it reaches outside itself
+       already holds its final mask, and the component's mask is the OR of
+       its members' own masks and of its out-edges' targets' masks.  No
+       configuration is decoded. *)
+    let closure g =
       let n = Explore.size g in
       let masks = Explore.decision_masks g in
       let mask u = Char.code (Bytes.get masks u) in
-      let off, preds = Explore.predecessors g in
-      let queue = Queue.create () in
-      for u = 0 to n - 1 do
-        if mask u <> 0 then Queue.push u queue
-      done;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        for k = off.(v) to off.(v + 1) - 1 do
-          let u = preds.(k) in
-          let nm = mask u lor mask v in
-          if nm <> mask u then begin
-            Bytes.set masks u (Char.chr nm);
-            Queue.push u queue
-          end
-        done
-      done;
-      Array.init n (fun u ->
+      if not (Explore.complete g) then
+        for u = 0 to n - 1 do
+          if Explore.truncated g u then Bytes.set masks u (Char.chr (mask u lor unexplored))
+        done;
+      let acc = ref 0 in
+      let gather _ t = acc := !acc lor mask t in
+      Digraph.tarjan ~n ~succ:(fun v k -> Explore.nth_target g v k) (fun members ->
+          acc := 0;
+          for i = 0 to Array.length members - 1 do
+            acc := !acc lor mask members.(i);
+            Explore.iter_succ g members.(i) gather
+          done;
+          for i = 0 to Array.length members - 1 do
+            Bytes.set masks members.(i) (Char.chr !acc)
+          done);
+      masks
+
+    let classify g =
+      if not (Explore.complete g) then raise Incomplete;
+      let masks = closure g in
+      let mask u = Char.code (Bytes.get masks u) in
+      Array.init (Explore.size g) (fun u ->
           match mask u with
           | 0 -> Undecided_forever
           | 1 -> Univalent Value.Zero
@@ -404,31 +414,11 @@ module Make (P : Protocol.S) = struct
         exhaustive = !exhaustive;
       }
 
+    (* The first node whose closure reaches neither a decision nor a
+       configuration [max_configs] left out, whose future is unknown. *)
     let find_blocking_run g =
-      let n = Explore.size g in
-      (* Backward reachability from decision-bearing configurations. *)
-      let off, preds = Explore.predecessors g in
-      let can_decide = Array.make n false in
-      let queue = Queue.create () in
-      for u = 0 to n - 1 do
-        if Explore.decision_mask g u <> 0 then begin
-          can_decide.(u) <- true;
-          Queue.push u queue
-        end
-      done;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        for k = off.(v) to off.(v + 1) - 1 do
-          let u = preds.(k) in
-          if not can_decide.(u) then begin
-            can_decide.(u) <- true;
-            Queue.push u queue
-          end
-        done
-      done;
-      (* Frontier nodes of a truncated graph have unknown futures; only
-         expanded dead nodes are sound witnesses. *)
-      match Seq.find (fun u -> (not can_decide.(u)) && Explore.expanded g u) (Seq.init n Fun.id) with
+      let c = Valency.closure g in
+      match Seq.find (fun u -> Bytes.get c u = '\000') (Seq.init (Explore.size g) Fun.id) with
       | Some u -> `Blocking_witness (Explore.path_to g u)
       | None -> `Decision_always_reachable
 
@@ -437,10 +427,10 @@ module Make (P : Protocol.S) = struct
       (* Only fully expanded nodes are sound cycle members. *)
       let keep id = Explore.decision_mask g id = 0 && Explore.expanded g id in
       let live pid = match faulty with Some p -> pid <> p | None -> true in
-      let comps =
-        List.rev
-          (Digraph.tarjan ~n ~iter_succ:(fun v f -> List.iter f (Explore.targets g v)) ~keep)
-      in
+      (* latest completed first *)
+      let comps = ref [] in
+      Digraph.tarjan ~n ~succ:(fun v k -> Explore.nth_target g v k) ~keep
+        (fun comp -> comps := Array.to_list comp :: !comps);
       let in_comp = Array.make n false in
       let is_fair comp =
         List.iter (fun v -> in_comp.(v) <- true) comp;
@@ -478,7 +468,7 @@ module Make (P : Protocol.S) = struct
         List.iter (fun v -> in_comp.(v) <- false) comp;
         ok
       in
-      match List.find_opt is_fair comps with
+      match List.find_opt is_fair !comps with
       | Some comp ->
           let entry = List.fold_left min max_int comp in
           `Fair_cycle (Explore.path_to g entry)

@@ -68,9 +68,19 @@ module Make (P : Protocol.S) : sig
     (** Raised when asked to classify a truncated graph: valences computed on
         a partial state space would be unsound. *)
 
+    val closure : Explore.graph -> Bytes.t
+    (** What each configuration can reach, one byte per node: bit [0] when
+        some reachable configuration (itself included) has decided 0, bit
+        [1] for 1, and bit [2] when it reaches a node {!Explore.truncated}
+        marks, past which the graph is unexplored.  One pass over the
+        strongly connected components of the forward edges
+        ({!Digraph.tarjan}): O(V + E) time, one int and two bytes per node.
+        Any graph, truncated or not; bit [2] is never set on a complete
+        one. *)
+
     val classify : Explore.graph -> valence array
-    (** Valence of every configuration, by fixpoint propagation of reachable
-        decision values.  Requires a complete graph.  The root's valence,
+    (** Valence of every configuration, read off its {!closure}.  Requires a
+        complete graph.  The root's valence,
         [(classify g).(Explore.root g)], is preserved under every reduction
         mode (see {!Explore.type-reduction}). *)
   end
@@ -195,7 +205,11 @@ module Make (P : Protocol.S) : sig
         ([graph_of ~faulty inputs]) for an admissible non-deciding run with
         [faulty] taking no steps: a schedule after which {e no} continuation
         avoiding [faulty] can reach any decision.  Any fair extension of
-        the witness schedule is an admissible non-deciding run. *)
+        the witness schedule is an admissible non-deciding run.  The
+        witness is the first node, by id, whose {!Valency.closure} is
+        empty, so on a truncated graph a node that reaches a configuration
+        left unexplored is never named: every witness is sound, and a
+        truncated graph may miss one. *)
 
     val find_fair_nondeciding_cycle :
       faulty:int option -> Explore.graph -> [ `Fair_cycle of C.event list | `No_fair_cycle ]

@@ -41,12 +41,12 @@ module Make (C : Config.S) = struct
      witness, sleep set and the truncation point is decided in frontier
      order — bit-identical at every [jobs] value.
 
-     Layout: the keys sit back to back in one byte arena; the table is
-     linear probing over a power-of-two array of ints, each slot holding
-     the key's 32-bit hash above its 30-bit id, so a probe compares ints
-     first, then arena bytes, and allocates nothing.  Ids come from
-     insertion order, never from slot positions, so the layout cannot
-     reach the graph. *)
+     Layout: the keys sit back to back in a chunked byte arena; the
+     table is linear probing over a power-of-two array of ints, each slot
+     holding the key's 32-bit hash above its 30-bit id, so a probe
+     compares ints first, then arena bytes, and allocates nothing.  Ids
+     come from insertion order, never from slot positions, so the layout
+     cannot reach the graph. *)
 
   (* Node ids fit in [id_bits] bits, so an intern slot, an edge and a
      parent witness each pack an id and one more field into one int. *)
@@ -54,31 +54,142 @@ module Make (C : Config.S) = struct
 
   let id_mask = (1 lsl id_bits) - 1
 
+  (* Rows: runs of values inside one chunk of a chunk list, the edges of
+     a node or the bytes of a key.  A row's address is one int,
+     [(chunk lsl pos_bits lor pos) lsl len_bits lor len].  Chunks start at
+     [first] values and double up to [cap], so a small graph stays small
+     and a large one never copies its rows to grow. *)
+  let len_bits = 20
+
+  let pos_bits = 22
+
+  let row_len a = a land ((1 lsl len_bits) - 1)
+
+  let row_pos a = (a lsr len_bits) land ((1 lsl pos_bits) - 1)
+
+  let row_chunk a = a lsr (len_bits + pos_bits)
+
+  type 'c rows = {
+    mutable chunks : 'c array;  (* [0, nchunks) in use *)
+    mutable nchunks : int;
+    mutable fill : int;  (* values used in the last chunk *)
+  }
+
+  let rows_create () = { chunks = [||]; nchunks = 0; fill = 0 }
+
+  (* The address of room for a row of [len] values at the end of the last
+     chunk, or of a fresh chunk when it does not fit.  [length] and [make]
+     are the chunk type's; [what] names the rows in errors. *)
+  let alloc_row ~length ~make ~first ~cap ~what r len =
+    if len lsr len_bits <> 0 then
+      invalid_arg ("Explore: 2^20 or more values in one " ^ what ^ " row");
+    let last = r.nchunks - 1 in
+    if last < 0 || r.fill + len > length r.chunks.(last) then begin
+      if r.nchunks lsr (62 - len_bits - pos_bits) <> 0 then
+        invalid_arg ("Explore: " ^ what ^ " storage exhausted");
+      let size = if last < 0 then first else min cap (2 * length r.chunks.(last)) in
+      if r.nchunks = Array.length r.chunks then begin
+        let na = Array.make (max 8 (2 * r.nchunks)) (make 0) in
+        Array.blit r.chunks 0 na 0 r.nchunks;
+        r.chunks <- na
+      end;
+      r.chunks.(r.nchunks) <- make (max len size);
+      r.nchunks <- r.nchunks + 1;
+      r.fill <- 0
+    end;
+    let pos = r.fill in
+    r.fill <- pos + len;
+    ((((r.nchunks - 1) lsl pos_bits) lor pos) lsl len_bits) lor len
+
+  (* Per-node columns: one value per id, in chunks of [col_size] values
+     that never move.  Only the first chunk grows by doubling, copying at
+     most [col_size] values, until it is full size, so a small graph
+     stays small and a large one never holds two copies of a column. *)
+  let col_bits = 14
+
+  let col_size = 1 lsl col_bits
+
+  let col_mask = col_size - 1
+
+  type 'c col = { mutable dir : 'c array; mutable cap : int }
+
+  let col_create () = { dir = [||]; cap = 0 }
+
+  (* Room for ids below [needed]; new values are [make]'s fill. *)
+  let col_reserve ~make ~blit c needed =
+    while c.cap < needed do
+      if c.cap < col_size then begin
+        let size = min col_size (max 64 (2 * c.cap)) in
+        let chunk = make size in
+        if c.cap > 0 then blit c.dir.(0) chunk c.cap;
+        c.dir <- [| chunk |];
+        c.cap <- size
+      end
+      else begin
+        let k = c.cap lsr col_bits in
+        if k = Array.length c.dir then begin
+          let d = Array.make (2 * k) c.dir.(0) in
+          Array.blit c.dir 0 d 0 k;
+          c.dir <- d
+        end;
+        c.dir.(k) <- make col_size;
+        c.cap <- c.cap + col_size
+      end
+    done
+
+  let array_reserve fill c needed =
+    if needed > c.cap then
+      col_reserve
+        ~make:(fun n -> Array.make n fill)
+        ~blit:(fun a b n -> Array.blit a 0 b 0 n)
+        c needed
+
+  let bytes_reserve c needed =
+    if needed > c.cap then
+      col_reserve
+        ~make:(fun n -> Bytes.make n '\000')
+        ~blit:(fun a b n -> Bytes.blit a 0 b 0 n)
+        c needed
+
+  let iget (c : int array col) i = c.dir.(i lsr col_bits).(i land col_mask)
+
+  let iset (c : int array col) i x = c.dir.(i lsr col_bits).(i land col_mask) <- x
+
+  let arena_row =
+    alloc_row ~length:Bytes.length ~make:Bytes.create ~first:1024 ~cap:(1 lsl 16) ~what:"key"
+
+  let edge_row =
+    alloc_row ~length:Array.length ~make:(fun n -> Array.make n 0) ~first:256 ~cap:(1 lsl 16)
+      ~what:"edge"
+
   type store = {
     pstore : C.Packed.store;
-    mutable arena : Bytes.t;  (* every key, in id order *)
-    mutable offs : int array;  (* key [id] is arena[offs.(id), offs.(id + 1)) *)
+    arena : Bytes.t rows;  (* every key, in id order *)
+    keys : int array col;  (* id -> the arena address of its key *)
     mutable slots : int array;  (* [hash lsl id_bits lor id], [-1] when empty; load <= 1/2 *)
     mutable count : int;
+    mutable bytes : int;  (* total key length *)
   }
 
   let store_create () =
     {
       pstore = C.Packed.create ();
-      arena = Bytes.create 1024;
-      offs = Array.make 65 0;
+      arena = rows_create ();
+      keys = col_create ();
       slots = Array.make 64 (-1);
       count = 0;
+      bytes = 0;
     }
 
-  let store_bytes st = st.offs.(st.count)
+  let store_bytes st = st.bytes
 
   let key_equal st id key =
-    let off = st.offs.(id) in
+    let a = iget st.keys id in
     let len = String.length key in
-    st.offs.(id + 1) - off = len
+    row_len a = len
     &&
-    let rec go i = i = len || (Bytes.get st.arena (off + i) = key.[i] && go (i + 1)) in
+    let ch = st.arena.chunks.(row_chunk a) and off = row_pos a in
+    let rec go i = i = len || (Bytes.get ch (off + i) = key.[i] && go (i + 1)) in
     go 0
 
   (* The id stored under [key], or [-1].  Read-only.  [hash] is a
@@ -98,7 +209,9 @@ module Make (C : Config.S) = struct
     let rec go i = if slots.(i) < 0 then slots.(i) <- slot else go ((i + 1) land mask) in
     go ((slot lsr id_bits) land mask)
 
-  (* Merge phase only: never called while workers probe. *)
+  (* Merge phase only: never called while workers probe.  The slots are
+     the one structure that still doubles: open addressing needs them in
+     one array. *)
   let store_add st ~hash key =
     let id = st.count in
     if id > id_mask then invalid_arg "Explore: more than 2^30 configurations";
@@ -108,17 +221,12 @@ module Make (C : Config.S) = struct
       Array.iter (fun s -> if s >= 0 then place slots s) st.slots;
       st.slots <- slots
     end;
-    let off = st.offs.(id) and len = String.length key in
-    let size = Bytes.length st.arena in
-    if off + len > size then
-      st.arena <- Bytes.extend st.arena 0 (max (off + len) (2 * size) - size);
-    Bytes.blit_string key 0 st.arena off len;
-    if id + 1 >= Array.length st.offs then begin
-      let na = Array.make (2 * Array.length st.offs) 0 in
-      Array.blit st.offs 0 na 0 (id + 1);
-      st.offs <- na
-    end;
-    st.offs.(id + 1) <- off + len;
+    let len = String.length key in
+    let a = arena_row st.arena len in
+    Bytes.blit_string key 0 st.arena.chunks.(row_chunk a) (row_pos a) len;
+    array_reserve 0 st.keys (id + 1);
+    iset st.keys id a;
+    st.bytes <- st.bytes + len;
     place st.slots ((hash lsl id_bits) lor id);
     st.count <- id + 1;
     id
@@ -144,43 +252,29 @@ module Make (C : Config.S) = struct
   (* An edge is one int, [code lsl id_bits lor target], where [code] is
      {!C.Packed.event_code} over the store's own part dictionary; a
      parent witness is the edge from the parent, with the parent as its
-     target.  A node's edges are one contiguous row, in edge order,
-     inside one chunk of a chunk list.  Its address is one int,
-     [(chunk lsl pos_bits lor pos) lsl len_bits lor len], [0] for a node
-     without edges.  Chunks start at [first_chunk] ints and double up to
-     [chunk_cap], so a small graph stays small and a large one never
-     copies its edges to grow. *)
+     target.  A node's edges are one row of [edge_rows], addressed from
+     its [rows] entry; [0] is the address of a node without edges. *)
   let edge code target =
     if code lsr 32 <> 0 then invalid_arg "Explore: event code out of range";
     (code lsl id_bits) lor target
 
-  let len_bits = 20
+  (* A node's [bits]: its {!C.decision_mask} in bits 0 and 1, then
+     whether it was expanded, then whether [max_configs] kept one of its
+     successors out. *)
+  let expanded_bit = 4
 
-  let pos_bits = 22
-
-  let first_chunk = 256
-
-  let chunk_cap = 1 lsl 16
-
-  let row_len a = a land ((1 lsl len_bits) - 1)
-
-  let row_pos a = (a lsr len_bits) land ((1 lsl pos_bits) - 1)
-
-  let row_chunk a = a lsr (len_bits + pos_bits)
+  let truncated_bit = 8
 
   type graph = {
     store : store;
-    mutable rows : int array;  (* id -> row address *)
-    mutable chunks : int array array;  (* [0, nchunks) in use *)
-    mutable nchunks : int;
-    mutable fill : int;  (* ints used in the last chunk *)
-    mutable parent : int array;  (* id -> parent witness; the root has -1 *)
-    mutable masks : Bytes.t;  (* id -> {!C.decision_mask} of its configuration *)
-    mutable expanded_flags : Bytes.t;
+    rows : int array col;  (* id -> row address *)
+    edge_rows : int array rows;
+    parent : int array col;  (* id -> parent witness; the root has -1 *)
+    bits : Bytes.t col;  (* id -> decision mask and flags *)
     mutable complete_flag : bool;
     mutable edges : int;
     reduction : reduction;
-    mutable sleeps : C.event list array;  (* stored sleep set per node; [`Sleep] only *)
+    sleeps : C.event list array col;  (* stored sleep set per node; [`Sleep] only *)
     mutable scratch : int array;  (* one expansion's new edges, merge phase only *)
     mutable pruned : int;  (* enabled events never explored (persistence) *)
     mutable sleep_hits : int;  (* enabled events delegated to a sibling branch *)
@@ -188,36 +282,20 @@ module Make (C : Config.S) = struct
     mutable probes : int;  (* intern-table probes, probe + merge phases *)
   }
 
-  (* The address of room for a row of [len > 0] ints at the end of the
-     last chunk, or of a fresh chunk when it does not fit. *)
-  let alloc_row g len =
-    if len lsr len_bits <> 0 then invalid_arg "Explore: a node with 2^20 or more edges";
-    let last = g.nchunks - 1 in
-    if last < 0 || g.fill + len > Array.length g.chunks.(last) then begin
-      if g.nchunks lsr (62 - len_bits - pos_bits) <> 0 then
-        invalid_arg "Explore: edge storage exhausted";
-      let size =
-        if last < 0 then first_chunk else min chunk_cap (2 * Array.length g.chunks.(last))
-      in
-      if g.nchunks = Array.length g.chunks then begin
-        let na = Array.make (max 8 (2 * g.nchunks)) [||] in
-        Array.blit g.chunks 0 na 0 g.nchunks;
-        g.chunks <- na
-      end;
-      g.chunks.(g.nchunks) <- Array.make (max len size) 0;
-      g.nchunks <- g.nchunks + 1;
-      g.fill <- 0
-    end;
-    let pos = g.fill in
-    g.fill <- pos + len;
-    ((((g.nchunks - 1) lsl pos_bits) lor pos) lsl len_bits) lor len
+  let bits g id = Char.code (Bytes.get g.bits.dir.(id lsr col_bits) (id land col_mask))
+
+  let set_bits g id b = Bytes.set g.bits.dir.(id lsr col_bits) (id land col_mask) (Char.chr b)
+
+  let sleep g id = g.sleeps.dir.(id lsr col_bits).(id land col_mask)
+
+  let set_sleep g id z = g.sleeps.dir.(id lsr col_bits).(id land col_mask) <- z
 
   (* [f code target] on each of [id]'s edges, in edge order. *)
   let iter_row g id f =
-    let a = g.rows.(id) in
+    let a = iget g.rows id in
     let len = row_len a in
     if len > 0 then begin
-      let ch = g.chunks.(row_chunk a) and pos = row_pos a in
+      let ch = g.edge_rows.chunks.(row_chunk a) and pos = row_pos a in
       for i = pos to pos + len - 1 do
         let e = ch.(i) in
         f (e lsr id_bits) (e land id_mask)
@@ -226,11 +304,11 @@ module Make (C : Config.S) = struct
 
   (* The target of [id]'s edge with event code [code], or [-1]. *)
   let edge_target g id code =
-    let a = g.rows.(id) in
+    let a = iget g.rows id in
     let len = row_len a in
     if len = 0 then -1
     else begin
-      let ch = g.chunks.(row_chunk a) and pos = row_pos a in
+      let ch = g.edge_rows.chunks.(row_chunk a) and pos = row_pos a in
       let rec go i =
         if i >= pos + len then -1
         else
@@ -240,42 +318,17 @@ module Make (C : Config.S) = struct
       go pos
     end
 
-  let ensure_capacity g needed =
-    let cap = Array.length g.parent in
-    if needed > cap then begin
-      let ncap = max 64 (max needed (2 * cap)) in
-      let count = g.store.count in
-      let grow_arr a fill =
-        let na = Array.make ncap fill in
-        Array.blit a 0 na 0 count;
-        na
-      in
-      let grow_bytes b =
-        let nb = Bytes.make ncap '\000' in
-        Bytes.blit b 0 nb 0 count;
-        nb
-      in
-      g.rows <- grow_arr g.rows 0;
-      g.parent <- grow_arr g.parent (-1);
-      if g.reduction = `Sleep then g.sleeps <- grow_arr g.sleeps [];
-      g.masks <- grow_bytes g.masks;
-      g.expanded_flags <- grow_bytes g.expanded_flags
-    end
-
   let make_graph ~reduction =
     {
       store = store_create ();
-      rows = [||];
-      chunks = [||];
-      nchunks = 0;
-      fill = 0;
-      parent = [||];
-      masks = Bytes.empty;
-      expanded_flags = Bytes.empty;
+      rows = col_create ();
+      edge_rows = rows_create ();
+      parent = col_create ();
+      bits = col_create ();
       complete_flag = true;
       edges = 0;
       reduction;
-      sleeps = [||];
+      sleeps = col_create ();
       scratch = Array.make 64 0;
       pruned = 0;
       sleep_hits = 0;
@@ -283,19 +336,29 @@ module Make (C : Config.S) = struct
       probes = 0;
     }
 
-  (* Interns [key], the packed form of [cfg], as the next id. *)
+  (* Interns [key], the packed form of [cfg], as the next id: no edges,
+     no parent yet, its decision mask, an empty sleep set. *)
   let intern g ~hash key cfg =
-    ensure_capacity g (g.store.count + 1);
     let id = store_add g.store ~hash key in
-    Bytes.set g.masks id (Char.chr (C.decision_mask cfg));
+    array_reserve 0 g.rows (id + 1);
+    array_reserve 0 g.parent (id + 1);
+    bytes_reserve g.bits (id + 1);
+    iset g.rows id 0;
+    iset g.parent id (-1);
+    set_bits g id (C.decision_mask cfg);
+    if g.reduction = `Sleep then begin
+      array_reserve [] g.sleeps (id + 1);
+      set_sleep g id []
+    end;
     id
 
   (* The configuration of node [id], decoded from the arena; unchecked.
      Read-only, so pooled workers call it while the store is frozen. *)
   let node_config g id =
     let st = g.store in
-    let off = st.offs.(id) in
-    C.Packed.unpack st.pstore (Bytes.sub_string st.arena off (st.offs.(id + 1) - off))
+    let a = iget st.keys id in
+    C.Packed.unpack st.pstore
+      (Bytes.sub_string st.arena.chunks.(row_chunk a) (row_pos a) (row_len a))
 
   (* One BFS wave: node ids, and under [`Sleep] the sleep snapshot each
      was enqueued with (a node narrowed twice in one wave sits in the
@@ -481,10 +544,10 @@ module Make (C : Config.S) = struct
      promise along that edge may have. *)
   let narrow g ~push v z =
     if g.reduction = `Sleep then begin
-      let stored = g.sleeps.(v) in
+      let stored = sleep g v in
       let inter = List.filter (fun s -> List.exists (C.event_equal s) z) stored in
       if List.length inter < List.length stored then begin
-        g.sleeps.(v) <- inter;
+        set_sleep g v inter;
         push v inter
       end
     end
@@ -507,7 +570,8 @@ module Make (C : Config.S) = struct
      against the live store.  [resolve] re-probes every non-[Dup] tag, so
      both resolve identically. *)
   let expand g ~filter ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u plan =
-    let first = Bytes.get g.expanded_flags u = '\000' in
+    let first = bits g u land expanded_bit = 0 in
+    let truncated = ref false in
     let count0 = g.store.count in
     let added = ref 0 in  (* ints of [g.scratch] in use *)
     let add code v =
@@ -533,12 +597,14 @@ module Make (C : Config.S) = struct
             add code v;
             on_dup ();
             narrow g ~push v z
-        | `Truncated -> on_trunc ()
+        | `Truncated ->
+            truncated := true;
+            on_trunc ()
         | `Fresh v ->
-            g.parent.(v) <- edge code u;
+            iset g.parent v (edge code u);
             add code v;
             on_intern ();
-            if g.reduction = `Sleep then g.sleeps.(v) <- z;
+            if g.reduction = `Sleep then set_sleep g v z;
             push v z
       end
     in
@@ -584,15 +650,15 @@ module Make (C : Config.S) = struct
       g.sleep_hits <- g.sleep_hits + plan.slept
     end;
     if !added > 0 then begin
-      let old = g.rows.(u) in
+      let old = iget g.rows u in
       let k = row_len old in
-      let a = alloc_row g (k + !added) in
-      let dst = g.chunks.(row_chunk a) and pos = row_pos a in
-      if k > 0 then Array.blit g.chunks.(row_chunk old) (row_pos old) dst pos k;
+      let a = edge_row g.edge_rows (k + !added) in
+      let dst = g.edge_rows.chunks.(row_chunk a) and pos = row_pos a in
+      if k > 0 then Array.blit g.edge_rows.chunks.(row_chunk old) (row_pos old) dst pos k;
       Array.blit g.scratch 0 dst (pos + k) !added;
-      g.rows.(u) <- a
+      iset g.rows u a
     end;
-    Bytes.set g.expanded_flags u '\001'
+    set_bits g u (bits g u lor expanded_bit lor if !truncated then truncated_bit else 0)
 
   (* BFS one wave at a time.  A wave of at least [seq_threshold] entries
      at [jobs > 1] runs its probe phase — decoding each entry's
@@ -678,19 +744,19 @@ module Make (C : Config.S) = struct
         done)
 
   (* Words held by the graph's own backing arrays and byte strings,
-     headers included, from their lengths: the key arena and offsets,
-     the intern slots, the per-node rows, parents, masks, flags and
-     sleep slots, the edge chunks and the scratch row.  The part
-     dictionaries and the sleep-set lists are not counted. *)
+     headers included, from their lengths: the key arena's chunks, the
+     intern slots, the per-node columns (key addresses, row addresses,
+     parents, bits and sleep slots) with their directories, the edge
+     chunks and the scratch row.  The part dictionaries and the sleep-set
+     lists are not counted. *)
   let graph_words g =
     let arr a = 1 + Array.length a and bytes b = 2 + (Bytes.length b / 8) in
     let st = g.store in
-    let chunks = ref (arr g.chunks) in
-    for i = 0 to g.nchunks - 1 do
-      chunks := !chunks + arr g.chunks.(i)
-    done;
-    bytes st.arena + arr st.offs + arr st.slots + arr g.rows + arr g.parent + bytes g.masks
-    + bytes g.expanded_flags + arr g.sleeps + arr g.scratch + !chunks
+    let sum size dir n = Array.fold_left (fun w c -> w + size c) (arr dir) (Array.sub dir 0 n) in
+    let col size c = sum size c.dir ((c.cap + col_size - 1) / col_size) in
+    sum bytes st.arena.chunks st.arena.nchunks + col arr st.keys + arr st.slots + col arr g.rows
+    + sum arr g.edge_rows.chunks g.edge_rows.nchunks + col arr g.parent + col bytes g.bits
+    + col arr g.sleeps + arr g.scratch
 
   let explore ?(filter = fun _ -> true) ?(jobs = 1) ?(obs = Obs.disabled)
       ?(reduction = `None) ?(seq_threshold = 128) ~max_configs root_cfg =
@@ -814,10 +880,10 @@ module Make (C : Config.S) = struct
 
   let decision_mask g id =
     check_id "decision_mask" g id;
-    Char.code (Bytes.get g.masks id)
+    bits g id land 3
 
   (* Every node's decision mask, as a fresh byte string of length [size]. *)
-  let decision_masks g = Bytes.sub g.masks 0 g.store.count
+  let decision_masks g = Bytes.init g.store.count (fun id -> Char.chr (bits g id land 3))
 
   let succ g id =
     check_id "succ" g id;
@@ -839,29 +905,19 @@ module Make (C : Config.S) = struct
     iter_row g id (fun _ v -> acc := v :: !acc);
     List.rev !acc
 
-  (* Reverse edges in CSR form: the sources of [v]'s in-edges are
-     [preds.(off.(v)) .. preds.(off.(v + 1) - 1)], one per edge, in
-     descending source order. *)
-  let predecessors g =
-    let n = size g in
-    let off = Array.make (n + 1) 0 in
-    for u = 0 to n - 1 do
-      iter_row g u (fun _ v -> off.(v) <- off.(v) + 1)
-    done;
-    for v = 1 to n do
-      off.(v) <- off.(v) + off.(v - 1)
-    done;
-    let preds = Array.make off.(n) 0 in
-    for u = 0 to n - 1 do
-      iter_row g u (fun _ v ->
-          off.(v) <- off.(v) - 1;
-          preds.(off.(v)) <- u)
-    done;
-    (off, preds)
+  let nth_target g id k =
+    check_id "nth_target" g id;
+    let a = iget g.rows id in
+    if k < 0 || k >= row_len a then -1
+    else g.edge_rows.chunks.(row_chunk a).(row_pos a + k) land id_mask
 
   let expanded g id =
     check_id "expanded" g id;
-    Bytes.get g.expanded_flags id <> '\000'
+    bits g id land expanded_bit <> 0
+
+  let truncated g id =
+    check_id "truncated" g id;
+    bits g id land truncated_bit <> 0
 
   let edge_count g = g.edges
 
@@ -876,7 +932,7 @@ module Make (C : Config.S) = struct
   let path_to g id =
     check_id "path_to" g id;
     let rec go acc id =
-      let p = g.parent.(id) in
+      let p = iget g.parent id in
       if p < 0 then acc else go (event_of_code g (p lsr id_bits) :: acc) (p land id_mask)
     in
     go [] id

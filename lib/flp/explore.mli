@@ -92,15 +92,18 @@ module Make (C : Config.S) : sig
       once [max_configs] is reached; the result is then {e incomplete}.
 
       Visited configurations are stored {e packed} ({!Config.S.Packed}):
-      the keys sit back to back in one byte arena, and one open-addressing
-      intern table (linear probing over a power-of-two array of ints, each
-      slot the key's 32-bit FNV hash above its 30-bit id, load at most
-      1/2) maps a key to its id.  An edge is one int, its event code
-      ({!Config.S.Packed.event_code}) above its target's id; a node's
-      edges are one contiguous row in chunked flat storage, addressed by
-      one int per node, and its BFS parent is one such int too.  Each
-      node also keeps its configuration's {!Config.S.decision_mask}, set
-      when it is interned.  The frontier holds node ids (plus sleep
+      the keys sit back to back in a chunked byte arena, and one
+      open-addressing intern table (linear probing over a power-of-two
+      array of ints, each slot the key's 32-bit FNV hash above its 30-bit
+      id, load at most 1/2) maps a key to its id.  An edge is one int, its
+      event code ({!Config.S.Packed.event_code}) above its target's id; a
+      node's edges are one contiguous row in chunked flat storage.  Per
+      node the graph keeps columns: its key's and its edge row's addresses
+      and its BFS parent (one int each), and one byte holding its
+      configuration's {!Config.S.decision_mask}, set when it is interned,
+      and its flags.  Columns, arena and edge rows grow by adding chunks
+      that never move, so nothing but the intern table is ever copied to
+      grow.  The frontier holds node ids (plus sleep
       snapshots under [`Sleep]), never configurations: a node's
       configuration is decoded from the arena when it is expanded.  So
       the stored graph holds no boxed event, list or tuple, and node ids
@@ -140,8 +143,8 @@ module Make (C : Config.S) : sig
       computed once after the run, the packed-codec gauges
       [explore.packed.bytes] / [explore.packed.dict_states] /
       [explore.packed.dict_msgs], and [explore.graph_words]: the words
-      held by the graph's own arrays (key arena and offsets, intern
-      slots, per-node rows, parents, masks and flags, edge chunks),
+      held by the graph's own arrays (key arena chunks, intern slots, the
+      per-node columns and their chunk directories, edge chunks),
       headers included, counted from their lengths, so the figure is the
       same on every run.  Under a reduction mode it additionally
       records [explore.por.pruned] (enabled events never applied),
@@ -167,6 +170,11 @@ module Make (C : Config.S) : sig
   val expanded : graph -> int -> bool
   (** Whether the node's successors were computed. *)
 
+  val truncated : graph -> int -> bool
+  (** Whether [max_configs] kept some successor of the node out of the
+      graph, so its edges miss that successor and whatever lies beyond it
+      is unexplored.  Always [false] on a {!complete} graph. *)
+
   val config : graph -> int -> C.t
   (** The configuration with the given id, decoded from its packed key. *)
 
@@ -191,6 +199,12 @@ module Make (C : Config.S) : sig
   val targets : graph -> int -> int list
   (** The outgoing edges' targets, in the order of {!succ}. *)
 
+  val nth_target : graph -> int -> int -> int
+  (** [nth_target g id k] is the target of [id]'s [k]-th outgoing edge,
+      counting from [0] in the order of {!succ}, or [-1] when [id] has no
+      such edge.  With [Digraph.tarjan] it walks the graph depth-first
+      without building a list. *)
+
   val event_code : graph -> C.event -> int
   (** The graph's code for an event ({!Config.S.Packed.event_code} over
       its own part dictionary); codes are non-negative.  Raises
@@ -209,12 +223,6 @@ module Make (C : Config.S) : sig
   val decision_masks : graph -> Bytes.t
   (** Every node's {!decision_mask} as a byte, in a fresh string of length
       [size g]. *)
-
-  val predecessors : graph -> int array * int array
-  (** Every edge reversed, in compressed rows: [(off, preds)] where the
-      sources of node [v]'s in-edges are [preds.(off.(v))] to
-      [preds.(off.(v + 1) - 1)], one per edge, in descending source
-      order.  [off] has [size g + 1] entries. *)
 
   val path_to : graph -> int -> C.event list
   (** A shortest schedule from the root to the given node, along BFS

@@ -97,65 +97,111 @@ let initial_clique ~closure =
   in
   List.filter member (List.init t.n (fun i -> i))
 
-(* Iterative Tarjan SCC.  The explicit stack holds (node, unvisited
-   successors) frames so large graphs cannot overflow the OCaml stack. *)
-let tarjan ~n ~iter_succ ~keep =
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let components = ref [] in
-  let enter v frames =
-    index.(v) <- !counter;
-    lowlink.(v) <- !counter;
+(* A growable stack of ints. *)
+type stack = { mutable items : int array; mutable top : int }
+
+let push s x =
+  if s.top = Array.length s.items then begin
+    let a = Array.make (2 * s.top) 0 in
+    Array.blit s.items 0 a 0 s.top;
+    s.items <- a
+  end;
+  s.items.(s.top) <- x;
+  s.top <- s.top + 1
+
+(* Iterative Tarjan SCC in Pearce's space-efficient form ("A
+   space-efficient algorithm for finding strongly connected components",
+   IPL 2016): one int per node, [rindex], holds [0] while the node is
+   unvisited, its running low index while it is active and [max_int] once
+   its component is done, so a finished node never lowers another's
+   index; [root] says whether an active node's index is still its own.
+   The DFS is an explicit stack of (node, next edge) frames, so deep
+   graphs cannot overflow the OCaml stack, and [active] holds the visited
+   non-roots whose component is still open. *)
+let tarjan ~n ~succ ?keep on_component =
+  let rindex = Array.make n 0 in
+  let root = Bytes.make n '\000' in
+  let frames = { items = Array.make 32 0; top = 0 } in
+  let active = { items = Array.make 32 0; top = 0 } in
+  let counter = ref 1 in
+  let enter v =
+    rindex.(v) <- !counter;
     incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    let succs = ref [] in
-    iter_succ v (fun w -> if keep w then succs := w :: !succs);
-    (v, ref (List.rev !succs)) :: frames
+    Bytes.set root v '\001';
+    push frames v;
+    push frames 0
   in
-  let visit root =
-    let frames = ref (enter root []) in
-    while !frames <> [] do
-      match !frames with
-      | [] -> ()
-      | (v, cursor) :: rest -> (
-          match !cursor with
-          | w :: more ->
-              cursor := more;
-              if index.(w) = -1 then frames := enter w !frames
-              else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
-          | [] ->
-              frames := rest;
-              (match rest with
-              | (parent, _) :: _ -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-              | [] -> ());
-              if lowlink.(v) = index.(v) then begin
-                let comp = ref [] in
-                let break = ref false in
-                while not !break do
-                  match !stack with
-                  | [] -> break := true
-                  | w :: tl ->
-                      stack := tl;
-                      on_stack.(w) <- false;
-                      comp := w :: !comp;
-                      if w = v then break := true
-                done;
-                components := !comp :: !components
-              end)
-    done
+  (* [v] reaches an active node of index [r]: below its own, [v] is no root *)
+  let lower v r =
+    if r < rindex.(v) then begin
+      rindex.(v) <- r;
+      Bytes.set root v '\000'
+    end
   in
-  for v = 0 to n - 1 do
-    if keep v && index.(v) = -1 then visit v
-  done;
-  List.rev !components
+  let finish v =
+    if Bytes.get root v = '\000' then push active v
+    else if active.top = 0 || rindex.(active.items.(active.top - 1)) < rindex.(v) then begin
+      (* alone, the common case: no [Array.make] *)
+      rindex.(v) <- max_int;
+      on_component [| v |]
+    end
+    else begin
+      let r = rindex.(v) in
+      let lo = ref active.top in
+      while !lo > 0 && rindex.(active.items.(!lo - 1)) >= r do
+        decr lo
+      done;
+      let comp = Array.make (1 + active.top - !lo) v in
+      Array.blit active.items !lo comp 1 (active.top - !lo);
+      active.top <- !lo;
+      for i = 0 to Array.length comp - 1 do
+        rindex.(comp.(i)) <- max_int
+      done;
+      on_component comp
+    end
+  in
+  for s = 0 to n - 1 do
+    if (match keep with None -> true | Some keep -> keep s) && rindex.(s) = 0 then begin
+      enter s;
+      while frames.top > 0 do
+        (* the top frame's edges, up to its first unvisited target *)
+        let v = frames.items.(frames.top - 2) in
+        let k = ref frames.items.(frames.top - 1) and low = ref max_int in
+        let next = ref (-1) and last = ref false in
+        while !next < 0 && not !last do
+          let w = succ v !k in
+          if w < 0 then last := true
+          else begin
+            incr k;
+            if match keep with None -> true | Some keep -> keep w then begin
+              let r = rindex.(w) in
+              if r = 0 then next := w else if r < !low then low := r
+            end
+          end
+        done;
+        lower v !low;
+        if !last then begin
+          frames.top <- frames.top - 2;
+          finish v;
+          if frames.top > 0 then lower frames.items.(frames.top - 2) rindex.(v)
+        end
+        else begin
+          frames.items.(frames.top - 1) <- !k;
+          enter !next
+        end
+      done
+    end
+  done
 
 let sccs t =
-  tarjan ~n:t.n ~iter_succ:(fun i f -> List.iter f (succs t i)) ~keep:(fun _ -> true)
-  |> List.map (List.sort Int.compare)
+  let adj = Array.init t.n (fun i -> Array.of_list (succs t i)) in
+  let comps = ref [] in
+  tarjan ~n:t.n
+    ~succ:(fun i k -> if k < Array.length adj.(i) then adj.(i).(k) else -1)
+    (fun comp ->
+      Array.sort Int.compare comp;
+      comps := Array.to_list comp :: !comps);
+  List.rev !comps
 
 let source_sccs t =
   let comps = sccs t in

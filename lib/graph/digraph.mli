@@ -53,13 +53,24 @@ val initial_clique : closure:t -> int list
     of [k].  Meaningful when [closure] is a transitive closure. *)
 
 val tarjan :
-  n:int -> iter_succ:(int -> (int -> unit) -> unit) -> keep:(int -> bool) -> int list list
-(** Strongly connected components of the subgraph of nodes [0 .. n-1]
-    satisfying [keep], with the edges [iter_succ v] reports between such
-    nodes (Tarjan, iterative).  Components come in the order they
-    complete, which is reverse topological order of the condensation;
-    each lists its root first, then the rest in the order they were
-    pushed. *)
+  n:int ->
+  succ:(int -> int -> int) ->
+  ?keep:(int -> bool) ->
+  (int array -> unit) ->
+  unit
+(** [tarjan ~n ~succ ~keep f] calls [f] on each strongly connected
+    component of the subgraph of nodes [0 .. n-1] satisfying [keep] (by
+    default, every node).  A node [v]'s successors are [succ v 0],
+    [succ v 1], ... up to the first negative answer; the edges are those
+    that lead to kept nodes.  Components come in the order they complete,
+    which is reverse topological order of the condensation: every node a
+    component reaches outside itself is in a component handed over before
+    it.  Each array is fresh and lists the component's DFS root first,
+    then the other members in the order their visits finished.
+
+    Iterative, in Pearce's space-efficient form: one int and one byte per
+    node, plus stacks as deep as the search, so a path of a million nodes
+    runs in constant OCaml stack. *)
 
 val sccs : t -> int list list
 (** Strongly connected components (Tarjan, iterative), each sorted,

@@ -125,6 +125,140 @@ let prop_sccs_partition =
       let nodes = List.concat (Digraph.sccs g) in
       List.sort Int.compare nodes = List.init (Digraph.size g) Fun.id)
 
+(* The list-based iterative Tarjan that [Digraph.tarjan] replaced, kept as
+   a reference: frames of (node, unvisited successors) lists, [index],
+   [lowlink] and [on_stack] arrays, components returned in completion
+   order. *)
+let reference_tarjan ~n ~iter_succ ~keep =
+  let index = Array.make n (-1) in
+  let lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
+  let stack = ref [] in
+  let counter = ref 0 in
+  let components = ref [] in
+  let enter v frames =
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
+    incr counter;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    let succs = ref [] in
+    iter_succ v (fun w -> if keep w then succs := w :: !succs);
+    (v, ref (List.rev !succs)) :: frames
+  in
+  let visit root =
+    let frames = ref (enter root []) in
+    while !frames <> [] do
+      match !frames with
+      | [] -> ()
+      | (v, cursor) :: rest -> (
+          match !cursor with
+          | w :: more ->
+              cursor := more;
+              if index.(w) = -1 then frames := enter w !frames
+              else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
+          | [] ->
+              frames := rest;
+              (match rest with
+              | (parent, _) :: _ -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
+              | [] -> ());
+              if lowlink.(v) = index.(v) then begin
+                let comp = ref [] in
+                let break = ref false in
+                while not !break do
+                  match !stack with
+                  | [] -> break := true
+                  | w :: tl ->
+                      stack := tl;
+                      on_stack.(w) <- false;
+                      comp := w :: !comp;
+                      if w = v then break := true
+                done;
+                components := !comp :: !components
+              end)
+    done
+  in
+  for v = 0 to n - 1 do
+    if keep v && index.(v) = -1 then visit v
+  done;
+  List.rev !components
+
+(* [Digraph.tarjan] on a graph given as successor arrays, components in
+   the order handed over. *)
+let tarjan_of ?keep adj =
+  let comps = ref [] in
+  Digraph.tarjan ~n:(Array.length adj)
+    ~succ:(fun v k -> if k < Array.length adj.(v) then adj.(v).(k) else -1)
+    ?keep
+    (fun comp -> comps := Array.to_list comp :: !comps);
+  List.rev !comps
+
+(* Random digraphs with self-loops and repeated edges, successor order
+   shuffled, and a random node filter. *)
+let adjacency_gen =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun n ->
+    array_repeat n (list_size (int_bound 4) (int_bound (n - 1))) >>= fun adj ->
+    array_repeat n bool >|= fun kept -> (Array.map Array.of_list adj, kept))
+
+let arbitrary_adjacency =
+  QCheck.make
+    ~print:(fun (adj, kept) ->
+      String.concat "; "
+        (Array.to_list
+           (Array.mapi
+              (fun v a ->
+                Printf.sprintf "%d%s -> [%s]" v
+                  (if kept.(v) then "" else " (dropped)")
+                  (String.concat "," (Array.to_list (Array.map string_of_int a))))
+              adj)))
+    adjacency_gen
+
+let prop_tarjan_matches_reference =
+  QCheck.Test.make ~name:"tarjan = the list-based reference, same order" ~count:500
+    arbitrary_adjacency (fun (adj, kept) ->
+      let sorted = List.map (List.sort Int.compare) in
+      let same keep =
+        sorted (tarjan_of ?keep adj)
+        = sorted
+            (reference_tarjan ~n:(Array.length adj)
+               ~iter_succ:(fun v f -> Array.iter f adj.(v))
+               ~keep:(Option.value keep ~default:(fun _ -> true)))
+      in
+      same None && same (Some (fun v -> kept.(v))))
+
+(* Each component hands over its DFS root first, and after every node it
+   reaches outside itself. *)
+let prop_tarjan_sinks_first =
+  QCheck.Test.make ~name:"tarjan hands components over sinks first" ~count:300
+    arbitrary_adjacency (fun (adj, _) ->
+      let n = Array.length adj in
+      let comp_of = Array.make n (-1) in
+      List.iteri (fun i c -> List.iter (fun v -> comp_of.(v) <- i) c) (tarjan_of adj);
+      Array.for_all (fun c -> c >= 0) comp_of
+      && Array.for_all Fun.id
+           (Array.mapi (fun v a -> Array.for_all (fun w -> comp_of.(w) <= comp_of.(v)) a) adj))
+
+let test_tarjan_deep_path () =
+  let n = 1_000_000 in
+  let count = ref 0 and longest = ref 0 in
+  Digraph.tarjan ~n
+    ~succ:(fun v k -> if k = 0 && v + 1 < n then v + 1 else -1)
+    (fun comp ->
+      incr count;
+      longest := max !longest (Array.length comp));
+  Alcotest.(check int) "one component per node" n !count;
+  Alcotest.(check int) "all singletons" 1 !longest;
+  (* closed into one cycle, the path is one component, root first *)
+  let comps = ref [] in
+  Digraph.tarjan ~n ~succ:(fun v k -> if k = 0 then (v + 1) mod n else -1) (fun comp ->
+      comps := comp :: !comps);
+  match !comps with
+  | [ comp ] ->
+      Alcotest.(check int) "one cycle" n (Array.length comp);
+      Alcotest.(check int) "root first" 0 comp.(0)
+  | _ -> Alcotest.fail "a cycle is one component"
+
 let prop_copy_independent =
   QCheck.Test.make ~name:"copy does not alias" ~count:100 arbitrary_graph (fun g ->
       let g' = Digraph.copy g in
@@ -157,6 +291,7 @@ let () =
           Alcotest.test_case "initial clique whole" `Quick test_initial_clique_whole;
           Alcotest.test_case "sccs known" `Quick test_sccs_known;
           Alcotest.test_case "source sccs" `Quick test_source_sccs;
+          Alcotest.test_case "tarjan on a 10^6-node path" `Quick test_tarjan_deep_path;
         ] );
       ( "properties",
         [
@@ -164,6 +299,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_closure_matches_reachability;
           QCheck_alcotest.to_alcotest prop_initial_clique_is_union_of_source_sccs;
           QCheck_alcotest.to_alcotest prop_sccs_partition;
+          QCheck_alcotest.to_alcotest prop_tarjan_matches_reference;
+          QCheck_alcotest.to_alcotest prop_tarjan_sinks_first;
           QCheck_alcotest.to_alcotest prop_copy_independent;
         ] );
     ]

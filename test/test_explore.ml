@@ -26,7 +26,12 @@ let test_and_wait_size () =
 let test_truncation () =
   let g = A.Explore.explore ~max_configs:3 (A.C.initial v01) in
   Alcotest.(check bool) "incomplete" false (A.Explore.complete g);
-  Alcotest.(check int) "at cap" 3 (A.Explore.size g)
+  Alcotest.(check int) "at cap" 3 (A.Explore.size g);
+  Alcotest.(check bool) "a successor was cut" true
+    (List.exists (A.Explore.truncated g) (List.init 3 Fun.id));
+  let full = A.Explore.explore ~max_configs:10_000 (A.C.initial v01) in
+  Alcotest.(check bool) "none on a complete graph" false
+    (List.exists (A.Explore.truncated full) (List.init (A.Explore.size full) Fun.id))
 
 let test_path_to_replays () =
   let g = A.Explore.explore ~max_configs:10_000 (A.C.initial v01) in
@@ -61,6 +66,8 @@ let test_out_of_range_ids () =
       rejects "config" (fun id -> A.Explore.config g id) id;
       rejects "succ" (fun id -> A.Explore.succ g id) id;
       rejects "expanded" (fun id -> A.Explore.expanded g id) id;
+      rejects "truncated" (fun id -> A.Explore.truncated g id) id;
+      rejects "nth_target" (fun id -> A.Explore.nth_target g id 0) id;
       rejects "path_to" (fun id -> A.Explore.path_to g id) id)
     [ -1; n; n + 1; 1_000_000 ];
   (* the last valid id still answers *)
@@ -235,9 +242,9 @@ let test_edge_codes_round_trip () =
 
 (* The lean graph's invariants, under both reductions, inline (jobs 1)
    and pooled (jobs 4, every wave on the pool): the graph is the same at
-   both jobs values; [predecessors] is [succ] reversed; each node's
-   decision mask, recorded when it was interned, is its configuration's
-   [decision_values]; and every parent path replays to its node. *)
+   both jobs values; each node's decision mask, recorded when it was
+   interned, is its configuration's [decision_values]; and every parent
+   path replays to its node. *)
 let lean_graph_holds ~budget label protocol =
   let module P = (val protocol : Protocol.S) in
   let module A = Analysis.Make (P) in
@@ -257,11 +264,6 @@ let lean_graph_holds ~budget label protocol =
       let same_events l1 l2 =
         List.length l1 = List.length l2 && List.for_all2 A.C.event_equal l1 l2
       in
-      let off, preds = A.Explore.predecessors g in
-      let into = Array.make n [] in
-      for u = n - 1 downto 0 do
-        List.iter (fun (_, v) -> into.(v) <- u :: into.(v)) (A.Explore.succ g u)
-      done;
       for u = 0 to n - 1 do
         let c = A.Explore.config g u in
         let succ = A.Explore.succ g u and succ4 = A.Explore.succ g4 u in
@@ -273,9 +275,6 @@ let lean_graph_holds ~budget label protocol =
             && same_events (A.Explore.path_to g u) (A.Explore.path_to g4 u)
             && A.Explore.expanded g u = A.Explore.expanded g4 u)
         then Alcotest.failf "%s: node %d differs between jobs 1 and 4" label u;
-        let sources = List.init (off.(u + 1) - off.(u)) (fun k -> preds.(off.(u) + k)) in
-        if sources <> List.rev into.(u) then
-          Alcotest.failf "%s: predecessors of %d are not its in-edges" label u;
         let mask =
           List.fold_left (fun m v -> m lor (1 lsl Value.to_int v)) 0 (A.C.decision_values c)
         in
@@ -347,8 +346,12 @@ let test_view_agrees () =
 (* A memory pin: [explore.graph_words] counts the graph's own arrays from
    their lengths, so it is the same on every run.  pipeline:40 held 20.41
    words per configuration when each edge was two ints in a boxed row per
-   node, each intern slot two ints and each parent two ints. *)
+   node, each intern slot two ints and each parent two ints, and 12.23
+   when the per-node columns and the key arena grew by doubling; 10.86
+   with them in chunks that never move.  Over-allocation returning to any
+   column shows here. *)
 let test_graph_words_pin () =
+  let module A' = A in
   let module P = (val Zoo.pipeline ~ticks:40 : Protocol.S) in
   let module A = Analysis.Make (P) in
   let words () =
@@ -360,11 +363,57 @@ let test_graph_words_pin () =
   in
   let size, w = words () in
   Alcotest.(check int) "pipeline:40 configs" 198_521 size;
+  (* small graphs stay small: no column starts at full chunk size *)
+  let metrics = Obs.Metrics.create () in
+  let small =
+    A'.Explore.explore ~obs:(Obs.create ~metrics ()) ~max_configs:10_000 (A'.C.initial v01)
+  in
+  let small_words = Obs.Metrics.gauge_value (Obs.Metrics.gauge metrics "explore.graph_words") in
+  Alcotest.(check bool)
+    (Printf.sprintf "and-wait's %d configurations in %d < 1000 words" (A'.Explore.size small)
+       small_words)
+    true (small_words < 1_000);
   Alcotest.(check int) "the same on a second run" w (snd (words ()));
   let per_config = float_of_int w /. float_of_int size in
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f words per configuration < 20.41" per_config)
-    true (per_config < 20.41)
+    (Printf.sprintf "%.4f words per configuration < 10.87" per_config)
+    true (per_config < 10.87)
+
+(* pipeline:40 spans many chunks of every column (16,384 ids each), of the
+   key arena and of the edge rows: every id still answers, and so do the
+   ids on either side of each column chunk boundary. *)
+let test_chunked_columns () =
+  let module P = (val Zoo.pipeline ~ticks:40 : Protocol.S) in
+  let module A = Analysis.Make (P) in
+  let root = A.C.initial (Array.init P.n (fun i -> Value.of_int (i land 1))) in
+  let g = A.Explore.explore ~max_configs:1_000_000 root in
+  let n = A.Explore.size g in
+  Alcotest.(check int) "configs" 198_521 n;
+  Alcotest.(check int) "edges" 728_403 (A.Explore.edge_count g);
+  Alcotest.(check bool) "at least three column chunks" true (n > 2 * 16_384);
+  for id = 0 to n - 1 do
+    if A.Explore.id_of g (A.Explore.config g id) <> Some id then
+      Alcotest.failf "config %d does not intern back to its id" id
+  done;
+  let boundaries =
+    List.concat_map
+      (fun k -> [ (k * 16_384) - 1; k * 16_384; (k * 16_384) + 1 ])
+      (List.init (n / 16_384) succ)
+  in
+  List.iter
+    (fun id ->
+      let path = A.Explore.path_to g id in
+      let c = A.C.apply_schedule root path in
+      if not (A.C.equal c (A.Explore.config g id)) then
+        Alcotest.failf "path to %d does not replay" id;
+      (* the last step leaves the BFS parent, an earlier id, by an edge to [id] *)
+      match List.rev path with
+      | [] -> Alcotest.failf "%d has no parent" id
+      | e :: before -> (
+          match A.Explore.id_of g (A.C.apply_schedule root (List.rev before)) with
+          | Some p when p < id && A.Explore.edge_target g p (A.Explore.event_code g e) = id -> ()
+          | _ -> Alcotest.failf "the parent witness of %d is not an edge into it" id))
+    (boundaries @ [ n - 1 ])
 
 (* The intern table's health: no probe may walk a long run of occupied
    slots.  At load <= 1/2 with a well-spread hash the longest run grows
@@ -460,6 +509,86 @@ let test_univalent_reaches_only_its_value () =
     | AR.Valency.Bivalent -> ()
   done
 
+(* [Valency.closure] against a reference kept here: seed each node with
+   its decision mask, plus bit 2 where [max_configs] cut a successor, and
+   propagate backwards along reversed edges with a queue until nothing
+   changes.  The valences (complete graphs) and the blocking witness, the
+   first node whose closure is empty, must agree with it too. *)
+let closure_agrees protocol ~inputs ~faulty ~budget =
+  let module P = (val protocol : Protocol.S) in
+  let module A = Analysis.Make (P) in
+  let inputs = Array.init P.n (fun i -> Value.of_int ((inputs lsr i) land 1)) in
+  let filter =
+    match faulty with Some p -> fun (e : A.C.event) -> e.dest <> p mod P.n | None -> fun _ -> true
+  in
+  let g = A.Explore.explore ~filter ~max_configs:budget (A.C.initial inputs) in
+  let n = A.Explore.size g in
+  let into = Array.make n [] in
+  for u = 0 to n - 1 do
+    List.iter (fun v -> into.(v) <- u :: into.(v)) (A.Explore.targets g u)
+  done;
+  let want =
+    Array.init n (fun u ->
+        A.Explore.decision_mask g u lor if A.Explore.truncated g u then 4 else 0)
+  in
+  let queue = Queue.create () in
+  Array.iteri (fun u _ -> Queue.push u queue) want;
+  while not (Queue.is_empty queue) do
+    let v = Queue.pop queue in
+    List.iter
+      (fun u ->
+        if want.(u) lor want.(v) <> want.(u) then begin
+          want.(u) <- want.(u) lor want.(v);
+          Queue.push u queue
+        end)
+      into.(v)
+  done;
+  let got = A.Valency.closure g in
+  let closure_ok = Array.for_all Fun.id (Array.mapi (fun u m -> Char.code (Bytes.get got u) = m) want) in
+  let valences_ok =
+    (not (A.Explore.complete g))
+    || Array.for_all Fun.id
+         (Array.mapi
+            (fun u v ->
+              A.Valency.equal_valence v
+                (match want.(u) with
+                | 0 -> A.Valency.Undecided_forever
+                | 1 -> A.Valency.Univalent Value.Zero
+                | 2 -> A.Valency.Univalent Value.One
+                | _ -> A.Valency.Bivalent))
+            (A.Valency.classify g))
+  in
+  let witness_ok =
+    let first_empty = List.find_opt (fun u -> want.(u) = 0) (List.init n Fun.id) in
+    match (A.Lemma.find_blocking_run g, first_empty) with
+    | `Decision_always_reachable, None -> true
+    | `Blocking_witness schedule, Some u ->
+        List.length schedule = List.length (A.Explore.path_to g u)
+        && List.for_all2 A.C.event_equal schedule (A.Explore.path_to g u)
+    | _ -> false
+  in
+  closure_ok && valences_ok && witness_ok
+
+let test_closure_zoo () =
+  List.iter
+    (fun (e : Zoo.entry) ->
+      List.iter
+        (fun (budget, faulty) ->
+          for inputs = 0 to 7 do
+            if not (closure_agrees e.protocol ~inputs ~faulty ~budget) then
+              Alcotest.failf "%s, inputs %d, budget %d: the closure disagrees" e.name inputs budget
+          done)
+        [ (7, None); (60, Some 1); (5_000, None); (5_000, Some 0) ])
+    Zoo.all
+
+let prop_closure_random_protocols =
+  QCheck.Test.make ~name:"closure = backward BFS on random protocols" ~count:150
+    QCheck.(quad (int_bound 10_000) (int_bound 7) (option (int_bound 2)) (int_range 1 400))
+    (fun (seed, inputs, faulty, budget) ->
+      closure_agrees
+        (Random_protocol.generate Random_protocol.default_spec ~seed)
+        ~inputs ~faulty ~budget)
+
 let test_dot_export () =
   let g = A.Explore.explore ~max_configs:10_000 (A.C.initial v01) in
   let valences = A.Valency.classify g in
@@ -519,6 +648,7 @@ let () =
           Alcotest.test_case "probe runs stay short" `Quick test_probe_runs_stay_short;
           Alcotest.test_case "lean graph invariants" `Slow test_lean_graph;
           Alcotest.test_case "graph words pinned" `Quick test_graph_words_pin;
+          Alcotest.test_case "chunked columns" `Slow test_chunked_columns;
           Alcotest.test_case "view edge accessors agree" `Quick test_view_agrees;
         ] );
       ( "valency",
@@ -529,6 +659,8 @@ let () =
           Alcotest.test_case "incomplete raises" `Quick test_classify_incomplete_raises;
           Alcotest.test_case "valence monotone" `Quick test_classify_consistency;
           Alcotest.test_case "univalent decisions" `Quick test_univalent_reaches_only_its_value;
+          Alcotest.test_case "closure = backward BFS on the zoo" `Slow test_closure_zoo;
+          QCheck_alcotest.to_alcotest prop_closure_random_protocols;
           Alcotest.test_case "dot export" `Quick test_dot_export;
           Alcotest.test_case "decisions monotone on random walks" `Quick
             test_decisions_monotone_random_walks;

@@ -111,6 +111,45 @@ let test_blocking_leader_only_when_leader_dies () =
   | `Blocking_witness _ -> Alcotest.fail "follower death must not block the leader protocol"
   | `Decision_always_reachable -> ()
 
+(* A truncated graph says nothing about what lies past [max_configs]: a
+   node that reaches a left-out configuration is no blocking witness.  On
+   benor-det:1 with one process crashed, 12 of the 24 (inputs, crashed)
+   graphs block and 12 do not (each holds 12 configurations when
+   complete).  Cut at 5 or 10 configurations, a graph may name a witness
+   only where the complete graph has one: at a configuration that reaches
+   no decision there. *)
+let test_blocking_sound_on_truncated () =
+  let module P = (val Option.get (Zoo.find "benor-det:1") : Protocol.S) in
+  let module A = Analysis.Make (P) in
+  let complete = A.graphs ~max_configs:1_000 () in
+  let blocking = ref 0 in
+  List.iter
+    (fun inputs ->
+      for faulty = 0 to P.n - 1 do
+        let full = complete ~faulty inputs in
+        (match A.Lemma.find_blocking_run full with
+        | `Blocking_witness _ -> incr blocking
+        | `Decision_always_reachable -> ());
+        let valences = A.Valency.classify full in
+        List.iter
+          (fun budget ->
+            let g = A.Explore.explore ~filter:(fun (e : A.C.event) -> e.dest <> faulty)
+                ~max_configs:budget (A.C.initial inputs) in
+            if A.Explore.complete g then Alcotest.failf "budget %d: a crash graph is complete" budget;
+            match A.Lemma.find_blocking_run g with
+            | `Decision_always_reachable -> ()
+            | `Blocking_witness schedule -> (
+                let c = A.C.apply_schedule (A.C.initial inputs) schedule in
+                match A.Explore.id_of full c with
+                | Some id when A.Valency.equal_valence valences.(id) A.Valency.Undecided_forever -> ()
+                | Some _ | None ->
+                    Alcotest.failf "budget %d, p%d crashed: the witness reaches a decision" budget
+                      faulty))
+          [ 5; 10 ]
+      done)
+    (A.Lemma.all_inputs ());
+  Alcotest.(check int) "complete graphs that block" 12 !blocking
+
 let test_adjacent_opposite_pairs_and_wait () =
   (* and-wait decides AND of the inputs: 11 is 1-valent, its two neighbors
      are 0-valent — exactly the chain pivots of Lemma 2's proof *)
@@ -272,6 +311,8 @@ let () =
           Alcotest.test_case "and-wait blocks" `Quick test_blocking_and_wait;
           Alcotest.test_case "leader blocks iff leader dies" `Quick
             test_blocking_leader_only_when_leader_dies;
+          Alcotest.test_case "no witness past the truncation" `Quick
+            test_blocking_sound_on_truncated;
         ] );
       ( "classification",
         [
