@@ -424,8 +424,9 @@ module Make (P : Protocol.S) = struct
 
     let find_fair_nondeciding_cycle ~faulty g =
       let n = Explore.size g in
-      (* Only fully expanded nodes are sound cycle members. *)
-      let keep id = Explore.decision_mask g id = 0 && Explore.expanded g id in
+      (* Every node is expanded once [explore] returns, so only deciding
+         nodes are left out. *)
+      let keep id = Explore.decision_mask g id = 0 in
       let live pid = match faulty with Some p -> pid <> p | None -> true in
       (* latest completed first *)
       let comps = ref [] in

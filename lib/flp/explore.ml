@@ -911,10 +911,6 @@ module Make (C : Config.S) = struct
     if k < 0 || k >= row_len a then -1
     else g.edge_rows.chunks.(row_chunk a).(row_pos a + k) land id_mask
 
-  let expanded g id =
-    check_id "expanded" g id;
-    bits g id land expanded_bit <> 0
-
   let truncated g id =
     check_id "truncated" g id;
     bits g id land truncated_bit <> 0

@@ -167,9 +167,6 @@ module Make (C : Config.S) : sig
   (** Whether the exploration stopped for want of new configurations
       rather than at [max_configs]. *)
 
-  val expanded : graph -> int -> bool
-  (** Whether the node's successors were computed. *)
-
   val truncated : graph -> int -> bool
   (** Whether [max_configs] kept some successor of the node out of the
       graph, so its edges miss that successor and whatever lies beyond it

@@ -7,7 +7,7 @@ type t = {
   mutable inflight : int;
   mutable peak_inflight : int;
   mutable last_completion : float;
-  mutable latencies_rev : float list;
+  mutable samples : float array;  (* latencies in completion order: the first [completed] cells *)
   per_client : int array;
 }
 
@@ -21,16 +21,22 @@ let create ~clients =
     inflight = 0;
     peak_inflight = 0;
     last_completion = 0.0;
-    latencies_rev = [];
+    samples = [||];
     per_client = Array.make clients 0;
   }
 
 let command_submitted t = t.submitted <- t.submitted + 1
 
 let command_completed t ~client ~latency ~time =
-  t.completed <- t.completed + 1;
+  let i = t.completed in
+  if i = Array.length t.samples then begin
+    let grown = Array.make (max 256 (2 * i)) 0.0 in
+    Array.blit t.samples 0 grown 0 i;
+    t.samples <- grown
+  end;
+  t.samples.(i) <- latency;
+  t.completed <- i + 1;
   t.per_client.(client) <- t.per_client.(client) + 1;
-  t.latencies_rev <- latency :: t.latencies_rev;
   if time > t.last_completion then t.last_completion <- time
 
 let instance_opened t =
@@ -62,8 +68,7 @@ type shard = {
   wall_s : float;
 }
 
-let freeze t ~(result : Sim.Engine.result) ~wall_s =
-  let latencies = Array.of_list (List.rev t.latencies_rev) in
+let freeze (t : t) ~(result : Sim.Engine.result) ~wall_s =
   {
     submitted = t.submitted;
     completed = t.completed;
@@ -72,7 +77,7 @@ let freeze t ~(result : Sim.Engine.result) ~wall_s =
     learns = t.learns;
     peak_inflight = t.peak_inflight;
     last_completion = t.last_completion;
-    latencies;
+    latencies = Array.sub t.samples 0 t.completed;
     per_client = Array.copy t.per_client;
     steps = result.steps;
     sent = result.sent;

@@ -25,7 +25,12 @@
       to decision.
     - ["classic"]: full two-phase Paxos.  [Prepare]/[Promise] (with
       accepted-value reporting) then [Accept]/[Accepted], then [Learn].
-      Two round trips to decision; a retry starts over at a higher ballot. *)
+      Two round trips to decision; a retry starts over at a higher ballot.
+
+    In both, the handler call in which an owner decides returns a constant
+    state that answers every later message and timer with nothing, so a
+    decided owner holds no memory; a replica that has learned keeps its
+    state, because a late [Prepare] or [Accept] is still answered. *)
 
 module type S = sig
   type state

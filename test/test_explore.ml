@@ -65,13 +65,12 @@ let test_out_of_range_ids () =
     (fun id ->
       rejects "config" (fun id -> A.Explore.config g id) id;
       rejects "succ" (fun id -> A.Explore.succ g id) id;
-      rejects "expanded" (fun id -> A.Explore.expanded g id) id;
       rejects "truncated" (fun id -> A.Explore.truncated g id) id;
       rejects "nth_target" (fun id -> A.Explore.nth_target g id 0) id;
       rejects "path_to" (fun id -> A.Explore.path_to g id) id)
     [ -1; n; n + 1; 1_000_000 ];
   (* the last valid id still answers *)
-  Alcotest.(check bool) "last id expanded" true (A.Explore.expanded g (n - 1))
+  Alcotest.(check bool) "last id not truncated" false (A.Explore.truncated g (n - 1))
 
 let test_filter_excludes_process () =
   (* excluding p1 entirely: p0 can send and null-step but nothing returns *)
@@ -273,7 +272,7 @@ let lean_graph_holds ~budget label protocol =
             && List.map snd succ = List.map snd succ4
             && same_events (List.map fst succ) (List.map fst succ4)
             && same_events (A.Explore.path_to g u) (A.Explore.path_to g4 u)
-            && A.Explore.expanded g u = A.Explore.expanded g4 u)
+            && A.Explore.truncated g u = A.Explore.truncated g4 u)
         then Alcotest.failf "%s: node %d differs between jobs 1 and 4" label u;
         let mask =
           List.fold_left (fun m v -> m lor (1 lsl Value.to_int v)) 0 (A.C.decision_values c)

@@ -124,52 +124,290 @@ let test_heap_wheel_equivalent () =
       ("fast", Service.Gen.Open { rate = 2.0; horizon = 6.0 });
     ]
 
+(* One shard of a service cell run directly: [D] through [Mux.Make] and the
+   engine, under [blind] when given.  Returns the engine result, the frozen shard and the words the
+   replicas' final states hold ([Obj.reachable_words], computed on demand). *)
+let run_mux (module D : Service.Decree.S) ?blind ~clients ~load ~batch ~pipeline cfg =
+  let collector = Service.Collector.create ~clients in
+  let now = [| 0.0 |] in
+  let module M =
+    Service.Mux.Make
+      (D)
+      (struct
+        let clients = clients
+        let load = load
+        let batch = batch
+        let pipeline = pipeline
+        let collector = collector
+        let now () = now.(0)
+      end)
+  in
+  let module E = Sim.Engine.Make (M) in
+  let policy = Option.map Sim.Scheduler.lift blind in
+  let r, states = E.run_states ?policy ~on_step:(fun t -> now.(0) <- t) cfg in
+  ( r,
+    Service.Collector.freeze collector ~result:r ~wall_s:0.0,
+    fun () -> Obj.reachable_words (Obj.repr states) )
+
+let floats_equal a b = Array.length a = Array.length b && Array.for_all2 Float.equal a b
+
+let same_result (h : Sim.Engine.result) (t : Sim.Engine.result) =
+  h.decisions = t.decisions
+  && floats_equal h.decision_times t.decision_times
+  && h.sent = t.sent && h.delivered = t.delivered && h.steps = t.steps
+  && Float.equal h.end_time t.end_time
+  && h.outcome = t.outcome && h.violations = t.violations
+
+(* Every field but the host's wall clock. *)
+let same_shard (a : Service.Collector.shard) (b : Service.Collector.shard) =
+  a.submitted = b.submitted && a.completed = b.completed && a.opened = b.opened
+  && a.decided = b.decided && a.learns = b.learns && a.peak_inflight = b.peak_inflight
+  && Float.equal a.last_completion b.last_completion
+  && floats_equal a.latencies b.latencies
+  && a.per_client = b.per_client && a.steps = b.steps && a.sent = b.sent
+  && a.delivered = b.delivered
+  && Float.equal a.end_time b.end_time
+  && a.outcome = b.outcome
+
 (* The heap path and the oblivious policy served through the scheduler's
    pending table are one adversary for the service Mux too: for classic
    Paxos in a small closed-loop cell, equal engine results and equal
    shard measurements over several seeds. *)
 let test_heap_equals_oblivious_table () =
-  let (module D : Service.Decree.S) = Service.Decree.get "classic" in
   let run ~table seed =
-    let collector = Service.Collector.create ~clients:12 in
-    let now = [| 0.0 |] in
-    let module M =
-      Service.Mux.Make
-        (D)
-        (struct
-          let clients = 12
-          let load = Service.Gen.Closed { think = 0.5; ops = 3 }
-          let batch = 1
-          let pipeline = 1024
-          let collector = collector
-          let now () = now.(0)
-        end)
-    in
-    let module E = Sim.Engine.Make (M) in
     let cfg = Sim.Engine.default_cfg ~n:3 ~inputs:(Array.make 3 0) ~seed in
-    let policy = if table then Some (Sim.Scheduler.lift (Sched.Policy.oblivious ())) else None in
-    let r = E.run ?policy ~on_step:(fun t -> now.(0) <- t) cfg in
-    (r, Service.Collector.freeze collector ~result:r ~wall_s:0.0)
+    let blind = if table then Some (Sched.Policy.oblivious ()) else None in
+    let r, shard, _ =
+      run_mux (Service.Decree.get "classic") ?blind ~clients:12
+        ~load:(Service.Gen.Closed { think = 0.5; ops = 3 })
+        ~batch:1 ~pipeline:1024 cfg
+    in
+    (r, shard)
   in
-  let floats_equal a b = Array.length a = Array.length b && Array.for_all2 Float.equal a b in
   for seed = 1 to 5 do
     let (h : Sim.Engine.result), (hs : Service.Collector.shard) = run ~table:false seed in
     let (t : Sim.Engine.result), (ts : Service.Collector.shard) = run ~table:true seed in
     let label s = Printf.sprintf "classic seed %d: heap = oblivious table: %s" seed s in
     Alcotest.(check bool) (label "steps > 0") true (h.steps > 0);
-    Alcotest.(check bool)
-      (label "engine result") true
-      (h.decisions = t.decisions
-      && floats_equal h.decision_times t.decision_times
-      && h.sent = t.sent && h.delivered = t.delivered && h.steps = t.steps
-      && Float.equal h.end_time t.end_time
-      && h.outcome = t.outcome && h.violations = t.violations);
+    Alcotest.(check bool) (label "engine result") true (same_result h t);
     Alcotest.(check bool)
       (label "shard") true
       (hs.completed = ts.completed && hs.decided = ts.decided && hs.learns = ts.learns
       && hs.per_client = ts.per_client
       && floats_equal hs.latencies ts.latencies)
   done
+
+(* The library's decrees against [Decree_ref], the handlers as they were
+   before decided owners retired to [Done].  The reference runs through
+   spies that count the two schedules the change must survive: an [Accept]
+   (or classic [Prepare]) reaching a replica that has already learned, so
+   a [Learn] overtook it and its answer goes to a retired owner, and an
+   owner timer that starts a new attempt (a retried ballot). *)
+let late_contacts = ref 0
+
+let retries = ref 0
+
+module Spy_fast = struct
+  include Decree_ref.Fast
+
+  let on_message ~n ~pid st ~src msg =
+    (match (st, msg) with
+    | Replica { learned = true }, Accept _ -> incr late_contacts
+    | (Replica _ | Owner _), (Accept _ | Accepted | Learn _) -> ());
+    on_message ~n ~pid st ~src msg
+
+  let on_timer ~n ~pid st ~tag =
+    (match st with
+    | Owner o when (not o.decided) && tag = o.attempt -> incr retries
+    | Owner _ | Replica _ -> ());
+    on_timer ~n ~pid st ~tag
+end
+
+module Spy_classic = struct
+  include Decree_ref.Classic
+
+  let on_message ~n ~pid st ~src msg =
+    (match (st, msg) with
+    | Replica { learned = true; _ }, (Prepare _ | Accept _) -> incr late_contacts
+    | (Replica _ | Owner _), (Prepare _ | Promise _ | Accept _ | Accepted _ | Learn _) -> ());
+    on_message ~n ~pid st ~src msg
+
+  let on_timer ~n ~pid st ~tag =
+    (match st with
+    | Owner o when (not o.decided) && tag = o.attempt -> incr retries
+    | Owner _ | Replica _ -> ());
+    on_timer ~n ~pid st ~tag
+end
+
+type diff_case = {
+  seed : int;
+  n : int;
+  clients : int;
+  load : Service.Gen.t;
+  batch : int;
+  pipeline : int;
+  delays : Sim.Delay.t;
+  policy : Sched.Spec.t;
+  queue : Sim.Engine.queue_kind;
+}
+
+(* [Ok ()] when both protocols give the reference's engine result and
+   shard on [c], else the first protocol that differs. *)
+let decrees_match_reference c =
+  let cfg =
+    {
+      (Sim.Engine.default_cfg ~n:c.n ~inputs:(Array.make c.n 0) ~seed:c.seed) with
+      delays = c.delays;
+      max_steps = 3_000;
+      queue = c.queue;
+      sched = Sched.Policy.factory c.policy;
+    }
+  in
+  let run d =
+    let r, shard, _ =
+      run_mux d ~clients:c.clients ~load:c.load ~batch:c.batch ~pipeline:c.pipeline cfg
+    in
+    (r, shard)
+  in
+  List.fold_left
+    (fun acc (name, lib, reference) ->
+      match acc with
+      | Error _ -> acc
+      | Ok () ->
+          let r, s = run lib and r', s' = run reference in
+          if same_result r r' && same_shard s s' then Ok () else Error name)
+    (Ok ())
+    [
+      ( "fast",
+        (module Service.Decree.Fast : Service.Decree.S),
+        (module Spy_fast : Service.Decree.S) );
+      ("classic", (module Service.Decree.Classic), (module Spy_classic));
+    ]
+
+let diff_case_gen =
+  let open QCheck.Gen in
+  let* seed = int_bound 1_000_000 in
+  let* n = oneofl [ 3; 5 ] in
+  let* clients = int_range 1 8 in
+  let* load =
+    oneof
+      [
+        map2
+          (fun think ops -> Service.Gen.Closed { think; ops })
+          (oneofl [ 0.0; 0.5 ]) (int_range 1 4);
+        map2
+          (fun rate horizon -> Service.Gen.Open { rate; horizon })
+          (oneofl [ 1.0; 3.0 ]) (oneofl [ 3.0; 6.0 ]);
+      ]
+  in
+  let* batch = int_range 1 3 in
+  let* pipeline = oneofl [ 1; 2; 4; 1024 ] in
+  let* delays =
+    oneofl
+      [
+        Sim.Delay.Uniform (0.1, 1.0);
+        Sim.Delay.Uniform (0.1, 6.0);
+        Sim.Delay.Exponential 1.5;
+        Sim.Delay.Pareto { scale = 0.2; shape = 1.2 };
+      ]
+  in
+  let* policy =
+    oneofl
+      [
+        Sched.Spec.Oblivious;
+        Sched.Spec.Fifo;
+        Sched.Spec.Lifo;
+        Sched.Spec.Admissible { budget = 8; inner = Sched.Spec.Lifo };
+        Sched.Spec.Admissible { budget = 16; inner = Sched.Spec.Starve 0 };
+        Sched.Spec.Partition { block = [ 0 ]; rejoin_at = 4.0 };
+        Sched.Spec.Round_robin_killer;
+      ]
+  in
+  let+ queue = oneofl [ Sim.Engine.Queue_heap; Sim.Engine.Queue_wheel ] in
+  { seed; n; clients; load; batch; pipeline; delays; policy; queue }
+
+let print_diff_case c =
+  Printf.sprintf "seed=%d n=%d clients=%d load=%s batch=%d pipeline=%d delays=%s policy=%s %s"
+    c.seed c.n c.clients (Service.Gen.to_string c.load) c.batch c.pipeline
+    (match c.delays with
+    | Sim.Delay.Constant d -> Printf.sprintf "constant:%g" d
+    | Sim.Delay.Uniform (lo, hi) -> Printf.sprintf "uniform:%g:%g" lo hi
+    | Sim.Delay.Exponential m -> Printf.sprintf "exp:%g" m
+    | Sim.Delay.Pareto { scale; shape } -> Printf.sprintf "pareto:%g:%g" scale shape)
+    (Sched.Spec.to_string c.policy)
+    (match c.queue with Sim.Engine.Queue_heap -> "heap" | Sim.Engine.Queue_wheel -> "wheel")
+
+let prop_decrees_match_reference =
+  QCheck.Test.make ~name:"decrees = pre-retirement reference" ~count:200
+    (QCheck.make ~print:print_diff_case diff_case_gen)
+    (fun c ->
+      match decrees_match_reference c with
+      | Ok () -> true
+      | Error name -> QCheck.Test.fail_reportf "%s differs from the reference" name)
+
+(* Fixed cases whose schedules are known to hold both a late contact and a
+   retry, so the property above is not vacuous on them. *)
+let test_reference_schedules_covered () =
+  late_contacts := 0;
+  retries := 0;
+  List.iter
+    (fun (seed, policy) ->
+      let c =
+        {
+          seed;
+          n = 3;
+          clients = 8;
+          load = Service.Gen.Closed { think = 0.0; ops = 3 };
+          batch = 1;
+          pipeline = 4;
+          delays = Sim.Delay.Uniform (0.1, 6.0);
+          policy;
+          queue = Sim.Engine.Queue_heap;
+        }
+      in
+      match decrees_match_reference c with
+      | Ok () -> ()
+      | Error name -> Alcotest.failf "%s: %s differs from the reference" (print_diff_case c) name)
+    [ (1, Sched.Spec.Oblivious); (2, Sched.Spec.Lifo); (3, Sched.Spec.Fifo) ];
+  Alcotest.(check bool)
+    (Printf.sprintf "a Learn overtook an Accept or Prepare (%d times)" !late_contacts)
+    true (!late_contacts > 0);
+  Alcotest.(check bool) (Printf.sprintf "a ballot was retried (%d times)" !retries) true
+    (!retries > 0)
+
+(* Retained memory: words the replicas' final states hold per decided
+   instance, on a closed 64-client cell drained to quiescence.  A decided
+   owner is the constant [Done] and a classic replica four unboxed fields,
+   so the library must stay under bounds that [Decree_ref] (which keeps
+   every owner record and boxes every accepted pair) exceeds. *)
+let test_retained_words () =
+  let words d =
+    let cfg = Sim.Engine.default_cfg ~n:3 ~inputs:(Array.make 3 0) ~seed:5 in
+    let _, (shard : Service.Collector.shard), retained =
+      run_mux d ~clients:64 ~load:(Service.Gen.Closed { think = 0.0; ops = 8 }) ~batch:1
+        ~pipeline:1024 cfg
+    in
+    Alcotest.(check int) "every command decided" 512 shard.decided;
+    float_of_int (retained ()) /. float_of_int shard.decided
+  in
+  List.iter
+    (fun (name, lib, reference, bound) ->
+      let got = words lib and before = words reference in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words per decided instance < %.1f" name got bound)
+        true (got < bound);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the reference's %.1f is not" name before)
+        true (before >= bound))
+    [
+      (* reference 22.3, library 12.3 *)
+      ( "fast",
+        (module Service.Decree.Fast : Service.Decree.S),
+        (module Decree_ref.Fast : Service.Decree.S),
+        17.0 );
+      (* reference 47.7, library 18.3 *)
+      ("classic", (module Service.Decree.Classic), (module Decree_ref.Classic), 30.0);
+    ]
 
 (* The roadmap pin: a thundering herd of 1024 zero-think clients with an
    open pipeline really does put >= 1000 decrees in flight at once in a
@@ -381,5 +619,9 @@ let () =
             test_adversarial_policy_completes;
           Alcotest.test_case "schedule fingerprint" `Quick test_schedule_fingerprint;
           Alcotest.test_case "degenerate cells rejected" `Quick test_degenerate_cells_rejected;
+          QCheck_alcotest.to_alcotest prop_decrees_match_reference;
+          Alcotest.test_case "reference schedules covered" `Quick
+            test_reference_schedules_covered;
+          Alcotest.test_case "retained words per decision" `Quick test_retained_words;
         ] );
     ]
