@@ -115,9 +115,9 @@ let run_checks name max_configs trials jobs reduction dot_file obs =
   (match v.blocking with
   | Some (faulty, inputs, schedule) ->
       Format.printf
-        "  blocking run:               kill p%d at inputs %a, then %d events reach a \
-         configuration from which no decision is reachable@."
-        faulty pp_inputs inputs (List.length schedule)
+        "  blocking run:               run %d events from inputs %a, then kill p%d: no \
+         decision is reachable@."
+        (List.length schedule) pp_inputs inputs faulty
   | None -> Format.printf "  blocking run:               none found@.");
   (match v.fair_cycle with
   | Some (faulty, inputs, schedule) ->

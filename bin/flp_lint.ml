@@ -44,7 +44,7 @@ let run list list_rules_flag protocols rules max_configs seed trials jobs json o
           in
           let reports = Lint.Runner.lint_many ~obs ~opts ~jobs protocols in
           if json then
-            print_string (Lint.Json.to_string_pretty (Lint.Report.batch_to_json reports))
+            print_string (Flp_json.to_string_pretty (Lint.Report.batch_to_json reports))
           else begin
             List.iter (fun r -> Format.printf "%a@.@." Lint.Report.pp r) reports;
             let findings =

@@ -17,7 +17,7 @@ let inputs = [| Value.Zero; Value.Zero; Value.One |]
 let max_configs = 600_000
 
 let () =
-  (* one graph per (inputs, crashed process), explored on first use *)
+  (* one graph per input vector, explored on first use *)
   let graph_of = A.graphs ~max_configs () in
   Format.printf "=== The FLP impossibility proof, step by executable step ===@.@.";
   Format.printf "Protocol: %s — three processes race round-tagged votes;@." Race.name;

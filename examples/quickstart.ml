@@ -63,17 +63,18 @@ let () =
                  determined.@."
     A.Valency.pp_valence valences.(A.Explore.root g);
   (* 3. Partial correctness, over the graph of every input vector.  [graphs]
-     explores each (inputs, crashed process) pair once, on first use. *)
+     explores each input vector once, on first use. *)
   let graph_of = A.graphs ~max_configs:10_000 () in
   let c = A.Lemma.check_partial_correctness graph_of in
   Format.printf "3. Partially correct: no conflicting decisions = %b, reachable decisions = %s.@."
     c.no_conflicting_decisions
     (String.concat "," (List.map Value.to_string c.reachable_decision_values));
-  (* 4. And here is the impossibility: kill one process. *)
-  (match A.Lemma.find_blocking_run (graph_of ~faulty:1 inputs) with
+  (* 4. And here is the impossibility: kill one process, at any point of the
+     same graph. *)
+  (match A.Lemma.find_blocking_run ~faulty:1 (graph_of inputs) with
   | `Blocking_witness schedule ->
       Format.printf
-        "4. With p1 dead, after %d events p0 is stuck forever: an admissible run that \
+        "4. Run %d events, then kill p1: p0 is stuck forever, an admissible run that \
          never decides.@."
         (List.length schedule)
   | `Decision_always_reachable -> Format.printf "4. (unexpectedly robust?)@.");

@@ -2,23 +2,38 @@ module Make (P : Protocol.S) = struct
   module C = Config.Make (P)
   module Explore = Explore.Make (C)
 
-  type graph_of = ?faulty:int -> Value.t array -> Explore.graph
+  type graph_of = Value.t array -> Explore.graph
 
   let graphs ?(jobs = 1) ?(obs = Obs.disabled) ?(reduction = `None) ~max_configs () =
     let memo = Hashtbl.create 16 in
-    fun ?faulty inputs ->
-      let key = (Array.copy inputs, faulty) in
-      match Hashtbl.find_opt memo key with
+    fun inputs ->
+      match Hashtbl.find_opt memo inputs with
       | Some g -> g
       | None ->
-          let filter =
-            match faulty with
-            | Some p -> fun (e : C.event) -> e.dest <> p
-            | None -> fun _ -> true
-          in
-          let g = Explore.explore ~filter ~jobs ~obs ~reduction ~max_configs (C.initial inputs) in
-          Hashtbl.replace memo key g;
+          let g = Explore.explore ~jobs ~obs ~reduction ~max_configs (C.initial inputs) in
+          Hashtbl.replace memo (Array.copy inputs) g;
           g
+
+  (* [g] once [faulty] crashes: whether an edge code's event does not deliver
+     to [faulty], each code decoded once, and {!Digraph.tarjan}'s [succ] over
+     those edges, where a left-out edge is a self-loop, which joins nothing. *)
+  let crash_view g faulty =
+    match faulty with
+    | None -> ((fun _ -> true), Explore.nth_target g)
+    | Some p ->
+        let dests = ref [||] in  (* per code: its destination, or -1 *)
+        let live code =
+          let n = Array.length !dests in
+          if code >= n then
+            dests := Array.init (2 * code + 1) (fun c -> if c < n then !dests.(c) else -1);
+          if !dests.(code) < 0 then !dests.(code) <- (Explore.event_of_code g code).dest;
+          !dests.(code) <> p
+        in
+        let succ v k =
+          let t = Explore.nth_target g v k in
+          if t >= 0 && not (live (Explore.nth_code g v k)) then v else t
+        in
+        (live, succ)
 
   module Valency = struct
     type valence = Univalent of Value.t | Bivalent | Undecided_forever
@@ -39,12 +54,12 @@ module Make (P : Protocol.S) = struct
     (* A closure byte's bit for "reaches a node whose successors were cut" *)
     let unexplored = 4
 
-    (* One SCC pass over the forward rows: components complete sinks
-       first, so when one does, every node it reaches outside itself
-       already holds its final mask, and the component's mask is the OR of
-       its members' own masks and of its out-edges' targets' masks.  No
-       configuration is decoded. *)
-    let closure g =
+    (* One SCC pass over the forward rows that [faulty]'s crash leaves:
+       components complete sinks first, so when one does, every node it
+       reaches outside itself already holds its final mask, and the
+       component's mask is the OR of its members' own masks and of its
+       out-edges' targets' masks.  No configuration is decoded. *)
+    let closure ?faulty g =
       let n = Explore.size g in
       let masks = Explore.decision_masks g in
       let mask u = Char.code (Bytes.get masks u) in
@@ -52,9 +67,10 @@ module Make (P : Protocol.S) = struct
         for u = 0 to n - 1 do
           if Explore.truncated g u then Bytes.set masks u (Char.chr (mask u lor unexplored))
         done;
+      let live, succ = crash_view g faulty in
       let acc = ref 0 in
-      let gather _ t = acc := !acc lor mask t in
-      Digraph.tarjan ~n ~succ:(fun v k -> Explore.nth_target g v k) (fun members ->
+      let gather code t = if live code then acc := !acc lor mask t in
+      Digraph.tarjan ~n ~succ (fun members ->
           acc := 0;
           for i = 0 to Array.length members - 1 do
             acc := !acc lor mask members.(i);
@@ -414,10 +430,10 @@ module Make (P : Protocol.S) = struct
         exhaustive = !exhaustive;
       }
 
-    (* The first node whose closure reaches neither a decision nor a
-       configuration [max_configs] left out, whose future is unknown. *)
-    let find_blocking_run g =
-      let c = Valency.closure g in
+    (* The first node whose closure without [faulty] reaches neither a
+       decision nor a configuration [max_configs] left out. *)
+    let find_blocking_run ~faulty g =
+      let c = Valency.closure ~faulty g in
       match Seq.find (fun u -> Bytes.get c u = '\000') (Seq.init (Explore.size g) Fun.id) with
       | Some u -> `Blocking_witness (Explore.path_to g u)
       | None -> `Decision_always_reachable
@@ -428,23 +444,23 @@ module Make (P : Protocol.S) = struct
          nodes are left out. *)
       let keep id = Explore.decision_mask g id = 0 in
       let live pid = match faulty with Some p -> pid <> p | None -> true in
+      let _, succ = crash_view g faulty in
       (* latest completed first *)
       let comps = ref [] in
-      Digraph.tarjan ~n ~succ:(fun v k -> Explore.nth_target g v k) ~keep
-        (fun comp -> comps := Array.to_list comp :: !comps);
+      Digraph.tarjan ~n ~succ ~keep (fun comp -> comps := Array.to_list comp :: !comps);
+      (* the edges [faulty]'s crash leaves *)
+      let edges u = List.filter (fun ((e : C.event), _) -> live e.dest) (Explore.succ g u) in
       let in_comp = Array.make n false in
       let is_fair comp =
         List.iter (fun v -> in_comp.(v) <- true) comp;
         let internal_edges =
           List.concat_map
             (fun u ->
-              List.filter_map
-                (fun (e, t) -> if in_comp.(t) then Some e else None)
-                (Explore.succ g u))
+              List.filter_map (fun (e, t) -> if in_comp.(t) then Some e else None) (edges u))
             comp
         in
         let nontrivial =
-          match comp with [ v ] -> List.exists (fun (_, t) -> t = v) (Explore.succ g v) | _ -> true
+          match comp with [ v ] -> List.exists (fun (_, t) -> t = v) (edges v) | _ -> true
         in
         let every_live_steps =
           List.for_all
@@ -495,21 +511,22 @@ module Make (P : Protocol.S) = struct
       let first faults witness =
         List.find_map
           (fun inputs ->
+            let g = graph_of inputs in
             List.find_map
               (fun faulty ->
-                Option.map (fun schedule -> (faulty, inputs, schedule)) (witness faulty inputs))
+                Option.map (fun schedule -> (faulty, inputs, schedule)) (witness faulty g))
               faults)
           (all_inputs ())
       in
       let blocking =
-        first (List.init P.n Fun.id) (fun faulty inputs ->
-            match find_blocking_run (graph_of ~faulty inputs) with
+        first (List.init P.n Fun.id) (fun faulty g ->
+            match find_blocking_run ~faulty g with
             | `Blocking_witness schedule -> Some schedule
             | `Decision_always_reachable -> None)
       in
       let fair_cycle =
-        first (None :: List.init P.n Option.some) (fun faulty inputs ->
-            match find_fair_nondeciding_cycle ~faulty (graph_of ?faulty inputs) with
+        first (None :: List.init P.n Option.some) (fun faulty g ->
+            match find_fair_nondeciding_cycle ~faulty g with
             | `Fair_cycle schedule -> Some schedule
             | `No_fair_cycle -> None)
       in

@@ -5,8 +5,7 @@
     can:
 
     - enumerate the reachable configuration graph ({!Make.Explore}, an
-      instance of {!Explore.Make}), once per input vector and crashed
-      process ({!Make.graphs});
+      instance of {!Explore.Make}), once per input vector ({!Make.graphs});
     - classify every configuration as 0-valent, 1-valent, bivalent, or
       forever-undecided ({!Make.Valency});
     - check Lemma 1 (commutativity of disjoint schedules), Lemma 2 (existence
@@ -31,9 +30,8 @@ module Make (P : Protocol.S) : sig
   (** The reachable configuration graph ({!Flp.Explore.Make}).  Every
       checker below reads a graph through its view and never explores. *)
 
-  type graph_of = ?faulty:int -> Value.t array -> Explore.graph
-  (** The graph from the initial configuration for the given inputs, with
-      every event of [faulty] filtered out when it is given. *)
+  type graph_of = Value.t array -> Explore.graph
+  (** The graph from the initial configuration for the given inputs. *)
 
   val graphs :
     ?jobs:int ->
@@ -42,7 +40,7 @@ module Make (P : Protocol.S) : sig
     max_configs:int ->
     unit ->
     graph_of
-  (** A memoizing {!graph_of}: each (inputs, faulty) pair is explored once,
+  (** A memoizing {!graph_of}: each input vector is explored once,
       by {!Explore.explore} with these arguments, on its first request, and
       the graph is kept for every later one.  Besides {!Explore.explore},
       no entry point takes an exploration budget: checkers that quantify
@@ -68,15 +66,16 @@ module Make (P : Protocol.S) : sig
     (** Raised when asked to classify a truncated graph: valences computed on
         a partial state space would be unsound. *)
 
-    val closure : Explore.graph -> Bytes.t
+    val closure : ?faulty:int -> Explore.graph -> Bytes.t
     (** What each configuration can reach, one byte per node: bit [0] when
         some reachable configuration (itself included) has decided 0, bit
         [1] for 1, and bit [2] when it reaches a node {!Explore.truncated}
-        marks, past which the graph is unexplored.  One pass over the
-        strongly connected components of the forward edges
-        ({!Digraph.tarjan}): O(V + E) time, one int and two bytes per node.
-        Any graph, truncated or not; bit [2] is never set on a complete
-        one. *)
+        marks, past which the graph is unexplored.  With [faulty], only
+        along edges that do not deliver to [faulty]: what is left once
+        [faulty] crashes there.  One pass over the strongly connected
+        components of the forward edges ({!Digraph.tarjan}): O(V + E) time,
+        one int and two bytes per node.  Any graph, truncated or not; bit
+        [2] is never set on a complete one. *)
 
     val classify : Explore.graph -> valence array
     (** Valence of every configuration, read off its {!closure}.  Requires a
@@ -200,16 +199,18 @@ module Make (P : Protocol.S) : sig
         graphs.) *)
 
     val find_blocking_run :
-      Explore.graph -> [ `Blocking_witness of C.event list | `Decision_always_reachable ]
-    (** Search a graph explored without [faulty]'s events
-        ([graph_of ~faulty inputs]) for an admissible non-deciding run with
-        [faulty] taking no steps: a schedule after which {e no} continuation
-        avoiding [faulty] can reach any decision.  Any fair extension of
-        the witness schedule is an admissible non-deciding run.  The
-        witness is the first node, by id, whose {!Valency.closure} is
-        empty, so on a truncated graph a node that reaches a configuration
-        left unexplored is never named: every witness is sound, and a
-        truncated graph may miss one. *)
+      faulty:int ->
+      Explore.graph ->
+      [ `Blocking_witness of C.event list | `Decision_always_reachable ]
+    (** Search an unreduced graph for an admissible non-deciding run in
+        which [faulty] crashes after finitely many steps: a schedule after
+        which {e no} continuation avoiding [faulty] can reach any decision.
+        Any fair extension of the witness schedule without [faulty] is an
+        admissible non-deciding run.  The witness is the path to the first
+        node, by id, whose [Valency.closure ~faulty] is empty, so on a
+        truncated graph a node that reaches a configuration left unexplored
+        is never named: every witness is sound, and a truncated graph may
+        miss one. *)
 
     val find_fair_nondeciding_cycle :
       faulty:int option -> Explore.graph -> [ `Fair_cycle of C.event list | `No_fair_cycle ]
@@ -219,13 +220,12 @@ module Make (P : Protocol.S) : sig
         every live process takes a step and every pending message addressed
         to a live process is delivered (buffer contents repeat around a
         cycle, so cycling forever starves nothing).  Returns a schedule from
-        the initial configuration to a configuration on such a cycle.  The
-        graph must be [graph_of ?faulty inputs], explored without
-        [faulty]'s events.  With
-        [faulty = None] the witness is a fair non-deciding run with
-        {e zero} failures.  Detection is exact on a complete exploration:
-        it searches the strongly connected components of the undecided
-        subgraph for one satisfying both fairness conditions. *)
+        the initial configuration to a configuration on such a cycle, where
+        [faulty] crashes.  With [faulty = None] the witness is a fair
+        non-deciding run with {e zero} failures.  Detection is exact on a
+        complete unreduced graph: it searches the strongly connected
+        components of the undecided subgraph, over the edges that do not
+        deliver to [faulty], for one satisfying both fairness conditions. *)
 
     (** {2 The impossibility trichotomy} *)
 
@@ -234,8 +234,8 @@ module Make (P : Protocol.S) : sig
       correctness_detail : correctness;
       has_bivalent_initial : bool;
       blocking : (int * Value.t array * C.event list) option;
-          (** (faulty process, inputs, witness schedule) for an admissible
-              non-deciding run, when one was found *)
+          (** (faulty process, inputs, schedule before it crashes) for an
+              admissible non-deciding run, when one was found *)
       fair_cycle : (int option * Value.t array * C.event list) option;
           (** (faulty process if any, inputs, schedule to the cycle) for a
               fair non-deciding cycle, when one was found *)
@@ -247,7 +247,8 @@ module Make (P : Protocol.S) : sig
         finite protocol is either a {e blocking} run (some reachable
         configuration has no decision in its future) or a {e fair cycle}
         (decisions stay reachable but a fair schedule dodges them forever,
-        the adversary's own mode).  [graph_of] must be unreduced. *)
+        the adversary's own mode), with each process in turn crashed at any
+        point of each input vector's graph.  [graph_of] must be unreduced. *)
   end
 
   module Causality : sig

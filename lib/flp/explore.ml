@@ -453,13 +453,13 @@ module Make (C : Config.S) = struct
   (* Where the inert chain from [cfg] ends: take the first inert delivery
      until none is left, as the plans below do.  Every link removes one
      message and sends none, so the walk ends within the buffer's size. *)
-  let rec chain_end ~filter cfg =
-    match first_inert cfg (List.filter filter (C.events cfg)) with
-    | Some e -> chain_end ~filter (C.apply cfg e)
+  let rec chain_end cfg =
+    match first_inert cfg (C.events cfg) with
+    | Some e -> chain_end (C.apply cfg e)
     | None -> cfg
 
-  let compute_plan ~filter ~reduction cfg (sleep : C.event list) =
-    let enabled = List.filter filter (C.events cfg) in
+  let compute_plan ~reduction cfg (sleep : C.event list) =
+    let enabled = C.events cfg in
     match reduction with
     | `None ->
         {
@@ -525,10 +525,10 @@ module Make (C : Config.S) = struct
      interned: [-1] is a configuration the BFS has yet to intern, an id
      from [since] on one the expansion interned.  For a successor without
      inert deliveries the chain end is the successor itself. *)
-  let advances g ~filter ~since chosen =
+  let advances g ~since chosen =
     List.exists
       (fun (_, cfg', _) ->
-        match C.Packed.pack_ro g.store.pstore (chain_end ~filter cfg') with
+        match C.Packed.pack_ro g.store.pstore (chain_end cfg') with
         | None -> true  (* a part no stored configuration has *)
         | Some key ->
             g.probes <- g.probes + 1;
@@ -569,7 +569,7 @@ module Make (C : Config.S) = struct
      them (inline waves, proviso expansions) each successor is classified
      against the live store.  [resolve] re-probes every non-[Dup] tag, so
      both resolve identically. *)
-  let expand g ~filter ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u plan =
+  let expand g ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u plan =
     let first = bits g u land expanded_bit = 0 in
     let truncated = ref false in
     let count0 = g.store.count in
@@ -626,7 +626,7 @@ module Make (C : Config.S) = struct
         List.iter (fun ((_, cfg', _) as item) -> do_event (classify_counted cfg') item) plan.chosen);
     if
       first && plan.deferred <> [] && plan.chosen <> []
-      && not (advances g ~filter ~since:count0 plan.chosen)
+      && not (advances g ~since:count0 plan.chosen)
     then begin
       (* BFS cycle proviso (Bošnački–Holzmann): a partial expansion whose
          successors are all already visited could defer its pruned events
@@ -676,7 +676,7 @@ module Make (C : Config.S) = struct
      The pool is created lazily, on the first wave big enough to use it,
      so explorations that never cross the threshold (tiny zoo graphs,
      [parity], every [jobs:1] run) spawn no domains at all. *)
-  let explore_waves ?pool_metrics ?wave_hook ~filter ~jobs ~seq_threshold ~max_configs g =
+  let explore_waves ?pool_metrics ?wave_hook ~jobs ~seq_threshold ~max_configs g =
     let pool = ref None in
     let get_pool () =
       match !pool with
@@ -688,7 +688,7 @@ module Make (C : Config.S) = struct
     in
     let sleepy = g.reduction = `Sleep in
     let plan_of w i =
-      compute_plan ~filter ~reduction:g.reduction (node_config g w.ids.(i))
+      compute_plan ~reduction:g.reduction (node_config g w.ids.(i))
         (if sleepy then w.snaps.(i) else [])
     in
     (* Probe phase: pure per entry, store read-only. *)
@@ -716,7 +716,7 @@ module Make (C : Config.S) = struct
           let on_dup () = incr dups in
           let on_trunc () = incr truncated in
           let expand_entry ?tags u plan =
-            expand g ~filter ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u plan
+            expand g ~max_configs ~push ~on_intern ~on_dup ~on_trunc ?tags u plan
           in
           if jobs > 1 && nb >= seq_threshold then begin
             let plans =
@@ -758,8 +758,8 @@ module Make (C : Config.S) = struct
     + sum arr g.edge_rows.chunks g.edge_rows.nchunks + col arr g.parent + col bytes g.bits
     + col arr g.sleeps + arr g.scratch
 
-  let explore ?(filter = fun _ -> true) ?(jobs = 1) ?(obs = Obs.disabled)
-      ?(reduction = `None) ?(seq_threshold = 128) ~max_configs root_cfg =
+  let explore ?(jobs = 1) ?(obs = Obs.disabled) ?(reduction = `None) ?(seq_threshold = 128)
+      ~max_configs root_cfg =
     if max_configs < 1 then invalid_arg "Explore.explore: max_configs must be >= 1";
     if jobs < 1 then invalid_arg "Explore.explore: jobs must be >= 1";
     if seq_threshold < 0 then
@@ -813,7 +813,7 @@ module Make (C : Config.S) = struct
           ("reduction", Flp_json.Str (reduction_name reduction));
         ]
       (fun () ->
-        explore_waves ?pool_metrics ?wave_hook ~filter ~jobs ~seq_threshold ~max_configs g);
+        explore_waves ?pool_metrics ?wave_hook ~jobs ~seq_threshold ~max_configs g);
     if Obs.enabled obs then begin
       let dur = Obs.Clock.elapsed t0 in
       Obs.Metrics.add_seconds (Obs.Metrics.timer m "explore.time") dur;
@@ -899,25 +899,23 @@ module Make (C : Config.S) = struct
     check_id "edge_target" g id;
     edge_target g id code
 
-  let targets g id =
-    check_id "targets" g id;
-    let acc = ref [] in
-    iter_row g id (fun _ v -> acc := v :: !acc);
-    List.rev !acc
-
   let nth_target g id k =
     check_id "nth_target" g id;
     let a = iget g.rows id in
     if k < 0 || k >= row_len a then -1
     else g.edge_rows.chunks.(row_chunk a).(row_pos a + k) land id_mask
 
+  let nth_code g id k =
+    check_id "nth_code" g id;
+    let a = iget g.rows id in
+    if k < 0 || k >= row_len a then -1
+    else g.edge_rows.chunks.(row_chunk a).(row_pos a + k) lsr id_bits
+
   let truncated g id =
     check_id "truncated" g id;
     bits g id land truncated_bit <> 0
 
   let edge_count g = g.edges
-
-  let reduction g = g.reduction
 
   let pruned_count g = g.pruned
 

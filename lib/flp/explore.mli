@@ -70,15 +70,13 @@ module Make (C : Config.S) : sig
       with neither a [may_send] nor an [ignores] annotation every mode
       degrades soundly to [`None] (modulo the dropped self-loops).
 
-      Reduction composes with [filter] (the filtered system is itself a
-      transition system) and with [max_configs] truncation, and preserves
+      Reduction composes with [max_configs] truncation, and preserves
       the bit-identical-across-[jobs] guarantee: ample selection and
       successor computation are pure per (configuration, sleep snapshot),
       and every visited-set-dependent decision happens at sequential
       intern time in frontier order. *)
 
   val explore :
-    ?filter:(C.event -> bool) ->
     ?jobs:int ->
     ?obs:Obs.t ->
     ?reduction:reduction ->
@@ -86,10 +84,9 @@ module Make (C : Config.S) : sig
     max_configs:int ->
     C.t ->
     graph
-  (** BFS over configurations.  [filter] restricts which events may be
-      applied (used to exclude a process, or a specific event for the
-      Lemma 3 set [%C]).  Exploration stops interning new configurations
-      once [max_configs] is reached; the result is then {e incomplete}.
+  (** BFS over every enabled event of each configuration.  Exploration
+      stops interning new configurations once [max_configs] is reached;
+      the result is then {e incomplete}.
 
       Visited configurations are stored {e packed} ({!Config.S.Packed}):
       the keys sit back to back in a chunked byte arena, and one
@@ -193,14 +190,14 @@ module Make (C : Config.S) : sig
   (** [edge_target g id code] is the target of [id]'s edge with event
       code [code], or [-1] when [id] has no such edge. *)
 
-  val targets : graph -> int -> int list
-  (** The outgoing edges' targets, in the order of {!succ}. *)
-
   val nth_target : graph -> int -> int -> int
   (** [nth_target g id k] is the target of [id]'s [k]-th outgoing edge,
       counting from [0] in the order of {!succ}, or [-1] when [id] has no
       such edge.  With [Digraph.tarjan] it walks the graph depth-first
       without building a list. *)
+
+  val nth_code : graph -> int -> int -> int
+  (** The {!event_code} of the same edge as {!nth_target}, or [-1]. *)
 
   val event_code : graph -> C.event -> int
   (** The graph's code for an event ({!Config.S.Packed.event_code} over
@@ -230,9 +227,6 @@ module Make (C : Config.S) : sig
   val edge_count : graph -> int
   (** Applied events only; events pruned by a reduction mode are not
       counted. *)
-
-  val reduction : graph -> reduction
-  (** The reduction mode the graph was explored under. *)
 
   val pruned_count : graph -> int
   (** Enabled events outside the persistent set, never applied. *)

@@ -98,8 +98,8 @@ type expectation = {
   has_bivalent_initial : bool;
   blocks_with_one_fault : bool;
       (** an admissible non-deciding run exists in which the faulty process
-          takes no steps and the survivors reach a configuration from which
-          no decision is reachable *)
+          crashes after finitely many steps and the survivors reach a
+          configuration from which no decision is reachable *)
   fair_cycle_no_faults : bool;
       (** a fair non-deciding cycle exists even with zero faults: either the
           protocol can exhaust itself undecided (capped protocols) or, as in

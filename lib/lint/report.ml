@@ -20,7 +20,7 @@ type t = {
   complete : bool;
   rules_run : string list;
   findings : finding list;
-  stats : (string * Json.t) list;
+  stats : (string * Flp_json.t) list;
 }
 
 (* Canonical finding order: rule name, then severity (worst first), then
@@ -84,34 +84,34 @@ let pp ppf t =
   Format.fprintf ppf "@]"
 
 let finding_to_json f =
-  Json.Obj
+  Flp_json.Obj
     [
-      ("rule", Json.Str f.rule);
-      ("severity", Json.Str (Severity.to_string f.severity));
-      ("message", Json.Str f.message);
-      ("witness", match f.witness with Some w -> Json.Str w | None -> Json.Null);
+      ("rule", Flp_json.Str f.rule);
+      ("severity", Flp_json.Str (Severity.to_string f.severity));
+      ("message", Flp_json.Str f.message);
+      ("witness", match f.witness with Some w -> Flp_json.Str w | None -> Flp_json.Null);
     ]
 
 let to_json t =
-  Json.Obj
+  Flp_json.Obj
     [
-      ("protocol", Json.Str t.protocol);
-      ("n", Json.Int t.n);
-      ("configs_explored", Json.Int t.configs_explored);
-      ("complete", Json.Bool t.complete);
-      ("rules", Json.List (List.map (fun r -> Json.Str r) t.rules_run));
-      ("findings", Json.List (List.map finding_to_json (canonical t).findings));
-      ("stats", Json.Obj t.stats);
-      ("errors", Json.Int (error_count t));
+      ("protocol", Flp_json.Str t.protocol);
+      ("n", Flp_json.Int t.n);
+      ("configs_explored", Flp_json.Int t.configs_explored);
+      ("complete", Flp_json.Bool t.complete);
+      ("rules", Flp_json.List (List.map (fun r -> Flp_json.Str r) t.rules_run));
+      ("findings", Flp_json.List (List.map finding_to_json (canonical t).findings));
+      ("stats", Flp_json.Obj t.stats);
+      ("errors", Flp_json.Int (error_count t));
     ]
 
 let batch_to_json reports =
   let findings = List.fold_left (fun acc r -> acc + List.length r.findings) 0 reports in
-  Json.Obj
+  Flp_json.Obj
     [
-      ("version", Json.Int 1);
-      ("protocols", Json.Int (List.length reports));
-      ("findings", Json.Int findings);
-      ("errors", Json.Int (total_errors reports));
-      ("reports", Json.List (List.map to_json reports));
+      ("version", Flp_json.Int 1);
+      ("protocols", Flp_json.Int (List.length reports));
+      ("findings", Flp_json.Int findings);
+      ("errors", Flp_json.Int (total_errors reports));
+      ("reports", Flp_json.List (List.map to_json reports));
     ]

@@ -24,7 +24,7 @@ type t = {
   complete : bool;  (** false when the walk hit the configuration budget *)
   rules_run : string list;
   findings : finding list;
-  stats : (string * Json.t) list;
+  stats : (string * Flp_json.t) list;
       (** rule-name-keyed statistics objects (e.g.
           [commutativity.trials]/[holds], footprint-soundness coverage
           counters); emitted under ["stats"] in {!to_json} *)
@@ -53,8 +53,8 @@ val worst : t -> Severity.t option
 val pp : Format.formatter -> t -> unit
 (** Multi-line human rendering: a header line, then one block per finding. *)
 
-val to_json : t -> Json.t
+val to_json : t -> Flp_json.t
 
-val batch_to_json : t list -> Json.t
+val batch_to_json : t list -> Flp_json.t
 (** Top-level object for the CLI: a [reports] array plus finding / error
     totals, so CI can gate on [.errors] alone. *)

@@ -329,7 +329,7 @@ module Make (P : Protocol.S) = struct
     in
     (match A.Lemma.check_lemma1 ~seed:opts.seed ~trials:opts.trials ~depth:6 mixed with
     | report ->
-        stats := [ ("trials", Json.Int report.trials); ("holds", Json.Int report.holds) ];
+        stats := [ ("trials", Flp_json.Int report.trials); ("holds", Flp_json.Int report.holds) ];
         List.iter
           (fun failure -> add ~witness:failure "schedules over disjoint process sets fail to commute")
           report.failures
@@ -362,7 +362,7 @@ module Make (P : Protocol.S) = struct
   let footprint_soundness opts w rule =
     let add, close = sink opts rule in
     match P.may_send with
-    | None -> (close (), [ ("annotated", Json.Bool false) ])
+    | None -> (close (), [ ("annotated", Flp_json.Bool false) ])
     | Some f ->
         (* A raising footprint is itself a finding; treat it as permissive
            afterwards so one raise doesn't cascade. *)
@@ -446,9 +446,9 @@ module Make (P : Protocol.S) = struct
          with Exit -> ());
         ( close (),
           [
-            ("annotated", Json.Bool true);
-            ("transitions", Json.Int !transitions);
-            ("independent_pairs", Json.Int !pairs);
+            ("annotated", Flp_json.Bool true);
+            ("transitions", Flp_json.Int !transitions);
+            ("independent_pairs", Flp_json.Int !pairs);
           ] )
 
   (* -- inert soundness (ignores certification) ---------------------------- *)
@@ -456,7 +456,7 @@ module Make (P : Protocol.S) = struct
   let inert_soundness opts w rule =
     let add, close = sink opts rule in
     match P.ignores with
-    | None -> (close (), [ ("annotated", Json.Bool false) ])
+    | None -> (close (), [ ("annotated", Flp_json.Bool false) ])
     | Some f ->
         (* A raising annotation is itself a finding; treat it as "not
            inert" afterwards, the conservative answer. *)
@@ -513,7 +513,8 @@ module Make (P : Protocol.S) = struct
                             message stayed pending; ignores must be hereditary"
                            d))
                   (try C.pending cfg with _ -> []));
-        (close (), [ ("annotated", Json.Bool true); ("inert_deliveries", Json.Int !inert) ])
+        ( close (),
+          [ ("annotated", Flp_json.Bool true); ("inert_deliveries", Flp_json.Int !inert) ] )
 
   let check opts w (rule : Rule.t) =
     match rule.Rule.id with

@@ -40,7 +40,7 @@ module Make (P : Flp.Protocol.S) : sig
   (** [false] when the budget was exhausted or exploration aborted; findings
       are then a spot-check of the visited prefix, not a full audit. *)
 
-  val check : opts -> walk -> Rule.t -> Report.finding list * (string * Json.t) list
+  val check : opts -> walk -> Rule.t -> Report.finding list * (string * Flp_json.t) list
   (** Run one rule against the walked space; returns its findings plus
       rule-specific statistics destined for the report's [stats] object
       (e.g. commutativity [trials]/[holds], footprint-soundness transition

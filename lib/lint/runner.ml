@@ -45,7 +45,7 @@ let lint ?(obs = Obs.disabled) ?(opts = default_opts) (protocol : Flp.Protocol.t
     findings = List.concat_map (fun (_, fs, _) -> fs) results;
     stats =
       List.filter_map
-        (fun (name, _, stats) -> if stats = [] then None else Some (name, Json.Obj stats))
+        (fun (name, _, stats) -> if stats = [] then None else Some (name, Flp_json.Obj stats))
         results;
   }
 

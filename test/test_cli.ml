@@ -183,8 +183,9 @@ let int_after text ~needle key =
   done;
   int_of_string (String.sub line start (!stop - start))
 
-(* flp_check explores each graph it needs once: race:2 needs its 8 input
-   vectors plus 5 crash graphs, and under --por sleep 8 reduced ones too. *)
+(* flp_check explores each graph it needs once: race:2 needs the graphs of
+   its 8 input vectors, which serve every crashed process too, and under
+   --por sleep 8 reduced ones besides. *)
 let test_exploration_count (por, calls, configs) () =
   let metrics = "test_cli.metrics" in
   Alcotest.(check int) "exit code" 0
@@ -221,5 +222,5 @@ let () =
           (fun ((por, _, _) as pin) ->
             Alcotest.test_case ("flp_check race:2 --por " ^ por) `Quick
               (test_exploration_count pin))
-          [ ("none", 13, Some 12_770); ("sleep", 21, None) ] );
+          [ ("none", 8, Some 12_730); ("sleep", 16, None) ] );
     ]

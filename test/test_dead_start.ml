@@ -162,6 +162,71 @@ let test_run_matches_oracle () =
       Alcotest.(check bool) "decides" true (r.outcome = Sim.Engine.All_decided))
     [ Sim.Delay.Constant 1.0; Sim.Delay.Uniform (0.1, 1.0); Sim.Delay.Exponential 0.6 ]
 
+(* Both theorems in the model checker, on [Dead_start_model]: the protocol
+   above as a [Protocol.S] at n = 3, each process listening for one peer. *)
+module Model = Crash_ref.Make (Dead_start_model)
+module MA = Model.A
+
+let model_graphs = MA.graphs ~max_configs:200_000 ()
+
+let test_model_matches_oracle () =
+  let decided = ref 0 in
+  List.iter
+    (fun inputs ->
+      let g = model_graphs inputs in
+      Alcotest.(check bool) "complete" true (MA.Explore.complete g);
+      for id = 0 to MA.Explore.size g - 1 do
+        let states = MA.C.states (MA.Explore.config g id) in
+        let comm = Digraph.create MA.C.n in
+        Array.iteri
+          (fun j (st : Dead_start_model.state) ->
+            List.iter (fun i -> Digraph.add_edge comm i j) st.heard)
+          states;
+        let values = Array.map (fun (st : Dead_start_model.state) -> st.value) states in
+        Array.iter
+          (fun (st : Dead_start_model.state) ->
+            Option.iter
+              (fun v ->
+                incr decided;
+                Alcotest.(check int) "decision_of" (DS.decision_of comm values)
+                  (Flp.Value.to_int v))
+              st.decided)
+          states
+      done)
+    (MA.Lemma.all_inputs ());
+  Alcotest.(check bool) "decisions seen" true (!decided > 0)
+
+let test_model_partially_correct () =
+  let c = MA.Lemma.check_partial_correctness model_graphs in
+  Alcotest.(check bool) "exhaustive" true c.exhaustive;
+  Alcotest.(check bool) "no conflicts" true c.no_conflicting_decisions;
+  Alcotest.(check int) "both values reachable" 2 (List.length c.reachable_decision_values)
+
+(* Theorem 2: with any one process dead from the start, every configuration
+   the other two reach can still decide. *)
+let test_model_theorem2 () =
+  List.iter
+    (fun inputs ->
+      for p = 0 to MA.C.n - 1 do
+        Alcotest.(check bool) (Printf.sprintf "p%d dead from the start" p) false
+          (Model.blocks_from_root ~p inputs)
+      done)
+    (MA.Lemma.all_inputs ())
+
+(* Theorem 1: the protocol is partially correct, so some run must not
+   decide, and one does: a process crashes after its Hello and before its
+   stage-2 message, and whoever heard it waits forever. *)
+let test_model_theorem1 () =
+  let v = MA.Lemma.classify model_graphs in
+  Alcotest.(check bool) "partially correct" true v.partially_correct;
+  match v.blocking with
+  | None -> Alcotest.fail "no blocking run: the protocol would escape Theorem 1"
+  | Some (p, inputs, schedule) ->
+      Alcotest.(check bool) "the crash is mid-run" true
+        (List.exists (fun (e : MA.C.event) -> e.dest = p) schedule);
+      Alcotest.(check bool) "no decision once p crashes" true
+        (Model.stuck ~p (MA.C.apply_schedule (MA.C.initial inputs) schedule))
+
 let () =
   Alcotest.run "dead_start"
     [
@@ -182,5 +247,14 @@ let () =
           Alcotest.test_case "decision is clique majority" `Quick
             test_decision_of_is_clique_majority;
           Alcotest.test_case "run matches oracle" `Quick test_run_matches_oracle;
+        ] );
+      ( "model",
+        [
+          Alcotest.test_case "decisions match the oracle" `Quick test_model_matches_oracle;
+          Alcotest.test_case "partially correct" `Quick test_model_partially_correct;
+          Alcotest.test_case "Theorem 2: no block when dead from the start" `Quick
+            test_model_theorem2;
+          Alcotest.test_case "Theorem 1: a block when crashed mid-run" `Quick
+            test_model_theorem1;
         ] );
     ]

@@ -67,25 +67,11 @@ let test_out_of_range_ids () =
       rejects "succ" (fun id -> A.Explore.succ g id) id;
       rejects "truncated" (fun id -> A.Explore.truncated g id) id;
       rejects "nth_target" (fun id -> A.Explore.nth_target g id 0) id;
+      rejects "nth_code" (fun id -> A.Explore.nth_code g id 0) id;
       rejects "path_to" (fun id -> A.Explore.path_to g id) id)
     [ -1; n; n + 1; 1_000_000 ];
   (* the last valid id still answers *)
   Alcotest.(check bool) "last id not truncated" false (A.Explore.truncated g (n - 1))
-
-let test_filter_excludes_process () =
-  (* excluding p1 entirely: p0 can send and null-step but nothing returns *)
-  let g =
-    A.Explore.explore
-      ~filter:(fun (e : A.C.event) -> e.dest <> 1)
-      ~max_configs:10_000 (A.C.initial v01)
-  in
-  Alcotest.(check bool) "complete" true (A.Explore.complete g);
-  for id = 0 to A.Explore.size g - 1 do
-    Alcotest.(check (list int))
-      "p1 never decides (or steps)"
-      []
-      (List.map Value.to_int (A.C.decision_values (A.Explore.config g id)))
-  done
 
 let test_edges_are_applications () =
   let g = A.Explore.explore ~max_configs:10_000 (A.C.initial v01) in
@@ -508,23 +494,25 @@ let test_univalent_reaches_only_its_value () =
     | AR.Valency.Bivalent -> ()
   done
 
-(* [Valency.closure] against a reference kept here: seed each node with
-   its decision mask, plus bit 2 where [max_configs] cut a successor, and
-   propagate backwards along reversed edges with a queue until nothing
-   changes.  The valences (complete graphs) and the blocking witness, the
-   first node whose closure is empty, must agree with it too. *)
+(* [Valency.closure ?faulty] against a reference kept here: seed each
+   node with its decision mask, plus bit 2 where [max_configs] cut a
+   successor, and propagate backwards along the reversed edges that do not
+   deliver to [faulty] with a queue until nothing changes.  The valences
+   (complete graphs, no crash) and the blocking witness with [faulty]
+   crashed, the first node whose closure is empty, must agree with it
+   too. *)
 let closure_agrees protocol ~inputs ~faulty ~budget =
   let module P = (val protocol : Protocol.S) in
   let module A = Analysis.Make (P) in
   let inputs = Array.init P.n (fun i -> Value.of_int ((inputs lsr i) land 1)) in
-  let filter =
-    match faulty with Some p -> fun (e : A.C.event) -> e.dest <> p mod P.n | None -> fun _ -> true
-  in
-  let g = A.Explore.explore ~filter ~max_configs:budget (A.C.initial inputs) in
+  let faulty = Option.map (fun p -> p mod P.n) faulty in
+  let g = A.Explore.explore ~max_configs:budget (A.C.initial inputs) in
   let n = A.Explore.size g in
   let into = Array.make n [] in
   for u = 0 to n - 1 do
-    List.iter (fun v -> into.(v) <- u :: into.(v)) (A.Explore.targets g u)
+    List.iter
+      (fun ((e : A.C.event), v) -> if Some e.dest <> faulty then into.(v) <- u :: into.(v))
+      (A.Explore.succ g u)
   done;
   let want =
     Array.init n (fun u ->
@@ -542,10 +530,10 @@ let closure_agrees protocol ~inputs ~faulty ~budget =
         end)
       into.(v)
   done;
-  let got = A.Valency.closure g in
+  let got = A.Valency.closure ?faulty g in
   let closure_ok = Array.for_all Fun.id (Array.mapi (fun u m -> Char.code (Bytes.get got u) = m) want) in
   let valences_ok =
-    (not (A.Explore.complete g))
+    (not (A.Explore.complete g)) || faulty <> None
     || Array.for_all Fun.id
          (Array.mapi
             (fun u v ->
@@ -559,12 +547,15 @@ let closure_agrees protocol ~inputs ~faulty ~budget =
   in
   let witness_ok =
     let first_empty = List.find_opt (fun u -> want.(u) = 0) (List.init n Fun.id) in
-    match (A.Lemma.find_blocking_run g, first_empty) with
-    | `Decision_always_reachable, None -> true
-    | `Blocking_witness schedule, Some u ->
-        List.length schedule = List.length (A.Explore.path_to g u)
-        && List.for_all2 A.C.event_equal schedule (A.Explore.path_to g u)
-    | _ -> false
+    match faulty with
+    | None -> true
+    | Some faulty -> (
+        match (A.Lemma.find_blocking_run ~faulty g, first_empty) with
+        | `Decision_always_reachable, None -> true
+        | `Blocking_witness schedule, Some u ->
+            List.length schedule = List.length (A.Explore.path_to g u)
+            && List.for_all2 A.C.event_equal schedule (A.Explore.path_to g u)
+        | _ -> false)
   in
   closure_ok && valences_ok && witness_ok
 
@@ -640,7 +631,6 @@ let () =
           Alcotest.test_case "path replays" `Quick test_path_to_replays;
           Alcotest.test_case "id_of" `Quick test_id_of;
           Alcotest.test_case "out-of-range ids rejected" `Quick test_out_of_range_ids;
-          Alcotest.test_case "filter excludes process" `Quick test_filter_excludes_process;
           Alcotest.test_case "edges are applications" `Quick test_edges_are_applications;
           Alcotest.test_case "matches a reference BFS" `Slow test_matches_reference_bfs;
           Alcotest.test_case "edge codes round-trip" `Slow test_edge_codes_round_trip;

@@ -16,6 +16,7 @@ type outcome = {
   escapes : bool;  (* admits a non-deciding admissible run (blocking or cycle) *)
   reachable_values : int;
   lemma1_holds : bool;
+  crash_ref_agrees : bool;  (* the blocking detector agrees with [Crash_ref] *)
 }
 
 (* Classify one random protocol with early exits; None when its state space
@@ -23,7 +24,8 @@ type outcome = {
 let classify_random spec seed =
   let protocol = Random_protocol.generate spec ~seed in
   let module P = (val protocol : Protocol.S) in
-  let module A = Analysis.Make (P) in
+  let module R = Crash_ref.Make (P) in
+  let module A = R.A in
   let graph_of = A.graphs ~max_configs:budget () in
   match A.Lemma.check_partial_correctness graph_of with
   | exception A.Valency.Incomplete -> None
@@ -45,7 +47,7 @@ let classify_random spec seed =
                    (fun inputs ->
                      (* blocking with some faulty process *)
                      for faulty = 0 to P.n - 1 do
-                       match A.Lemma.find_blocking_run (graph_of ~faulty inputs) with
+                       match A.Lemma.find_blocking_run ~faulty (graph_of inputs) with
                        | `Blocking_witness _ ->
                            found := true;
                            raise Exit
@@ -54,9 +56,7 @@ let classify_random spec seed =
                      (* fair cycles, zero faults first (cheapest to interpret) *)
                      List.iter
                        (fun faulty ->
-                         match
-                           A.Lemma.find_fair_nondeciding_cycle ~faulty (graph_of ?faulty inputs)
-                         with
+                         match A.Lemma.find_fair_nondeciding_cycle ~faulty (graph_of inputs) with
                          | `Fair_cycle _ ->
                              found := true;
                              raise Exit
@@ -72,6 +72,7 @@ let classify_random spec seed =
             escapes;
             reachable_values = List.length detail.reachable_decision_values;
             lemma1_holds = l1.holds = l1.trials;
+            crash_ref_agrees = List.for_all R.agrees (R.pairs graph_of);
           }
       end
 
@@ -109,6 +110,11 @@ let run_fuzz name spec first_seed seeds =
         Alcotest.(check bool)
           (Printf.sprintf "%s/%d lemma 1" name seed)
           true o.lemma1_holds;
+        (* every any-point blocking witness is sound, and every pair that
+           blocks with the process dead from the start has one *)
+        Alcotest.(check bool)
+          (Printf.sprintf "%s/%d crash witnesses = reference" name seed)
+          true o.crash_ref_agrees;
         (* THE theorem: a partially correct protocol must block or admit a
            fair non-deciding cycle *)
         if o.pc then

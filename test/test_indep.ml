@@ -4,7 +4,7 @@
    every initial input vector, a reduced exploration must agree with the
    full one on the root's valence and on the global decided-value union,
    while never exploring more.  Everything else — ample selection on a toy
-   system, truncation/filter composition, jobs determinism — guards the
+   system, truncation composition, jobs determinism — guards the
    machinery that property rests on. *)
 
 open Flp
@@ -271,7 +271,7 @@ let test_lying_inert_detected () =
     (disagree <> [] || linted)
 
 (* ------------------------------------------------------------------ *)
-(* Composition: truncation, filters, jobs                              *)
+(* Composition: truncation, jobs                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_truncation_composes () =
@@ -288,35 +288,6 @@ let test_truncation_composes () =
       Alcotest.(check bool) "within budget" true (A.Explore.size g <= 50);
       Alcotest.check_raises "classify refuses truncated graphs" A.Valency.Incomplete
         (fun () -> ignore (A.Valency.classify g)))
-    [ `Sleep ]
-
-let test_filter_composes () =
-  (* The filtered system (pid 0 frozen) is itself a transition system; the
-     reduced exploration of it must preserve its root valence and decided
-     union, exactly as in the unfiltered case. *)
-  let (module P : Protocol.S) =
-    match Zoo.find "and-wait" with Some p -> p | None -> Alcotest.fail "no and-wait"
-  in
-  let module A = Analysis.Make (P) in
-  let dec g =
-    decided ~size:A.Explore.size ~config:A.Explore.config
-      ~values:A.C.decision_values g
-  in
-  let inputs = Array.make P.n Value.One in
-  let root = A.C.initial inputs in
-  let filter (e : A.C.event) = e.dest <> 0 in
-  let full = A.Explore.explore ~filter ~max_configs:budget root in
-  List.iter
-    (fun reduction ->
-      let g = A.Explore.explore ~filter ~reduction ~max_configs:budget root in
-      Alcotest.(check bool) "complete" true (A.Explore.complete g);
-      Alcotest.(check bool) "never larger" true (A.Explore.size g <= A.Explore.size full);
-      Alcotest.(check bool) "root valence preserved" true
-        (A.Valency.equal_valence
-           (A.Valency.classify full).(A.Explore.root full)
-           (A.Valency.classify g).(A.Explore.root g));
-      Alcotest.(check bool) "decided union preserved" true
-        (dec g = dec full))
     [ `Sleep ]
 
 let test_reduced_jobs_deterministic () =
@@ -448,7 +419,6 @@ let () =
       ( "composition",
         [
           Alcotest.test_case "truncation composes" `Quick test_truncation_composes;
-          Alcotest.test_case "filter composes" `Quick test_filter_composes;
           Alcotest.test_case "jobs-deterministic when reduced" `Quick
             test_reduced_jobs_deterministic;
         ] );

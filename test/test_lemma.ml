@@ -93,7 +93,8 @@ let test_partial_correctness_first_wins_violated () =
 
 let test_blocking_and_wait () =
   match
-    AA.Lemma.find_blocking_run (AA.graphs ~max_configs:10_000 () ~faulty:1 [| Value.One; Value.One |])
+    AA.Lemma.find_blocking_run ~faulty:1
+      (AA.graphs ~max_configs:10_000 () [| Value.One; Value.One |])
   with
   | `Blocking_witness schedule ->
       (* after the witness, p0 alone can never decide *)
@@ -104,51 +105,82 @@ let test_blocking_and_wait () =
 
 let test_blocking_leader_only_when_leader_dies () =
   let graph_of = AL.graphs ~max_configs:10_000 () in
-  (match AL.Lemma.find_blocking_run (graph_of ~faulty:0 [| Value.One; Value.Zero; Value.Zero |]) with
+  (match AL.Lemma.find_blocking_run ~faulty:0 (graph_of [| Value.One; Value.Zero; Value.Zero |]) with
   | `Blocking_witness _ -> ()
   | `Decision_always_reachable -> Alcotest.fail "leader death must block");
-  match AL.Lemma.find_blocking_run (graph_of ~faulty:2 [| Value.One; Value.Zero; Value.Zero |]) with
+  match AL.Lemma.find_blocking_run ~faulty:2 (graph_of [| Value.One; Value.Zero; Value.Zero |]) with
   | `Blocking_witness _ -> Alcotest.fail "follower death must not block the leader protocol"
   | `Decision_always_reachable -> ()
 
 (* A truncated graph says nothing about what lies past [max_configs]: a
    node that reaches a left-out configuration is no blocking witness.  On
-   benor-det:1 with one process crashed, 12 of the 24 (inputs, crashed)
-   graphs block and 12 do not (each holds 12 configurations when
-   complete).  Cut at 5 or 10 configurations, a graph may name a witness
-   only where the complete graph has one: at a configuration that reaches
-   no decision there. *)
+   benor-det:1, 18 of the 24 (inputs, crashed process) pairs block on the
+   complete graphs, the crash at any point.  Cut at a few budgets, a graph
+   may name a witness only where the complete graph has one: a
+   configuration from which, once the process crashes, the reference
+   reaches no decision. *)
 let test_blocking_sound_on_truncated () =
   let module P = (val Option.get (Zoo.find "benor-det:1") : Protocol.S) in
-  let module A = Analysis.Make (P) in
-  let complete = A.graphs ~max_configs:1_000 () in
+  let module R = Crash_ref.Make (P) in
+  let module A = R.A in
+  let complete = A.graphs ~max_configs:500_000 () in
   let blocking = ref 0 in
   List.iter
     (fun inputs ->
       for faulty = 0 to P.n - 1 do
-        let full = complete ~faulty inputs in
-        (match A.Lemma.find_blocking_run full with
+        (match A.Lemma.find_blocking_run ~faulty (complete inputs) with
         | `Blocking_witness _ -> incr blocking
         | `Decision_always_reachable -> ());
-        let valences = A.Valency.classify full in
         List.iter
           (fun budget ->
-            let g = A.Explore.explore ~filter:(fun (e : A.C.event) -> e.dest <> faulty)
-                ~max_configs:budget (A.C.initial inputs) in
-            if A.Explore.complete g then Alcotest.failf "budget %d: a crash graph is complete" budget;
-            match A.Lemma.find_blocking_run g with
+            let g = A.Explore.explore ~max_configs:budget (A.C.initial inputs) in
+            if A.Explore.complete g then Alcotest.failf "budget %d: a graph is complete" budget;
+            match A.Lemma.find_blocking_run ~faulty g with
             | `Decision_always_reachable -> ()
-            | `Blocking_witness schedule -> (
-                let c = A.C.apply_schedule (A.C.initial inputs) schedule in
-                match A.Explore.id_of full c with
-                | Some id when A.Valency.equal_valence valences.(id) A.Valency.Undecided_forever -> ()
-                | Some _ | None ->
-                    Alcotest.failf "budget %d, p%d crashed: the witness reaches a decision" budget
-                      faulty))
-          [ 5; 10 ]
+            | `Blocking_witness schedule ->
+                if not (R.stuck ~p:faulty (A.C.apply_schedule (A.C.initial inputs) schedule))
+                then
+                  Alcotest.failf "budget %d, p%d crashed: the witness reaches a decision" budget
+                    faulty)
+          [ 5; 10; 100; 1_000 ]
       done)
     (A.Lemma.all_inputs ());
-  Alcotest.(check int) "complete graphs that block" 12 !blocking
+  Alcotest.(check int) "complete graphs that block" 18 !blocking
+
+(* Every any-point witness replays, by [C.apply_schedule], to a
+   configuration from which the reference reaches no decision once the
+   process crashes, and every pair the reference blocks with the process
+   dead from the start has a witness too. *)
+let check_crash_pairs name protocol =
+  let module P = (val protocol : Protocol.S) in
+  let module R = Crash_ref.Make (P) in
+  let pairs = R.pairs (R.A.graphs ~max_configs:500_000 ()) in
+  List.iter
+    (fun (r : R.pair) ->
+      if not r.sound then
+        Alcotest.failf "%s %s/p%d: the witness reaches a decision" name r.inputs r.p;
+      if not (R.agrees r) then
+        Alcotest.failf "%s %s/p%d: blocks from the root, but no witness" name r.inputs r.p)
+    pairs;
+  List.map (fun (r : R.pair) -> (r.inputs, r.p, r.any_point, r.from_root)) pairs
+
+let test_crash_pairs_zoo () =
+  List.iter (fun (e : Zoo.entry) -> ignore (check_crash_pairs e.name e.protocol)) Zoo.all
+
+(* race:3 blocks on 18 of its 24 pairs once a process may crash mid-run,
+   against 12 when it is dead from the start.  The six pairs only a crash
+   mid-run blocks each crash the process holding the minority input. *)
+let test_crash_pairs_race3 () =
+  let pairs = check_crash_pairs "race:3" (Option.get (Zoo.find "race:3")) in
+  let count f = List.length (List.filter f pairs) in
+  Alcotest.(check int) "any-point pairs" 18 (count (fun (_, _, any, _) -> any));
+  Alcotest.(check int) "root-crash pairs" 12 (count (fun (_, _, _, root) -> root));
+  Alcotest.(check (list (pair string int)))
+    "mid-run only"
+    [ ("100", 0); ("010", 1); ("110", 2); ("001", 2); ("101", 1); ("011", 0) ]
+    (List.filter_map
+       (fun (inputs, p, any, root) -> if any && not root then Some (inputs, p) else None)
+       pairs)
 
 let test_adjacent_opposite_pairs_and_wait () =
   (* and-wait decides AND of the inputs: 11 is 1-valent, its two neighbors
@@ -313,6 +345,9 @@ let () =
             test_blocking_leader_only_when_leader_dies;
           Alcotest.test_case "no witness past the truncation" `Quick
             test_blocking_sound_on_truncated;
+          Alcotest.test_case "crash witnesses = reference on the zoo" `Slow
+            test_crash_pairs_zoo;
+          Alcotest.test_case "race:3 crash pairs" `Slow test_crash_pairs_race3;
         ] );
       ( "classification",
         [

@@ -365,15 +365,15 @@ let test_flipping_inert_flagged () =
 
 let test_json_escaping () =
   Alcotest.(check string) "escapes quotes and newlines" {|"a\"b\nc\\d"|}
-    (Lint.Json.to_string (Lint.Json.Str "a\"b\nc\\d"));
+    (Flp_json.to_string (Flp_json.Str "a\"b\nc\\d"));
   Alcotest.(check string) "control chars" {|"\u0001"|}
-    (Lint.Json.to_string (Lint.Json.Str "\001"));
+    (Flp_json.to_string (Flp_json.Str "\001"));
   Alcotest.(check string) "compact object" {|{"a":[1,true,null]}|}
-    (Lint.Json.to_string (Lint.Json.Obj [ ("a", Lint.Json.List [ Int 1; Bool true; Null ]) ]))
+    (Flp_json.to_string (Flp_json.Obj [ ("a", Flp_json.List [ Int 1; Bool true; Null ]) ]))
 
 let test_json_report () =
   let report = lint (module Wild_sender : Protocol.S) in
-  let json = Lint.Json.to_string (Lint.Report.batch_to_json [ report ]) in
+  let json = Flp_json.to_string (Lint.Report.batch_to_json [ report ]) in
   Alcotest.(check bool) "names the protocol" true
     (contains ~sub:{|"protocol":"broken:wild-sender"|} json);
   Alcotest.(check bool) "carries the rule id" true
@@ -386,18 +386,18 @@ let test_json_stats () =
   (* trials/holds of the commutativity spot-check and the footprint coverage
      counters surface in the report's stats object *)
   let report = lint Zoo.and_wait in
-  let json = Lint.Json.to_string (Lint.Report.to_json report) in
+  let json = Flp_json.to_string (Lint.Report.to_json report) in
   Alcotest.(check bool) "commutativity trials" true
     (contains ~sub:{|"commutativity":{"trials":60,"holds":60|} json);
   Alcotest.(check bool) "footprint annotated" true
     (contains ~sub:{|"footprint-soundness":{"annotated":true|} json);
   Alcotest.(check bool) "inertness unannotated" true
     (contains ~sub:{|"inert-soundness":{"annotated":false}|} json);
-  let race = Lint.Json.to_string (Lint.Report.to_json (lint (Zoo.race ~cap:2))) in
+  let race = Flp_json.to_string (Lint.Report.to_json (lint (Zoo.race ~cap:2))) in
   Alcotest.(check bool) "race's inert deliveries counted" true
     (contains ~sub:{|"inert-soundness":{"annotated":true,"inert_deliveries":|} race);
   let unannotated = lint (module Flaky : Protocol.S) in
-  let ujson = Lint.Json.to_string (Lint.Report.to_json unannotated) in
+  let ujson = Flp_json.to_string (Lint.Report.to_json unannotated) in
   Alcotest.(check bool) "unannotated marked" true
     (contains ~sub:{|"footprint-soundness":{"annotated":false}|} ujson)
 

@@ -174,7 +174,7 @@ let test_fuzz_seeds_deterministic () =
       protocol
   done
 
-(* Truncation and filtering must compose with pooled waves as well as with
+(* Truncation must compose with pooled waves as well as with
    inline ones: [seq_threshold:0] sends every wave at [jobs:4] through the
    pool, the default leaves race:2's small waves inline. *)
 let test_truncation_deterministic () =
@@ -204,31 +204,6 @@ let test_truncation_deterministic () =
                 ~path_to:A.Explore.path_to g1 g4)
             [ 128; 0 ])
         [ 100; 500 ]
-
-let test_filter_respected_in_parallel () =
-  (* the Lemma 3 machinery relies on filtered exploration; pooled waves
-     must apply the same filter *)
-  match Zoo.find "race:2" with
-  | None -> Alcotest.fail "race:2 missing from the zoo"
-  | Some protocol ->
-      let module P = (val protocol : Protocol.S) in
-      let module A = Analysis.Make (P) in
-      let inputs = Array.init P.n (fun i -> Value.of_int (i land 1)) in
-      let root = A.C.initial inputs in
-      let filter (e : A.C.event) = e.dest <> 0 in
-      let g1 = A.Explore.explore ~filter ~jobs:1 ~max_configs:40_000 root in
-      List.iter
-        (fun seq_threshold ->
-          let g4 =
-            A.Explore.explore ~filter ~jobs:4 ~seq_threshold ~max_configs:40_000 root
-          in
-          check_graphs_equal
-            (Printf.sprintf "race:2 filtered threshold %d" seq_threshold)
-            ~event_equal:A.C.event_equal
-            ~size:A.Explore.size ~complete:A.Explore.complete
-            ~edge_count:A.Explore.edge_count ~succ:A.Explore.succ
-            ~path_to:A.Explore.path_to g1 g4)
-        [ 128; 0 ]
 
 (* Pin the graph bit-identical over jobs, for every reduction mode, against
    the [jobs:1] baseline — DPOR bookkeeping (pruned counts, sleep hits,
@@ -410,8 +385,6 @@ let () =
           Alcotest.test_case "fuzz seeds bit-identical" `Slow test_fuzz_seeds_deterministic;
           Alcotest.test_case "truncation point identical" `Quick
             test_truncation_deterministic;
-          Alcotest.test_case "filtered exploration identical" `Quick
-            test_filter_respected_in_parallel;
           Alcotest.test_case "explore rejects jobs < 1" `Quick test_explore_rejects_bad_jobs;
           Alcotest.test_case "jobs x reduction bit-identical" `Slow
             test_jobs_reduction_matrix;
